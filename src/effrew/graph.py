@@ -6,17 +6,16 @@ rendering, so graphs of terms with binders stay finite when they should.
 The fuel bounds the number of distinct nodes; a truncated graph keeps
 whatever was explored and says so.
 
-Exploration is a pure function of (term, rules, fuel); it could be
-sharded across workers without changing the result, but a single
-deterministic pass is plenty at the sizes this handles.
+Exploration is a pure function of (term, rules, fuel).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .rewrite import RewriteRule, all_redexes
+from .rewrite import RewriteRule, head_index, iter_redexes
 from .terms import Position, Term, canonical_key, print_term
 
 DEFAULT_NODE_FUEL = 100_000
@@ -43,34 +42,36 @@ class ReductionGraph:
         return [self.nodes[k] for k in self.normal_forms]
 
     def successors(self, key: str) -> list[str]:
-        return [e.dst for e in self.edges if e.src == key]
+        return list(self._adjacency.get(key, ()))
 
-    def has_cycle(self) -> bool:
+    @cached_property
+    def _adjacency(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {k: [] for k in self.nodes}
         for e in self.edges:
             adj[e.src].append(e.dst)
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {k: WHITE for k in self.nodes}
-        for start in self.nodes:
-            if colour[start] != WHITE:
-                continue
-            stack = [(start, iter(adj[start]))]
-            colour[start] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if colour[nxt] == GREY:
-                        return True
-                    if colour[nxt] == WHITE:
-                        colour[nxt] = GREY
-                        stack.append((nxt, iter(adj[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return False
+        return adj
+
+    @cached_property
+    def _topological_order(self) -> list[str] | None:
+        """Kahn order of the nodes, or None when the edges close a cycle.
+        Iterative, so deep chains do not hit the recursion limit."""
+        adj = self._adjacency
+        indeg = dict.fromkeys(self.nodes, 0)
+        for e in self.edges:
+            indeg[e.dst] += 1
+        ready = deque(k for k, d in indeg.items() if d == 0)
+        order = []
+        while ready:
+            k = ready.popleft()
+            order.append(k)
+            for n in adj[k]:
+                indeg[n] -= 1
+                if indeg[n] == 0:
+                    ready.append(n)
+        return order if len(order) == len(self.nodes) else None
+
+    def has_cycle(self) -> bool:
+        return self._topological_order is None
 
     @property
     def acyclic(self) -> bool | None:
@@ -83,26 +84,12 @@ class ReductionGraph:
     def longest_path(self) -> int | None:
         """Length in steps of the longest reduction from the root; None for
         truncated or cyclic graphs."""
-        if self.truncated or self.has_cycle():
+        order = self._topological_order
+        if self.truncated or order is None:
             return None
-        adj: dict[str, list[str]] = {k: [] for k in self.nodes}
-        indeg = {k: 0 for k in self.nodes}
-        for e in self.edges:
-            adj[e.src].append(e.dst)
-            indeg[e.dst] += 1
-        # Kahn order, then a depth pass in reverse; iterative so deep
-        # chains do not hit the recursion limit
-        order = deque(k for k, d in indeg.items() if d == 0)
-        topo = []
-        while order:
-            k = order.popleft()
-            topo.append(k)
-            for n in adj[k]:
-                indeg[n] -= 1
-                if indeg[n] == 0:
-                    order.append(n)
-        depth = {k: 0 for k in self.nodes}
-        for k in reversed(topo):
+        adj = self._adjacency
+        depth: dict[str, int] = {}
+        for k in reversed(order):
             depth[k] = max((1 + depth[n] for n in adj[k]), default=0)
         return depth[self.root]
 
@@ -122,7 +109,7 @@ class ReductionGraph:
 def reduction_graph(
     t: Term, rules: list[RewriteRule] = (), fuel: int = DEFAULT_NODE_FUEL
 ) -> ReductionGraph:
-    rules = list(rules)
+    index = head_index(rules)
     root = canonical_key(t)
     nodes: dict[str, Term] = {root: t}
     edges: list[Edge] = []
@@ -131,7 +118,7 @@ def reduction_graph(
     truncated = False
     while queue:
         key = queue.popleft()
-        redexes = all_redexes(nodes[key], rules)
+        redexes = list(iter_redexes(nodes[key], index))
         if not redexes:
             normal.append(key)
             continue

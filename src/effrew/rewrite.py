@@ -17,15 +17,28 @@ variables.
 
 All rules apply at any position (compatible closure): under binders, in
 let subjects, inside effect arguments.
+
+Redexes are found by a single scan: one explicit-stack preorder walk
+that tries the metalanguage rules at every node and, at a symbol
+application, only the user rules whose left side has the same head
+(kind and identity), looked up in an index built once per normalize or
+graph exploration.  A node's position is unwound from parent links only
+when the node is a redex, and a redex builds its reduct only when it is
+first read, so leftmost-outermost normalisation stops the walk at the
+first hit and builds one reduct per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import islice
 from random import Random
+from typing import Callable, Iterable, Iterator
 
 from .terms import (
     App,
+    Identity,
     Lam,
     Let,
     Position,
@@ -37,7 +50,6 @@ from .terms import (
     children,
     free_vars,
     fresh_name,
-    iter_subterms,
     print_term,
     replace_at,
     substitute,
@@ -195,73 +207,137 @@ def instantiate(rhs: Term, bindings: dict[str, Term]) -> Term:
 # redexes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Redex:
+    """Rule `rule_name` applied at `position` of `source`.
+
+    The reduct (source with the contractum spliced in at position) is
+    built on first access and then cached, so a scan that lists many
+    redexes pays only for the ones that are used.  Equality and hashing
+    go through position, rule name and reduct.
+    """
+
     position: Position
     rule_name: str
-    reduct: Term
-    source: Term = field(repr=False, compare=False, default=None)
-    ml: bool = field(compare=False, default=False)
-    rule_index: int = field(compare=False, default=0)
+    source: Term = field(repr=False)
+    contract: Callable[[], Term] = field(repr=False)
+    ml: bool = False
+    rule_index: int = 0
+
+    @cached_property
+    def reduct(self) -> Term:
+        return replace_at(self.source, self.position, self.contract())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Redex):
+            return NotImplemented
+        return (self.position, self.rule_name, self.reduct) == (other.position, other.rule_name, other.reduct)
+
+    def __hash__(self) -> int:
+        return hash((self.position, self.rule_name, self.reduct))
 
 
-def _ml_contraction(t: Term) -> tuple[str, Term] | None:
-    """The metalanguage contraction rooted at t, if any.  At most one of
-    the four rules can apply at a given node."""
+def _let_assoc(t: Let) -> Let:
+    """let-assoc contractum of t; renames the inner binder when it is free
+    in the outer body."""
+    subj = t.subject
+    inner_binder, t1, t2 = subj.binder, subj.subject, subj.body
+    if inner_binder in free_vars(t.body):
+        renamed = fresh_name(
+            inner_binder,
+            free_vars(t.body) | free_vars(t2) | free_vars(t1) | {t.binder},
+        )
+        t2 = substitute(t2, inner_binder, Var(renamed))
+        inner_binder = renamed
+    return Let(inner_binder, t1, Let(t.binder, t2, t.body))
+
+
+def _ml_contraction(t: Term) -> tuple[str, Callable[[], Term]] | None:
+    """The metalanguage rule rooted at t, if any, with a thunk that builds
+    its contractum.  At most one of the four rules can apply at a node."""
     if isinstance(t, App) and isinstance(t.fun, Lam):
-        return "abs-beta", substitute(t.fun.body, t.fun.binder, t.arg)
+        return "abs-beta", lambda: substitute(t.fun.body, t.fun.binder, t.arg)
     if isinstance(t, Let):
         subj = t.subject
         if isinstance(subj, Pure):
-            return "let-beta", substitute(t.body, t.binder, subj.body)
+            return "let-beta", lambda: substitute(t.body, t.binder, subj.body)
         if isinstance(subj, Let):
-            inner_binder, t1, t2 = subj.binder, subj.subject, subj.body
-            if inner_binder in free_vars(t.body):
-                renamed = fresh_name(
-                    inner_binder,
-                    free_vars(t.body) | free_vars(t2) | free_vars(t1) | {t.binder},
-                )
-                t2 = substitute(t2, inner_binder, Var(renamed))
-                inner_binder = renamed
-            return "let-assoc", Let(inner_binder, t1, Let(t.binder, t2, t.body))
+            return "let-assoc", lambda: _let_assoc(t)
         if isinstance(subj, SymApp) and subj.kind == "eff":
-            pushed = tuple(Let(t.binder, ti, t.body) for ti in subj.args)
-            return "eff-assoc", SymApp("eff", subj.name, subj.params, pushed)
+            return "eff-assoc", lambda: SymApp(
+                "eff", subj.name, subj.params, tuple(Let(t.binder, ti, t.body) for ti in subj.args)
+            )
     return None
+
+
+HeadIndex = dict[tuple[str, Identity], list[tuple[int, RewriteRule]]]
+
+
+def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
+    """User rules keyed by the (kind, identity) of their left side's root,
+    each with its position in `rules`: a symbol application is only
+    matched against the rules that share its head."""
+    index: HeadIndex = {}
+    for idx, rule in enumerate(rules):
+        if not isinstance(rule.lhs, SymApp):
+            raise RuleError(f"rule {rule.name}: left side is not a symbol application")
+        index.setdefault((rule.lhs.kind, rule.lhs.identity), []).append((idx, rule))
+    return index
+
+
+def _position(link) -> Position:
+    """Unwind a (parent link, child index) chain into a position."""
+    out = []
+    while link is not None:
+        link, i = link
+        out.append(i)
+    out.reverse()
+    return tuple(out)
+
+
+def iter_redexes(t: Term, index: HeadIndex) -> Iterator[Redex]:
+    """Every redex of t in one preorder walk: positions in lexicographic
+    order, the metalanguage rule before user rules at a position, user
+    rules by index.  Lazy, so a caller that wants only the first redex
+    stops the walk there."""
+    stack = [(t, None)]
+    while stack:
+        sub, link = stack.pop()
+        # user rules only match symbol applications and metalanguage rules
+        # never do, so one node never has both kinds of redex
+        if isinstance(sub, SymApp):
+            pos = None
+            for idx, rule in index.get((sub.kind, sub.identity), ()):
+                bindings = match_pattern(rule.lhs, sub, rule.value_vars)
+                if bindings is not None:
+                    if pos is None:
+                        pos = _position(link)
+                    yield Redex(pos, rule.name, t, partial(instantiate, rule.rhs, bindings), False, idx)
+            kids = sub.args
+        else:
+            hit = _ml_contraction(sub)
+            if hit is not None:
+                yield Redex(_position(link), hit[0], t, hit[1], ml=True)
+            kids = children(sub)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (link, i)))
 
 
 def ml_redexes(t: Term) -> list[Redex]:
     """All metalanguage redexes of t, in preorder position order."""
-    out = []
-    for pos, sub in iter_subterms(t):
-        hit = _ml_contraction(sub)
-        if hit is not None:
-            name, contractum = hit
-            out.append(Redex(pos, name, replace_at(t, pos, contractum), t, ml=True))
-    return out
+    return list(iter_redexes(t, {}))
 
 
 def symbolic_redexes(t: Term, rules: list[RewriteRule]) -> list[Redex]:
     """All user-rule redexes of t, positions in preorder, rules in the
     order given at equal positions."""
-    out = []
-    for pos, sub in iter_subterms(t):
-        for idx, rule in enumerate(rules):
-            bindings = match_pattern(rule.lhs, sub, rule.value_vars)
-            if bindings is not None:
-                contractum = instantiate(rule.rhs, bindings)
-                out.append(
-                    Redex(pos, rule.name, replace_at(t, pos, contractum), t, ml=False, rule_index=idx)
-                )
-    return out
+    return [r for r in iter_redexes(t, head_index(rules)) if not r.ml]
 
 
 def all_redexes(t: Term, rules: list[RewriteRule] = ()) -> list[Redex]:
     """Every redex of t, sorted by position (lexicographic), metalanguage
     rules before user rules at equal positions."""
-    combined = ml_redexes(t) + symbolic_redexes(t, list(rules))
-    combined.sort(key=lambda r: (r.position, 0 if r.ml else 1, r.rule_index))
-    return combined
+    return list(iter_redexes(t, head_index(rules)))
 
 
 def step(t: Term, redex: Redex) -> Term:
@@ -322,9 +398,10 @@ def _pick(redexes: list[Redex], strategy: str, rng: Random | None) -> Redex:
         # outermost redex, ml before user rules on ties
         return redexes[0]
     if strategy == "rightmost-innermost":
-        deepest = max(r.position for r in redexes)
-        at = [r for r in redexes if r.position == deepest]
-        return min(at, key=lambda r: (0 if r.ml else 1, r.rule_index))
+        # the greatest position comes last in the listing; at it, the ml
+        # rule comes first, then user rules by index
+        deepest = redexes[-1].position
+        return next(r for r in redexes if r.position == deepest)
     if strategy == "random":
         return rng.choice(redexes)
     raise ValueError(f"unknown strategy: {strategy}")
@@ -347,11 +424,13 @@ def normalize(
     if (seed is None) == (strategy == "random"):
         raise ValueError("a seed is required exactly when the strategy is random")
     rng = Random(seed) if strategy == "random" else None
-    rules = list(rules)
+    index = head_index(rules)
+    # leftmost-outermost takes the first redex of the walk, so it stops there
+    limit = 1 if strategy == "leftmost-outermost" else None
     steps: list[TraceStep] = []
     current = t
     while True:
-        redexes = all_redexes(current, rules)
+        redexes = list(islice(iter_redexes(current, index), limit))
         if not redexes:
             return current, Trace(t, tuple(steps))
         if len(steps) >= fuel:

@@ -142,6 +142,9 @@ def ident_str(identity: Identity) -> str:
 
 
 def children(t: Term) -> tuple[Term, ...]:
+    # symbol applications are the most common nodes, so they are tested first
+    if isinstance(t, SymApp):
+        return t.args
     if isinstance(t, Var):
         return ()
     if isinstance(t, Lam):
@@ -152,12 +155,12 @@ def children(t: Term) -> tuple[Term, ...]:
         return (t.body,)
     if isinstance(t, Let):
         return (t.subject, t.body)
-    if isinstance(t, SymApp):
-        return t.args
     raise TermError(f"not a term: {t!r}")
 
 
 def with_children(t: Term, new: tuple[Term, ...]) -> Term:
+    if isinstance(t, SymApp):
+        return SymApp(t.kind, t.name, t.params, new)
     if isinstance(t, Var):
         return t
     if isinstance(t, Lam):
@@ -168,8 +171,6 @@ def with_children(t: Term, new: tuple[Term, ...]) -> Term:
         return Pure(new[0])
     if isinstance(t, Let):
         return Let(t.binder, new[0], new[1])
-    if isinstance(t, SymApp):
-        return SymApp(t.kind, t.name, t.params, new)
     raise TermError(f"not a term: {t!r}")
 
 
@@ -183,21 +184,31 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 
 def replace_at(t: Term, pos: Position, sub: Term) -> Term:
-    if not pos:
-        return sub
-    kids = list(children(t))
-    i = pos[0]
-    if i >= len(kids):
-        raise TermError(f"position {pos} not in term")
-    kids[i] = replace_at(kids[i], pos[1:], sub)
-    return with_children(t, tuple(kids))
+    """t with the subterm at pos replaced by sub: walks down to pos, then
+    rebuilds the path bottom-up, without recursion."""
+    spine = []
+    for i in pos:
+        kids = children(t)
+        if i >= len(kids):
+            raise TermError(f"position {pos} not in term")
+        spine.append((t, kids, i))
+        t = kids[i]
+    for node, kids, i in reversed(spine):
+        kids = list(kids)
+        kids[i] = sub
+        sub = with_children(node, tuple(kids))
+    return sub
 
 
 def iter_subterms(t: Term, pos: Position = ()) -> Iterator[tuple[Position, Term]]:
     """Preorder walk; positions come out in lexicographic order."""
-    yield pos, t
-    for i, kid in enumerate(children(t)):
-        yield from iter_subterms(kid, pos + (i,))
+    stack = [(pos, t)]
+    while stack:
+        pos, t = stack.pop()
+        yield pos, t
+        kids = children(t)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((pos + (i,), kids[i]))
 
 
 def term_size(t: Term) -> int:

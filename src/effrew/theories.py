@@ -22,6 +22,7 @@ it has never seen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .parser import ParseError, build_term, build_type
 from .rewrite import RewriteRule, RuleError, make_rule, pattern_vars
@@ -75,21 +76,19 @@ class Theory:
     base_precedence: tuple = ()
     description: str = field(default="", compare=False)
 
-    @property
-    def rules(self) -> tuple[RewriteRule, ...]:
-        expanded = []
-        for schema in self.schemas:
-            rules, _ = _expand_commute(schema, self.signature)
-            expanded.extend(rules)
-        return self.base_rules + tuple(expanded)
+    # computed on first access and kept in the instance dict; they are not
+    # fields, so equality and hashing are unchanged
+    @cached_property
+    def _expansions(self) -> tuple:
+        return tuple(_expand_commute(schema, self.signature) for schema in self.schemas)
 
-    @property
+    @cached_property
+    def rules(self) -> tuple[RewriteRule, ...]:
+        return self.base_rules + tuple(r for rules, _ in self._expansions for r in rules)
+
+    @cached_property
     def precedence(self) -> Precedence:
-        pairs = list(self.base_precedence)
-        for schema in self.schemas:
-            _, schema_pairs = _expand_commute(schema, self.signature)
-            pairs.extend(schema_pairs)
-        return Precedence(pairs)
+        return Precedence(list(self.base_precedence) + [p for _, pairs in self._expansions for p in pairs])
 
 
 def _expand_commute(schema: CommuteSchema, sig: Signature):

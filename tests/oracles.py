@@ -7,8 +7,8 @@ nesting count re-reads its definition off explicit positions, and so on.
 
 from __future__ import annotations
 
-from effrew.rewrite import all_redexes
-from effrew.terms import Let, SymApp, Term, canonical_key, iter_subterms
+from effrew.rewrite import _ml_contraction, all_redexes, instantiate, match_pattern
+from effrew.terms import Let, SymApp, Term, canonical_key, children, iter_subterms, with_children
 
 
 def naive_normal_forms(t: Term, rules, limit: int = 50_000) -> set[str]:
@@ -86,3 +86,39 @@ def request_spine_count(t: Term) -> int:
 
 def count_symbol(t: Term, name: str) -> int:
     return sum(1 for _, sub in iter_subterms(t) if isinstance(sub, SymApp) and sub.name == name)
+
+
+def reference_redexes(t: Term, rules) -> list[tuple]:
+    """Every redex of t as (position, rule_name, ml, rule_index, reduct),
+    found the plain way: one recursive walk for the metalanguage rules and
+    one for the user rules, every rule tried at every node, every reduct
+    built by recursive splicing, then one sort.  It shares the per-node
+    rule logic with the engine (_ml_contraction, match_pattern,
+    instantiate); what it checks is the walk, the rule lookup, the order,
+    the positions and the reducts."""
+
+    def walk(t: Term, pos: tuple):
+        yield pos, t
+        for i, kid in enumerate(children(t)):
+            yield from walk(kid, pos + (i,))
+
+    def splice(t: Term, pos: tuple, sub: Term) -> Term:
+        if not pos:
+            return sub
+        kids = list(children(t))
+        kids[pos[0]] = splice(kids[pos[0]], pos[1:], sub)
+        return with_children(t, tuple(kids))
+
+    out = []
+    for pos, sub in walk(t, ()):
+        hit = _ml_contraction(sub)
+        if hit is not None:
+            name, contract = hit
+            out.append((pos, name, True, 0, splice(t, pos, contract())))
+    for pos, sub in walk(t, ()):
+        for idx, rule in enumerate(rules):
+            bindings = match_pattern(rule.lhs, sub, rule.value_vars)
+            if bindings is not None:
+                out.append((pos, rule.name, False, idx, splice(t, pos, instantiate(rule.rhs, bindings))))
+    out.sort(key=lambda r: (r[0], not r[2], r[3]))
+    return out

@@ -118,6 +118,7 @@ def test_longest_path_on_diamond():
     r2 = make_rule("stepdown", fn("f", Var("x")), fn("h", Var("x")))
     r3 = make_rule("finish", fn("h", Var("x")), fn("g", Var("x")))
     g = reduction_graph(fn("f", fn("c")), [r1, r2, r3])
+    assert g.successors(g.root) == [canonical_key(fn("g", fn("c"))), canonical_key(fn("h", fn("c")))]
     assert g.longest_path() == 2
     assert len(g.normal_forms) == 1
 

@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +37,9 @@ from effrew.terms import (
     replace_at,
     subterm_at,
 )
-from effrew.theories import builtin
-from oracles import naive_normal_forms, nesting_count_by_positions
-from termgen import TypedTermGen, or_tree
+from effrew.theories import builtin, builtin_names, compose, numeral_value, peano_numeral
+from oracles import naive_normal_forms, nesting_count_by_positions, reference_redexes
+from termgen import TypedTermGen, gs_trace, or_tree
 
 # -- the four metalanguage contractions --------------------------------------
 
@@ -397,3 +399,82 @@ def test_all_redexes_only_touch_their_subtree(seed):
         # Splicing the original subtree back in recovers the original term,
         # so the step changed nothing outside the redex position.
         assert replace_at(out, r.position, subterm_at(t, r.position)) == t
+
+
+# -- the one-pass scan against the two-walk reference ----------------------------
+
+# (theory, term shape): typed terms under every builtin and one composition,
+# plus the ground or-trees and state traces, where user redexes are dense
+# and several rules can fire at one position
+SCAN_CASES = (
+    *((name, "typed") for name in builtin_names()),
+    ("global-state+nondet", "typed"),
+    ("nondet", "or-tree"),
+    ("global-state", "gs-trace"),
+)
+
+
+@cache
+def _scan_theory(name: str):
+    return compose(*(builtin(part) for part in name.split("+")))
+
+
+def _random_term(case, seed: int):
+    name, shape = case
+    rng = random.Random(seed)
+    theory = _scan_theory(name)
+    if shape == "or-tree":
+        t = or_tree(rng, 4)
+    elif shape == "gs-trace":
+        t = gs_trace(rng, (0, 1), 4)
+    else:
+        gen = TypedTermGen(rng, theory)
+        t = gen.gen_sized(rng.choice(gen.simple_types), 40)
+    return t, list(theory.rules)
+
+
+def _listing(redexes):
+    return [(r.position, r.rule_name, r.ml, r.rule_index, r.reduct) for r in redexes]
+
+
+@given(st.sampled_from(SCAN_CASES), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_reference(case, seed):
+    t, rules = _random_term(case, seed)
+    expected = reference_redexes(t, rules)
+    assert _listing(all_redexes(t, rules)) == expected
+    assert _listing(ml_redexes(t)) == [r for r in expected if r[2]]
+    assert _listing(symbolic_redexes(t, rules)) == [r for r in expected if not r[2]]
+
+
+@given(st.sampled_from(SCAN_CASES), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_leftmost_outermost_follows_reference_head(case, seed):
+    t, rules = _random_term(case, seed)
+    fuel = 60
+    try:
+        _, trace = normalize(t, rules, fuel=fuel)
+    except FuelExhausted as exc:
+        trace = exc.trace
+    expected = []
+    current = t
+    while len(expected) < fuel:
+        found = reference_redexes(current, rules)
+        if not found:
+            break
+        pos, rule_name, _, _, current = found[0]
+        expected.append((rule_name, pos, current))
+    assert [(s.redex.rule_name, s.redex.position, s.result) for s in trace.steps] == expected
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+def test_plus_200_normalizes_quickly(peano, strategy):
+    # a scan that pays O(depth) per node, or builds the reduct of every
+    # redex it lists, makes this cubic: 2-3 s per strategy
+    t = fn("plus", peano_numeral(200), peano_numeral(200))
+    start = time.perf_counter()
+    nf, trace = normalize(t, list(peano.rules), strategy=strategy)
+    elapsed = time.perf_counter() - start
+    assert len(trace.steps) == 201
+    assert numeral_value(nf) == 400
+    assert elapsed < 1.0, f"{strategy} took {elapsed:.2f} s"

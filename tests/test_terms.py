@@ -25,6 +25,7 @@ from effrew.terms import (
     term_size,
     with_children,
 )
+from effrew.theories import peano_numeral
 from termgen import symbolic_term
 
 
@@ -113,6 +114,16 @@ def test_iter_subterms_is_preorder():
     positions = [pos for pos, _ in iter_subterms(t)]
     assert positions == [(), (0,), (1,), (1, 0)]
     assert positions == sorted(positions)
+
+
+def test_iter_subterms_survives_deep_terms():
+    # far past the interpreter recursion limit
+    t = peano_numeral(5000)
+    count = 0
+    for k, (pos, _) in enumerate(iter_subterms(t)):
+        assert pos == (0,) * k
+        count += 1
+    assert count == 5001
 
 
 def test_with_children_roundtrip():

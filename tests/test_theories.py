@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from effrew.rewrite import normalize, pattern_vars
@@ -123,6 +125,16 @@ def test_par_without_join():
     names = rule_names(p)
     assert "join-par" not in names
     assert len(names) == 4
+
+
+def test_schema_expansion_computed_once():
+    th = builtin("par")
+    assert th.rules is th.rules
+    assert th.precedence is th.precedence
+    # the cached expansions are not fields: a copy that has not computed
+    # them yet is still equal, with the same hash
+    fresh = dataclasses.replace(th)
+    assert th == fresh and hash(th) == hash(fresh)
 
 
 def test_retry_contents(retry):
