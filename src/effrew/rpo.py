@@ -20,7 +20,6 @@ definition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .rewrite import pattern_vars
@@ -56,18 +55,20 @@ class Precedence:
     after closure) are rejected."""
 
     def __init__(self, pairs=()):
-        closed = set(tuple(p) for p in pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closed):
-                for c, d in list(closed):
-                    if b == c and (a, d) not in closed:
-                        closed.add((a, d))
-                        changed = True
-        for a, b in closed:
-            if a == b:
+        succ: dict[Identity, set] = {}
+        for a, b in pairs:
+            succ.setdefault(a, set()).add(b)
+        closed = set()
+        for a in succ:
+            reach, stack = set(), [a]
+            while stack:
+                for b in succ.get(stack.pop(), ()):
+                    if b not in reach:
+                        reach.add(b)
+                        stack.append(b)
+            if a in reach:
                 raise PrecedenceError(f"precedence is not irreflexive: {ident_str(a)} > {ident_str(a)}")
+            closed.update((a, b) for b in reach)
         self._pairs = frozenset(closed)
 
     @property
@@ -162,16 +163,10 @@ def _check_symbolic(t: Term, side: str) -> None:
 
 
 class _Prover:
-    """Memoized RPO derivation search for one fixed precedence.
+    """Memoized RPO derivation search for one fixed precedence."""
 
-    When a harvest set is supplied, every failed comparison of two symbol
-    applications with distinct unordered heads contributes the candidate
-    precedence pair that might have unblocked RPO(2).
-    """
-
-    def __init__(self, prec: Precedence, harvest: set | None = None):
+    def __init__(self, prec: Precedence):
         self.prec = prec
-        self.harvest = harvest
         self.memo: dict[tuple[Term, Term], RpoDerivation | None] = {}
 
     def greater(self, s: Term, t: Term) -> RpoDerivation | None:
@@ -223,8 +218,6 @@ class _Prover:
                     rest.append(d)
                 if rest is not None:
                     return RpoDerivation(s, t, CASE_PREC, children=tuple(rest))
-            elif self.harvest is not None and s.identity != t.identity:
-                self.harvest.add((s.identity, t.identity))
         return None
 
     def _lex(self, ss, ts) -> tuple[int, RpoDerivation] | None:
@@ -367,8 +360,8 @@ class CertReport:
         }
 
 
-def _certify(prec: Precedence, rules, harvest: set | None = None) -> CertReport:
-    prover = _Prover(prec, harvest)
+def _certify(prec: Precedence, rules) -> CertReport:
+    prover = _Prover(prec)
     entries = []
     for rule in rules:
         if rule.extended:
@@ -441,14 +434,47 @@ def rule_identities(rules) -> list[Identity]:
 DEFAULT_SYMBOL_BOUND = 8
 
 
-def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND, state_cap: int = 4096):
+def _minimal(alts) -> list[frozenset]:
+    """The consistent sets in alts that contain no other, smallest first."""
+    out: list[frozenset] = []
+    for a in sorted(set(alts), key=lambda a: (len(a), sorted(a))):
+        if not any(b <= a for b in out) and Precedence.consistent(a):
+            out.append(a)
+    return out
+
+
+def _orient(s: Term, t: Term, memo: dict) -> list[frozenset]:
+    """Minimal consistent sets of precedence pairs under which s > t holds,
+    following _Prover._compute case by case.  The ordering is monotone in
+    the precedence, so s > t holds under one exactly when it contains one
+    of these sets."""
+    if (s, t) in memo:
+        return memo[s, t]
+    alts: list[frozenset] = []
+    if isinstance(s, SymApp):
+        for arg in s.args:  # RPO(3)
+            alts += [frozenset()] if arg == t else _orient(arg, t, memo)
+        if isinstance(t, SymApp):
+            head: list[frozenset] = []
+            if s.identity == t.identity and len(s.args) == len(t.args):
+                diff = next(((a, b) for a, b in zip(s.args, t.args) if a != b), None)
+                head = [] if diff is None else _orient(*diff, memo)  # RPO(1)
+            elif s.identity != t.identity:
+                head = [frozenset({(s.identity, t.identity)})]  # RPO(2)
+            for tj in t.args:
+                head = _minimal([a | b for a in head for b in _orient(s, tj, memo)])
+            alts += head
+    memo[s, t] = result = _minimal(alts)
+    return result
+
+
+def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     """Find a precedence under which certify_ruleset passes, or None.
 
-    Grows constraint sets harvested from failed RPO(2) attempts
-    (breadth-first, so small precedences come back first) and falls back
-    to enumerating total orders, which is complete: the ordering is
-    monotone in the precedence, so if any strict partial order works,
-    some total extension of it does too.
+    Exact: each non-extended rule is oriented by one of its minimal
+    precedence extensions (_orient), and a backtracking search picks one
+    per rule, fewest choices first, whose union is a strict partial
+    order.  Raises SearchBoundError beyond max_symbols symbol identities.
     """
     rules = [r for r in rules if not r.extended]
     ids = rule_identities(rules)
@@ -456,31 +482,15 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND, state_cap:
         raise SearchBoundError(
             f"{len(ids)} symbol identities exceed the search bound of {max_symbols}"
         )
+    memo: dict = {}
+    options = sorted((_orient(r.lhs, r.rhs, memo) for r in rules), key=len)
 
-    seen = {frozenset()}
-    queue = [frozenset()]
-    explored = 0
-    while queue and explored < state_cap:
-        pairs = queue.pop(0)
-        explored += 1
-        harvest: set = set()
-        prec = Precedence(pairs)
-        report = _certify(prec, rules, harvest)
-        if report.overall:
-            return prec
-        for cand in sorted(harvest):
-            grown = pairs | {cand}
-            if grown in seen:
-                continue
-            seen.add(grown)
-            if Precedence.consistent(grown):
-                queue.append(grown)
+    def pick(i: int, pairs: frozenset):
+        if i == len(options):
+            yield Precedence(pairs)
+        else:
+            for alt in options[i]:
+                if Precedence.consistent(pairs | alt):
+                    yield from pick(i + 1, pairs | alt)
 
-    for perm in itertools.permutations(ids):
-        pairs = frozenset(
-            (perm[i], perm[j]) for i in range(len(perm)) for j in range(i + 1, len(perm))
-        )
-        prec = Precedence(pairs)
-        if _certify(prec, rules).overall:
-            return prec
-    return None
+    return next(pick(0, frozenset()), None)

@@ -7,7 +7,10 @@ nesting count re-reads its definition off explicit positions, and so on.
 
 from __future__ import annotations
 
+import itertools
+
 from effrew.rewrite import _ml_contraction, all_redexes, instantiate, match_pattern
+from effrew.rpo import Precedence, _certify, rule_identities
 from effrew.terms import Let, SymApp, Term, canonical_key, children, iter_subterms, with_children
 
 
@@ -122,3 +125,17 @@ def reference_redexes(t: Term, rules) -> list[tuple]:
                 out.append((pos, rule.name, False, idx, splice(t, pos, instantiate(rule.rhs, bindings))))
     out.sort(key=lambda r: (r[0], not r[2], r[3]))
     return out
+
+
+def brute_force_precedence(rules) -> Precedence | None:
+    """The first total order on the rules' symbol identities, in
+    itertools.permutations order, under which every non-extended rule
+    certifies, or None.  Complete because the ordering is monotone in the
+    precedence: if a strict partial order works, so does any total
+    extension of it."""
+    rules = [r for r in rules if not r.extended]
+    for perm in itertools.permutations(rule_identities(rules)):
+        prec = Precedence((a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
+        if _certify(prec, rules).overall:
+            return prec
+    return None

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import effrew
 from effrew.cli import main
 from effrew.graph import reduction_graph
 from effrew.parser import parse_term
@@ -353,6 +355,15 @@ def test_search_json(capsys):
     assert json.loads(out) == {"precedence": []}
 
 
+def test_search_bound_exceeded(capsys):
+    code, out, err = run(capsys, "search", "--builtin", "par", "--max-symbols", "1")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "exceed the search bound" in lines[0]
+    assert "Traceback" not in err
+
+
 # -- graph ---------------------------------------------------------------------------
 
 
@@ -423,10 +434,13 @@ def test_missing_theory_file(capsys):
 
 
 def test_console_script_runs():
+    # run from the directory holding the package under test, so the child
+    # imports it without an install or PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "effrew.cli", "theories"],
         capture_output=True,
         text=True,
+        cwd=Path(effrew.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "nondet" in proc.stdout

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effrew.rewrite import make_rule
+from effrew.rewrite import RuleError, make_rule
 from effrew.rpo import (
     CASE_EQ,
     CASE_LEX,
@@ -22,6 +23,8 @@ from effrew.rpo import (
     validate_derivation,
 )
 from effrew.terms import Lam, Pure, Var, eff, fn, substitute
+from effrew.theories import builtin, builtin_names, compose
+from oracles import brute_force_precedence
 from termgen import random_precedence, rpo_identities, symbolic_term
 
 F = ("f", ())
@@ -301,6 +304,60 @@ def test_search_result_is_minimal_for_retry(retry):
     assert prec is not None
     assert certify_ruleset(prec, list(retry.rules)).overall
     assert len(prec.pairs) <= len(retry.precedence.pairs)
+
+
+def _chain(n, cycle=False):
+    """s0(x) -> s1(x) -> ... -> s{n-1}(x), closed by s{n-1}(x) -> s0(x) when cycle."""
+    x = v("x")
+    return [
+        make_rule(f"s{i}-s{(i + 1) % n}", fn(f"s{i}", x), fn(f"s{(i + 1) % n}", x))
+        for i in range(n if cycle else n - 1)
+    ]
+
+
+def test_search_refuses_eight_cycle_quickly():
+    # enumerating the 8! total orders takes about 11 s
+    start = time.perf_counter()
+    assert search_precedence(_chain(8, cycle=True)) is None
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f} s"
+
+
+def test_search_finds_eight_chain():
+    rules = _chain(8)
+    prec = search_precedence(rules)
+    assert prec is not None and len(prec.pairs) == 8 * 7 // 2
+    assert certify_ruleset(prec, rules).overall
+
+
+def test_search_composed_builtins_quickly():
+    rules = list(compose(*(builtin(n) for n in builtin_names())).rules)
+    start = time.perf_counter()
+    prec = search_precedence(rules, max_symbols=16)
+    elapsed = time.perf_counter() - start
+    assert prec is not None
+    assert certify_ruleset(prec, rules).overall
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_search_agrees_with_brute_force(seed):
+    rng = random.Random(seed)
+    rules = []
+    for i in range(rng.randint(1, 5)):
+        lhs, rhs = symbolic_term(rng, rng.randint(2, 7)), symbolic_term(rng, rng.randint(1, 6))
+        try:
+            rules.append(make_rule(f"r{i}", lhs, rhs))
+        except RuleError:
+            pass  # bare-variable left side, or variables invented on the right
+    prec = search_precedence(rules)
+    assert (prec is None) == (brute_force_precedence(rules) is None)
+    if prec is not None:
+        report = certify_ruleset(prec, rules)
+        assert report.overall, report.text()
+        for entry in report.entries:
+            assert validate_derivation(prec, entry.derivation)
 
 
 # -- order-theoretic properties ------------------------------------------------
