@@ -83,12 +83,36 @@ class FuelExhausted(Exception):
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """A user rule, which checks its own shape when it is built: both sides
+    lie in the symbolic fragment (the right side may also use pure when the
+    rule is extended), the left side is not a bare variable, and the right
+    side invents no variables.  Raises RuleError otherwise.  value_vars is
+    derived: for extended rules, the right-side variables that occur under
+    a pure."""
+
     name: str
     lhs: Term
     rhs: Term
     extended: bool = False
-    value_vars: frozenset[str] = frozenset()
+    value_vars: frozenset[str] = field(init=False)
     certified: bool = False
+
+    def __post_init__(self):
+        name, lhs, rhs, extended = self.name, self.lhs, self.rhs, self.extended
+        if isinstance(lhs, Var):
+            raise RuleError(f"rule {name}: left side is a bare variable")
+        if not is_symbolic(lhs):
+            raise RuleError(f"rule {name}: left side leaves the symbolic fragment")
+        if not is_symbolic(rhs, allow_pure=extended):
+            raise RuleError(
+                f"rule {name}: right side leaves the symbolic fragment"
+                + ("" if extended else " (pure needs the extended flag)")
+            )
+        lv, rv = pattern_vars(lhs), pattern_vars(rhs)
+        if not rv <= lv:
+            missing = ", ".join(sorted(rv - lv))
+            raise RuleError(f"rule {name}: right side invents variables: {missing}")
+        object.__setattr__(self, "value_vars", _vars_under_pure(rhs) if extended else frozenset())
 
 
 def pattern_vars(t: Term) -> frozenset[str]:
@@ -102,13 +126,15 @@ def pattern_vars(t: Term) -> frozenset[str]:
     return out
 
 
-def _is_symbolic(t: Term, allow_pure: bool = False) -> bool:
+def is_symbolic(t: Term, allow_pure: bool = False) -> bool:
+    """Whether t is in the symbolic fragment: variables and symbol
+    applications, plus pure when allow_pure is set."""
     if isinstance(t, Var):
         return True
     if isinstance(t, SymApp):
-        return all(_is_symbolic(a, allow_pure) for a in t.args)
+        return all(is_symbolic(a, allow_pure) for a in t.args)
     if allow_pure and isinstance(t, Pure):
-        return _is_symbolic(t.body, allow_pure)
+        return is_symbolic(t.body, allow_pure)
     return False
 
 
@@ -123,25 +149,8 @@ def _vars_under_pure(t: Term, inside: bool = False) -> frozenset[str]:
 
 
 def make_rule(name: str, lhs: Term, rhs: Term, extended: bool = False) -> RewriteRule:
-    """Validate and build a rule.  Checks the symbolic-fragment shape, that
-    the left side is not a bare variable, and that the right side invents
-    no variables.  For extended rules the value metavariables are the
-    right-hand-side variables that occur under a pure."""
-    if isinstance(lhs, Var):
-        raise RuleError(f"rule {name}: left side is a bare variable")
-    if not _is_symbolic(lhs):
-        raise RuleError(f"rule {name}: left side leaves the symbolic fragment")
-    if not _is_symbolic(rhs, allow_pure=extended):
-        raise RuleError(
-            f"rule {name}: right side leaves the symbolic fragment"
-            + ("" if extended else " (pure needs the extended flag)")
-        )
-    lv, rv = pattern_vars(lhs), pattern_vars(rhs)
-    if not rv <= lv:
-        missing = ", ".join(sorted(rv - lv))
-        raise RuleError(f"rule {name}: right side invents variables: {missing}")
-    value_vars = _vars_under_pure(rhs) if extended else frozenset()
-    return RewriteRule(name, lhs, rhs, extended, value_vars)
+    """Build a rule; it checks its own shape (see RewriteRule)."""
+    return RewriteRule(name, lhs, rhs, extended)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +283,12 @@ HeadIndex = dict[tuple[str, Identity], list[tuple[int, RewriteRule]]]
 
 
 def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
-    """User rules keyed by the (kind, identity) of their left side's root,
-    each with its position in `rules`: a symbol application is only
-    matched against the rules that share its head."""
+    """User rules keyed by the (kind, identity) of their left side's root
+    (a rule's left side is always a symbol application), each with its
+    position in `rules`: a symbol application is only matched against the
+    rules that share its head."""
     index: HeadIndex = {}
     for idx, rule in enumerate(rules):
-        if not isinstance(rule.lhs, SymApp):
-            raise RuleError(f"rule {rule.name}: left side is not a symbol application")
         index.setdefault((rule.lhs.kind, rule.lhs.identity), []).append((idx, rule))
     return index
 

@@ -20,10 +20,10 @@ definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .rewrite import pattern_vars
-from .terms import Identity, SymApp, Term, Var, children, ident_str, sym_str
+from .rewrite import is_symbolic
+from .terms import Identity, SymApp, Term, children, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -153,13 +153,8 @@ class RpoDerivation:
 
 
 def _check_symbolic(t: Term, side: str) -> None:
-    if isinstance(t, Var):
-        return
-    if isinstance(t, SymApp):
-        for a in t.args:
-            _check_symbolic(a, side)
-        return
-    raise NonSymbolicTermError(f"{side} is not in the symbolic fragment: {sym_str(t)}")
+    if not is_symbolic(t):
+        raise NonSymbolicTermError(f"{side} is not in the symbolic fragment: {sym_str(t)}")
 
 
 class _Prover:
@@ -190,35 +185,27 @@ class _Prover:
             sub = self.geq(arg, t)
             if sub is not None:
                 return RpoDerivation(s, t, CASE_SUB, index=i, children=(sub,))
-        if isinstance(t, SymApp):
-            if s.identity == t.identity and len(s.args) == len(t.args):
-                # RPO(1): same head, lexicographic descent on the arguments
-                lex = self._lex(s.args, t.args)
-                if lex is not None:
-                    idx, witness = lex
-                    rest = []
-                    for tj in t.args:
-                        d = self.greater(s, tj)
-                        if d is None:
-                            rest = None
-                            break
-                        rest.append(d)
-                    if rest is not None:
-                        return RpoDerivation(
-                            s, t, CASE_LEX, index=idx, children=(witness, *rest)
-                        )
-            elif self.prec.holds(s.identity, t.identity):
-                # RPO(2): head precedence
-                rest = []
-                for tj in t.args:
-                    d = self.greater(s, tj)
-                    if d is None:
-                        rest = None
-                        break
-                    rest.append(d)
-                if rest is not None:
-                    return RpoDerivation(s, t, CASE_PREC, children=tuple(rest))
-        return None
+        if not isinstance(t, SymApp):
+            return None
+        if s.identity == t.identity and len(s.args) == len(t.args):
+            # RPO(1): same head, lexicographic descent on the arguments
+            lex = self._lex(s.args, t.args)
+            if lex is None:
+                return None
+            case, index, first = CASE_LEX, lex[0], (lex[1],)
+        elif self.prec.holds(s.identity, t.identity):
+            # RPO(2): head precedence
+            case, index, first = CASE_PREC, None, ()
+        else:
+            return None
+        # both cases also need s > tj for every j
+        rest = []
+        for tj in t.args:
+            d = self.greater(s, tj)
+            if d is None:
+                return None
+            rest.append(d)
+        return RpoDerivation(s, t, case, index=index, children=(*first, *rest))
 
     def _lex(self, ss, ts) -> tuple[int, RpoDerivation] | None:
         """First strictly decreasing position after a syntactically equal
@@ -369,19 +356,6 @@ def _certify(prec: Precedence, rules) -> CertReport:
                 RuleCert(rule.name, "refused-extended", reason="rule uses pure on the right side")
             )
             continue
-        if isinstance(rule.lhs, Var):
-            entries.append(RuleCert(rule.name, "failed", reason="left side is a bare variable"))
-            continue
-        loose = pattern_vars(rule.rhs) - pattern_vars(rule.lhs)
-        if loose:
-            entries.append(
-                RuleCert(
-                    rule.name,
-                    "failed",
-                    reason="right side invents variables: " + ", ".join(sorted(loose)),
-                )
-            )
-            continue
         d = prover.greater(rule.lhs, rule.rhs)
         if d is None:
             entries.append(
@@ -398,18 +372,9 @@ def _certify(prec: Precedence, rules) -> CertReport:
 
 def certify_ruleset(prec: Precedence, rules) -> CertReport:
     """Certify every rule under prec.  Overall success means the
-    non-extended fragment of the rule set is terminating."""
-    for rule in rules:
-        if not rule.extended:
-            _check_symbolic(rule.lhs, f"rule {rule.name} left side")
-            _check_symbolic(rule.rhs, f"rule {rule.name} right side")
+    non-extended fragment of the rule set is terminating.  Rules check
+    their own shape when built, so every non-extended side is symbolic."""
     return _certify(prec, list(rules))
-
-
-def mark_certified(rules, report: CertReport):
-    """Copy of the rule list with certified flags matching the report."""
-    by_name = {e.rule_name: e.status for e in report.entries}
-    return [replace(r, certified=by_name.get(r.name) == "certified") for r in rules]
 
 
 # ---------------------------------------------------------------------------

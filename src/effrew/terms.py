@@ -215,14 +215,6 @@ def term_size(t: Term) -> int:
     return 1 + sum(term_size(k) for k in children(t))
 
 
-def symbol_identities(t: Term) -> set[Identity]:
-    out: set[Identity] = set()
-    for _, sub in iter_subterms(t):
-        if isinstance(sub, SymApp):
-            out.add(sub.identity)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # variables and substitution
 

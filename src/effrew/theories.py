@@ -13,10 +13,12 @@ Five built-in theories ship with the engine:
   peano         unary naturals with plus, for numeral arguments
 
 Theories compose by disjoint union.  Identical declarations shared by
-both sides (retry and peano both carry the naturals) merge silently;
+several parts (retry and peano both carry the naturals) merge silently;
 anything else with the same name is a clash.  Schemas are re-instantiated
 over the composed signature, so par picks up commuting rules for effects
-it has never seen.
+it has never seen.  A composition of any number of parts is built and
+validated once, as a whole: every check that would fail on a union of
+some of the parts also fails on the union of all of them.
 """
 
 from __future__ import annotations
@@ -473,33 +475,40 @@ def load_theory(path: str) -> Theory:
 
 
 def compose(*theories: Theory) -> Theory:
-    """Disjoint union of theories.  Shared identical declarations merge;
-    conflicting declarations, duplicate rule names, and inconsistent
-    precedences are errors.  Schemas re-instantiate over the union."""
+    """Disjoint union of theories, named a+b+c.  Shared identical
+    declarations merge; conflicting declarations, duplicate rule names, and
+    inconsistent precedences are errors.  Schemas re-instantiate over the
+    union, which is validated once."""
     if not theories:
         raise TheoryError("compose needs at least one theory")
-    out = theories[0]
-    for nxt in theories[1:]:
+    if len(theories) == 1:
+        return theories[0]
+    sig = Signature()
+    domains: dict[str, tuple[Param, ...]] = {}
+    bases, rules, schemas, pairs = [], [], [], []
+    for part in theories:
         try:
-            sig = out.signature.merge(nxt.signature)
+            sig = sig.merge(part.signature)
         except SignatureError as e:
             raise TheoryError(str(e)) from e
-        domains = dict(out.domains)
-        for dname, vals in nxt.domains:
-            if dname in domains and domains[dname] != vals:
+        for dname, vals in part.domains:
+            if domains.setdefault(dname, vals) != vals:
                 raise TheoryError(f"conflicting domain {dname}")
-            domains[dname] = vals
-        out = Theory(
-            name=f"{out.name}+{nxt.name}",
-            bases=tuple(dict.fromkeys(out.bases + nxt.bases)),
+        bases += part.bases
+        rules += part.base_rules
+        schemas += part.schemas
+        pairs += part.base_precedence
+    return _validate(
+        Theory(
+            name="+".join(part.name for part in theories),
+            bases=tuple(dict.fromkeys(bases)),
             domains=tuple(domains.items()),
             signature=sig,
-            base_rules=out.base_rules + nxt.base_rules,
-            schemas=tuple(dict.fromkeys(out.schemas + nxt.schemas)),
-            base_precedence=tuple(dict.fromkeys(out.base_precedence + nxt.base_precedence)),
+            base_rules=tuple(rules),
+            schemas=tuple(dict.fromkeys(schemas)),
+            base_precedence=tuple(dict.fromkeys(pairs)),
         )
-        out = _validate(out)
-    return out
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ first occurrence, which makes inferred types comparable across terms.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .signature import EffectDecl, Signature, SignatureError, check_symapp
 from .terms import (
@@ -77,13 +77,15 @@ class Unifier:
             return self._occurs(idx, ty.dom) or self._occurs(idx, ty.cod)
         return False
 
-    def unify(self, a: Type, b: Type, why: str) -> None:
+    def unify(self, a: Type, b: Type, why: Callable[[], str]) -> None:
+        """Unify a with b.  why builds the error context and is called only
+        when unification fails, so it must not outlive this call."""
         a, b = self.walk(a), self.walk(b)
         if a == b:
             return
         if isinstance(a, TVar):
             if self._occurs(a.index, b):
-                raise TypingError(f"{why}: circular type")
+                raise TypingError(f"{why()}: circular type")
             self.subst[a.index] = b
             return
         if isinstance(b, TVar):
@@ -97,7 +99,7 @@ class Unifier:
             self.unify(a.cod, b.cod, why)
             return
         raise TypingError(
-            f"{why}: {type_str(self.resolve(a))} does not match {type_str(self.resolve(b))}"
+            f"{why()}: {type_str(self.resolve(a))} does not match {type_str(self.resolve(b))}"
         )
 
 
@@ -133,17 +135,17 @@ def _infer(t: Term, ctx: dict[str, Type], uni: Unifier, sig: Signature) -> Type:
         fun = _infer(t.fun, ctx, uni, sig)
         arg = _infer(t.arg, ctx, uni, sig)
         res = uni.fresh()
-        uni.unify(fun, Arrow(arg, res), f"in application {print_term(t)}")
+        uni.unify(fun, Arrow(arg, res), lambda: f"in application {print_term(t)}")
         return res
     if isinstance(t, Pure):
         return Eff(_infer(t.body, ctx, uni, sig))
     if isinstance(t, Let):
         subject = _infer(t.subject, ctx, uni, sig)
         a = uni.fresh()
-        uni.unify(subject, Eff(a), f"let subject {print_term(t.subject)} must have an effect type")
+        uni.unify(subject, Eff(a), lambda: f"let subject {print_term(t.subject)} must have an effect type")
         body = _infer(t.body, {**ctx, t.binder: a}, uni, sig)
         res = uni.fresh()
-        uni.unify(body, Eff(res), f"let body {print_term(t.body)} must have an effect type")
+        uni.unify(body, Eff(res), lambda: f"let body {print_term(t.body)} must have an effect type")
         return Eff(res)
     if isinstance(t, SymApp):
         try:
@@ -157,12 +159,12 @@ def _infer(t: Term, ctx: dict[str, Type], uni: Unifier, sig: Signature) -> Type:
                 uni.unify(
                     got,
                     Eff(common),
-                    f"argument {i} of {ident_str(t.identity)} disagrees with the others",
+                    lambda: f"argument {i} of {ident_str(t.identity)} disagrees with the others",
                 )
             return Eff(common)
         for i, arg in enumerate(t.args):
             got = _infer(arg, ctx, uni, sig)
-            uni.unify(got, decl.arg_types[i], f"argument {i} of {t.name}")
+            uni.unify(got, decl.arg_types[i], lambda: f"argument {i} of {t.name}")
         return decl.result
     raise TypingError(f"not a term: {t!r}")
 
@@ -196,7 +198,7 @@ def infer_rule_types(sig: Signature, lhs: Term, rhs: Term, rule_vars: frozenset[
     uni.unify(
         lt,
         rt,
-        f"rule sides {print_term(lhs)} and {print_term(rhs)} must share a type",
+        lambda: f"rule sides {print_term(lhs)} and {print_term(rhs)} must share a type",
     )
     return canonical_type(uni.resolve(lt)), canonical_type(uni.resolve(rt))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from effrew.rewrite import (
     FuelExhausted,
+    RewriteRule,
     RuleError,
     StaleRedexError,
     all_redexes,
@@ -124,26 +125,35 @@ def test_ml_redexes_found_under_binders():
 # -- user rules: construction and matching -----------------------------------
 
 
+# a rule checks its own shape, so make_rule and the RewriteRule
+# constructor must reject the same things
+RULE_BUILDERS = (make_rule, RewriteRule)
+
+
 def test_make_rule_rejects_var_lhs():
-    with pytest.raises(RuleError):
-        make_rule("bad", Var("x"), Var("x"))
+    for build in RULE_BUILDERS:
+        with pytest.raises(RuleError):
+            build("bad", Var("x"), Var("x"))
 
 
 def test_make_rule_rejects_invented_rhs_vars():
-    with pytest.raises(RuleError):
-        make_rule("bad", fn("g", Var("x")), fn("g", Var("y")))
+    for build in RULE_BUILDERS:
+        with pytest.raises(RuleError):
+            build("bad", fn("g", Var("x")), fn("g", Var("y")))
 
 
 def test_make_rule_rejects_binders_in_patterns():
-    with pytest.raises(RuleError):
-        make_rule("bad", fn("g", Lam("x", Var("x"))), fn("g", Var("y")))
-    with pytest.raises(RuleError):
-        make_rule("bad", fn("g", Var("x")), Let("y", Pure(Var("x")), Var("y")))
+    for build in RULE_BUILDERS:
+        with pytest.raises(RuleError):
+            build("bad", fn("g", Lam("x", Var("x"))), fn("g", Var("y")))
+        with pytest.raises(RuleError):
+            build("bad", fn("g", Var("x")), Let("y", Pure(Var("x")), Var("y")))
 
 
 def test_make_rule_rejects_pure_on_plain_lhs():
-    with pytest.raises(RuleError):
-        make_rule("bad", fn("g", Pure(Var("x"))), Var("x"))
+    for build in RULE_BUILDERS:
+        with pytest.raises(RuleError):
+            build("bad", fn("g", Pure(Var("x"))), Var("x"))
 
 
 def test_extended_rule_value_vars():
@@ -152,6 +162,9 @@ def test_extended_rule_value_vars():
     rule = make_rule("join-par", lhs, rhs, extended=True)
     assert rule.extended
     assert rule.value_vars == {"v", "w"}
+    direct = RewriteRule("join-par", lhs, rhs, extended=True)
+    assert direct.value_vars == rule.value_vars
+    assert direct == rule
 
 
 def test_match_linear():

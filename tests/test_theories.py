@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import effrew.theories
 from effrew.rewrite import normalize, pattern_vars
 from effrew.rpo import Precedence, certify_ruleset
 from effrew.terms import Pure, Var, eff, fn, print_term
@@ -347,12 +348,15 @@ def test_compose_conflicting_signature(gs):
         compose(gs, parse_theory(text))
 
 
-def test_compose_duplicate_rule_names(nondet):
+def test_compose_duplicate_rule_names(nondet, peano):
     with pytest.raises(TheoryError):
         compose(nondet, parse_theory(NONDET_FILE))
+    # the composition is checked as a whole: the first and third parts clash
+    with pytest.raises(TheoryError, match="duplicate rule name: or-assoc"):
+        compose(nondet, peano, parse_theory(NONDET_FILE))
 
 
-def test_compose_precedences_must_agree(peano):
+def test_compose_precedences_must_agree(peano, nondet):
     text = """
     (theory contra
       (base nat)
@@ -362,3 +366,35 @@ def test_compose_precedences_must_agree(peano):
     """
     with pytest.raises(TheoryError):
         compose(peano, parse_theory(text)).precedence
+    with pytest.raises(TheoryError, match="precedence is inconsistent"):
+        compose(peano, nondet, parse_theory(text))
+
+
+def test_compose_validates_once(monkeypatch, gs, nondet, peano, retry):
+    # a composition is validated as a whole, so each of its rules is typed once
+    calls = {"validate": 0, "infer": 0}
+    validate, infer = effrew.theories._validate, effrew.theories.infer_rule_types
+
+    def counted_validate(theory):
+        calls["validate"] += 1
+        return validate(theory)
+
+    def counted_infer(*args):
+        calls["infer"] += 1
+        return infer(*args)
+
+    monkeypatch.setattr(effrew.theories, "_validate", counted_validate)
+    monkeypatch.setattr(effrew.theories, "infer_rule_types", counted_infer)
+    all_four = compose(gs, nondet, peano, retry)
+    assert len(all_four.rules) == 13
+    assert calls == {"validate": 1, "infer": 13}
+
+
+def test_compose_is_associative(par, nondet, gs):
+    flat = compose(par, nondet, gs)
+    nested = compose(compose(par, nondet), gs)
+    assert flat.name == nested.name == "par+nondet+global-state"
+    assert rule_names(flat) == rule_names(nested)
+    assert flat.signature == nested.signature
+    assert flat.precedence == nested.precedence
+    assert flat == nested

@@ -74,6 +74,36 @@ def test_effect_args_share_one_type():
     assert "or" in str(exc.value)
 
 
+ZERO = fn("zero")
+
+
+# each case fails in one unify call; its message must name that context,
+# built lazily when the call raises
+@pytest.mark.parametrize(
+    "fail, context",
+    [
+        (lambda: infer_type({"v": VAL}, App(Var("v"), Var("v")), GS.signature), "in application (app v v)"),
+        (lambda: infer_type({"v": VAL}, Let("x", Var("v"), Pure(Var("x"))), GS.signature), "let subject v"),
+        (lambda: infer_type({"v": VAL}, Let("x", Pure(Var("v")), Var("x")), GS.signature), "let body x"),
+        (
+            lambda: infer_rule_types(PEANO.signature, fn("plus", ZERO, Var("n")), Pure(Var("n")), frozenset("n")),
+            "rule sides",
+        ),
+        (
+            lambda: infer_type({"v": VAL}, eff("or", Pure(Var("v")), Var("v")), NONDET.signature),
+            "argument 1 of or disagrees",
+        ),
+        (lambda: infer_type({"v": VAL}, fn("plus", ZERO, Pure(Var("v"))), PEANO.signature), "argument 1 of plus"),
+    ],
+    ids=["application", "let-subject", "let-body", "rule-sides", "effect-argument", "function-argument"],
+)
+def test_type_error_names_its_context(fail, context):
+    with pytest.raises(TypingError) as exc:
+        fail()
+    assert context in str(exc.value)
+    assert "argument 0" not in str(exc.value)
+
+
 def test_effect_result_follows_args():
     t = eff("assign", Pure(Var("n")), params=(1,))
     assert infer_type({"n": NAT}, t, GS.signature) == Eff(NAT)
