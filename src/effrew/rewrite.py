@@ -20,12 +20,18 @@ let subjects, inside effect arguments.
 
 Redexes are found by a single scan: one explicit-stack preorder walk
 that tries the metalanguage rules at every node and, at a symbol
-application, only the user rules whose left side has the same head
-(kind and identity), looked up in an index built once per normalize or
-graph exploration.  A node's position is unwound from parent links only
-when the node is a redex, and a redex builds its reduct only when it is
-first read, so leftmost-outermost normalisation stops the walk at the
-first hit and builds one reduct per step.
+application, only the user rules that a discrimination tree over the
+left sides retrieves for it.  The index is built once per normalize or
+graph exploration.  Its first level is keyed by the head (kind and
+identity), so a node whose head starts no rule costs one dict lookup;
+below a head, built on that head's first lookup, the tree reads the
+subject in preorder, with pattern variables as wildcards.  Retrieval may
+over-approximate (a repeated variable or a value metavariable is not
+checked there), so match_pattern confirms every candidate.  A node's
+position is unwound from parent links only when the node is a redex,
+and a redex builds its reduct only when it is first read, so
+leftmost-outermost normalisation stops the walk at the first hit and
+builds one reduct per step.
 """
 
 from __future__ import annotations
@@ -279,17 +285,100 @@ def _ml_contraction(t: Term) -> tuple[str, Callable[[], Term]] | None:
     return None
 
 
-HeadIndex = dict[tuple[str, Identity], list[tuple[int, RewriteRule]]]
+class _Head:
+    """The user rules whose left sides share one head (kind and identity),
+    each with its position in the rule list, and below that head a
+    discrimination tree over the rest of their left sides (Graf, Term
+    Indexing, LNAI 1053, 1996).
+
+    A left side flattens in preorder into keys: a symbol application gives
+    (kind, identity, arity), a variable gives the wildcard None; the arity
+    keeps the pending subject arguments aligned with the pattern.  The
+    root's arity is the first key, since its kind and identity are the
+    head.  Inner nodes map a key to the next node; once every key of a
+    left side is read the node is a list of (rule index, rule).  The tree
+    is built on the head's first lookup, so a normalize or graph run pays
+    only for the heads its terms reach."""
+
+    __slots__ = ("rules", "_tree")
+
+    def __init__(self):
+        self.rules: list[tuple[int, RewriteRule]] = []
+        self._tree: dict | None = None
+
+    def _build(self) -> dict:
+        tree: dict = {}
+        for entry in self.rules:
+            args = entry[1].lhs.args
+            keys: list = [len(args)]
+            pending = list(reversed(args))
+            while pending:
+                p = pending.pop()
+                if isinstance(p, Var):
+                    keys.append(None)
+                else:
+                    keys.append((p.kind, p.identity, len(p.args)))
+                    pending.extend(reversed(p.args))
+            node = tree
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node.setdefault(keys[-1], []).append(entry)
+        return tree
+
+    def candidates(self, sub: SymApp) -> list[tuple[int, RewriteRule]]:
+        """The rules whose left side agrees with sub on every symbol it
+        has, sorted by rule index."""
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = self._build()
+        args = sub.args
+        node = tree.get(len(args))
+        if node is None:
+            return []
+        out: list[tuple[int, RewriteRule]] = []
+        # pending holds the subject subterms still to be read, next one
+        # last; every path to a node reads the same number of keys, so an
+        # empty pending means the node is a leaf
+        stack = [(node, args[::-1])]
+        while stack:
+            node, pending = stack.pop()
+            if not pending:
+                out += node
+                continue
+            s, rest = pending[-1], pending[:-1]
+            child = node.get(None)
+            if child is not None:
+                stack.append((child, rest))
+            if isinstance(s, SymApp):
+                kids = s.args
+                child = node.get((s.kind, s.identity, len(kids)))
+                if child is not None:
+                    stack.append((child, rest + kids[::-1]))
+        out.sort()
+        return out
+
+
+HeadIndex = dict[tuple[str, Identity], _Head]
 
 
 def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
-    """User rules keyed by the (kind, identity) of their left side's root
-    (a rule's left side is always a symbol application), each with its
-    position in `rules`: a symbol application is only matched against the
-    rules that share its head."""
+    """The user rules by the (kind, identity) of their left side's root,
+    each head with the discrimination tree below it (see _Head).  A rule's
+    left side is always a symbol application, so a subject node whose
+    head starts no rule costs one dict lookup.
+
+    Retrieval (`_Head.candidates`) treats every pattern variable as a
+    wildcard: it never misses a rule that matches, but may return one that
+    does not, because a repeated variable or a value metavariable is not
+    checked there.  iter_redexes confirms every candidate with
+    match_pattern."""
     index: HeadIndex = {}
     for idx, rule in enumerate(rules):
-        index.setdefault((rule.lhs.kind, rule.lhs.identity), []).append((idx, rule))
+        key = (rule.lhs.kind, rule.lhs.identity)
+        head = index.get(key)
+        if head is None:
+            head = index[key] = _Head()
+        head.rules.append((idx, rule))
     return index
 
 
@@ -314,13 +403,15 @@ def iter_redexes(t: Term, index: HeadIndex) -> Iterator[Redex]:
         # user rules only match symbol applications and metalanguage rules
         # never do, so one node never has both kinds of redex
         if isinstance(sub, SymApp):
-            pos = None
-            for idx, rule in index.get((sub.kind, sub.identity), ()):
-                bindings = match_pattern(rule.lhs, sub, rule.value_vars)
-                if bindings is not None:
-                    if pos is None:
-                        pos = _position(link)
-                    yield Redex(pos, rule.name, t, partial(instantiate, rule.rhs, bindings), False, idx)
+            head = index.get((sub.kind, sub.identity))
+            if head is not None:
+                pos = None
+                for idx, rule in head.candidates(sub):
+                    bindings = match_pattern(rule.lhs, sub, rule.value_vars)
+                    if bindings is not None:
+                        if pos is None:
+                            pos = _position(link)
+                        yield Redex(pos, rule.name, t, partial(instantiate, rule.rhs, bindings), False, idx)
             kids = sub.args
         else:
             hit = _ml_contraction(sub)

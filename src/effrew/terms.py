@@ -276,53 +276,114 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
 # printing and canonical forms
 
 
+def _params_str(params: tuple[Param, ...]) -> str:
+    return " ".join(map(str, params)) if params else ""
+
+
+# print_term's pending literal tokens, boxed so that they cannot be taken
+# for a term: a str in place of a term is refused like any other non-term
+_CLOSE, _SPACE = (")",), (" ",)
+
+
 def print_term(t: Term) -> str:
-    """Canonical single-space surface syntax; parse_term round-trips it."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lam):
-        return f"(lam {t.binder} {print_term(t.body)})"
-    if isinstance(t, App):
-        return f"(app {print_term(t.fun)} {print_term(t.arg)})"
-    if isinstance(t, Pure):
-        return f"(pure {print_term(t.body)})"
-    if isinstance(t, Let):
-        return f"(let {t.binder} {print_term(t.subject)} {print_term(t.body)})"
-    if isinstance(t, SymApp):
-        args = "".join(" " + print_term(a) for a in t.args)
-        if t.kind == "eff":
-            params = " ".join(str(p) for p in t.params)
-            return f"(eff {t.name} ({params}){args})"
-        return f"(fn {t.name}{args})"
-    raise TermError(f"not a term: {t!r}")
+    """Canonical single-space surface syntax; parse_term round-trips it.
+    Iterative: one explicit stack of pending subterms and literal tokens,
+    joined once, so a deep term costs no Python stack."""
+    out: list[str] = []
+    stack: list = [t]
+    push = stack.append
+    while stack:
+        t = stack.pop()
+        # dispatch on the exact class, since terms are never subclassed
+        tt = type(t)
+        if tt is tuple:
+            out.append(t[0])
+        elif tt is SymApp:
+            if t.kind == "eff":
+                out.append(f"(eff {t.name} ({_params_str(t.params)})")
+            else:
+                out.append(f"(fn {t.name}")
+            push(_CLOSE)
+            for a in reversed(t.args):
+                push(a)
+                push(_SPACE)
+        elif tt is Var:
+            out.append(t.name)
+        elif tt is Lam:
+            out.append(f"(lam {t.binder} ")
+            push(_CLOSE)
+            push(t.body)
+        elif tt is App:
+            out.append("(app ")
+            push(_CLOSE)
+            push(t.arg)
+            push(_SPACE)
+            push(t.fun)
+        elif tt is Pure:
+            out.append("(pure ")
+            push(_CLOSE)
+            push(t.body)
+        elif tt is Let:
+            out.append(f"(let {t.binder} ")
+            push(_CLOSE)
+            push(t.body)
+            push(_SPACE)
+            push(t.subject)
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def canonical_key(t: Term) -> str:
     """Alpha-invariant rendering: binder names dropped, bound vars as de
-    Bruijn indices, free vars by name.  Equal keys mean alpha-equal terms."""
-
-    def go(t: Term, env: tuple[str, ...]) -> str:
-        if isinstance(t, Var):
-            # innermost binding wins
-            for depth in range(len(env) - 1, -1, -1):
-                if env[depth] == t.name:
-                    return f"#{len(env) - 1 - depth}"
-            return t.name
-        if isinstance(t, Lam):
-            return f"(lam {go(t.body, env + (t.binder,))})"
-        if isinstance(t, App):
-            return f"(app {go(t.fun, env)} {go(t.arg, env)})"
-        if isinstance(t, Pure):
-            return f"(pure {go(t.body, env)})"
-        if isinstance(t, Let):
-            return f"(let {go(t.subject, env)} {go(t.body, env + (t.binder,))})"
-        if isinstance(t, SymApp):
-            args = "".join(" " + go(a, env) for a in t.args)
-            params = " ".join(str(p) for p in t.params)
-            return f"({t.kind} {t.name} ({params}){args})"
-        raise TermError(f"not a term: {t!r}")
-
-    return go(t, ())
+    Bruijn indices (the innermost binding wins), free vars by name.  Equal
+    keys mean alpha-equal terms.  Iterative: one explicit stack of pending
+    (subterm, binders) items and literal tokens, joined once, so a deep
+    term costs no Python stack."""
+    out: list[str] = []
+    # binders lists the enclosing binder names innermost first, so a bound
+    # variable's de Bruijn index is the first position of its name
+    stack: list = [(t, ())]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, binders = item
+        tt = type(t)
+        if tt is SymApp:
+            out.append(f"({t.kind} {t.name} ({_params_str(t.params)})")
+            push(")")
+            for a in reversed(t.args):
+                push((a, binders))
+                push(" ")
+        elif tt is Var:
+            name = t.name
+            out.append(f"#{binders.index(name)}" if name in binders else name)
+        elif tt is Lam:
+            out.append("(lam ")
+            push(")")
+            push((t.body, (t.binder,) + binders))
+        elif tt is App:
+            out.append("(app ")
+            push(")")
+            push((t.arg, binders))
+            push(" ")
+            push((t.fun, binders))
+        elif tt is Pure:
+            out.append("(pure ")
+            push(")")
+            push((t.body, binders))
+        elif tt is Let:
+            out.append("(let ")
+            push(")")
+            push((t.body, (t.binder,) + binders))
+            push(" ")
+            push((t.subject, binders))
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

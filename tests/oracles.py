@@ -11,7 +11,20 @@ import itertools
 
 from effrew.rewrite import _ml_contraction, all_redexes, instantiate, match_pattern
 from effrew.rpo import Precedence, _certify, rule_identities
-from effrew.terms import Let, SymApp, Term, canonical_key, children, iter_subterms, with_children
+from effrew.terms import (
+    App,
+    Lam,
+    Let,
+    Pure,
+    SymApp,
+    Term,
+    TermError,
+    Var,
+    canonical_key,
+    children,
+    iter_subterms,
+    with_children,
+)
 
 
 def naive_normal_forms(t: Term, rules, limit: int = 50_000) -> set[str]:
@@ -89,6 +102,34 @@ def request_spine_count(t: Term) -> int:
 
 def count_symbol(t: Term, name: str) -> int:
     return sum(1 for _, sub in iter_subterms(t) if isinstance(sub, SymApp) and sub.name == name)
+
+
+def reference_canonical_key(t: Term) -> str:
+    """The alpha-invariant rendering by plain recursion: binder names
+    dropped, bound vars as de Bruijn indices with the innermost binding
+    winning, free vars by name."""
+
+    def go(t: Term, env: tuple[str, ...]) -> str:
+        if isinstance(t, Var):
+            for depth in range(len(env) - 1, -1, -1):
+                if env[depth] == t.name:
+                    return f"#{len(env) - 1 - depth}"
+            return t.name
+        if isinstance(t, Lam):
+            return f"(lam {go(t.body, env + (t.binder,))})"
+        if isinstance(t, App):
+            return f"(app {go(t.fun, env)} {go(t.arg, env)})"
+        if isinstance(t, Pure):
+            return f"(pure {go(t.body, env)})"
+        if isinstance(t, Let):
+            return f"(let {go(t.subject, env)} {go(t.body, env + (t.binder,))})"
+        if isinstance(t, SymApp):
+            args = "".join(" " + go(a, env) for a in t.args)
+            params = " ".join(str(p) for p in t.params)
+            return f"({t.kind} {t.name} ({params}){args})"
+        raise TermError(f"not a term: {t!r}")
+
+    return go(t, ())
 
 
 def reference_redexes(t: Term, rules) -> list[tuple]:

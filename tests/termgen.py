@@ -189,6 +189,29 @@ def gs_trace(rng: random.Random, domain, max_depth: int, leaves=("c0", "c1")) ->
     return SymApp("eff", "assign", (rng.choice(domain),), (node(max_depth - 1),))
 
 
+# the six unary effects of the par workloads, in three two-letter alphabets
+PAR6_EFFECTS = (("a1", 1), ("a2", 1), ("b1", 1), ("b2", 1), ("c1", 1), ("c2", 1))
+
+
+def par_interleaving(rng: random.Random, max_len: int = 3) -> Term:
+    """par of two or three effect chains over PAR6_EFFECTS, each ending in
+    a pure leaf, sometimes under (let x <= ... in pure x)."""
+    alphabets = rng.sample((("a1", "a2"), ("b1", "b2"), ("c1", "c2")), rng.choice((2, 3)))
+    chains = []
+    for alphabet, leaf in zip(alphabets, ("v", "w", "u")):
+        t = Pure(Var(leaf))
+        for _ in range(rng.randint(1, max_len)):
+            t = SymApp("eff", rng.choice(alphabet), (), (t,))
+        chains.append(t)
+    t = chains.pop()
+    while chains:
+        other = chains.pop()
+        t = SymApp("eff", "par", (), (other, t) if rng.random() < 0.5 else (t, other))
+    if rng.random() < 0.3:
+        t = Let("x", t, Pure(Var("x")))
+    return t
+
+
 # ---------------------------------------------------------------------------
 # symbolic terms and precedences for the ordering tests
 

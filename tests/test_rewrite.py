@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effrew.rewrite
 from effrew.rewrite import (
     FuelExhausted,
     RewriteRule,
     RuleError,
     StaleRedexError,
     all_redexes,
+    instantiate,
     left_nesting_measure,
     make_rule,
     match_pattern,
@@ -34,13 +36,14 @@ from effrew.terms import (
     eff,
     fn,
     free_vars,
+    iter_subterms,
     print_term,
     replace_at,
     subterm_at,
 )
 from effrew.theories import builtin, builtin_names, compose, numeral_value, peano_numeral
 from oracles import naive_normal_forms, nesting_count_by_positions, reference_redexes
-from termgen import TypedTermGen, gs_trace, or_tree
+from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, or_tree, par_interleaving, symbolic_term
 
 # -- the four metalanguage contractions --------------------------------------
 
@@ -424,11 +427,15 @@ SCAN_CASES = (
     ("global-state+nondet", "typed"),
     ("nondet", "or-tree"),
     ("global-state", "gs-trace"),
+    # several par-left/par-right rules compete at each par node
+    ("par6", "interleave"),
 )
 
 
 @cache
 def _scan_theory(name: str):
+    if name == "par6":
+        return builtin("par", effects=PAR6_EFFECTS)
     return compose(*(builtin(part) for part in name.split("+")))
 
 
@@ -440,6 +447,8 @@ def _random_term(case, seed: int):
         t = or_tree(rng, 4)
     elif shape == "gs-trace":
         t = gs_trace(rng, (0, 1), 4)
+    elif shape == "interleave":
+        t = par_interleaving(rng)
     else:
         gen = TypedTermGen(rng, theory)
         t = gen.gen_sized(rng.choice(gen.simple_types), 40)
@@ -478,6 +487,81 @@ def test_leftmost_outermost_follows_reference_head(case, seed):
         pos, rule_name, _, _, current = found[0]
         expected.append((rule_name, pos, current))
     assert [(s.redex.rule_name, s.redex.position, s.result) for s in trace.steps] == expected
+
+
+def _vary(rng, t, pure: bool):
+    """t with some fn g nodes turned into eff g (the same name under the
+    other kind), some binary f nodes cut to unary f (the same symbol at
+    another arity) and, when pure is set, some subterms wrapped in pure."""
+    if isinstance(t, SymApp):
+        kind = "eff" if t.name == "g" and rng.random() < 0.5 else t.kind
+        args = t.args[:1] if t.name == "f" and rng.random() < 0.2 else t.args
+        t = SymApp(kind, t.name, t.params, tuple(_vary(rng, a, pure) for a in args))
+    return Pure(t) if pure and rng.random() < 0.15 else t
+
+
+# rules whose shape the discrimination tree sees only in part
+_TREE_EDGE_RULES = (
+    make_rule("nonlinear", fn("f", Var("u"), Var("u")), Var("u")),
+    make_rule("value", fn("f", Var("u"), Var("w")), Pure(Var("u")), extended=True),
+    make_rule("eff-g", eff("g", Var("u")), Var("u")),
+    make_rule("fn-g", fn("g", Var("u")), Var("u")),
+    make_rule("f-unary", fn("f", Var("u")), Var("u")),
+    make_rule("inner-f-binary", fn("g", fn("f", Var("u"), Var("w"))), Var("u")),
+    make_rule("inner-f-unary", fn("g", fn("f", Var("u"))), Var("u")),
+)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_rule_retrieval_matches_brute_force(seed):
+    rng = random.Random(seed)
+    rules = list(_TREE_EDGE_RULES)
+    for i in range(rng.randint(1, 6)):
+        lhs = _vary(rng, symbolic_term(rng, rng.randint(1, 7)), pure=False)
+        if isinstance(lhs, Var):
+            continue
+        rhs = rng.choice([fn("c"), *map(Var, sorted(pattern_vars(lhs)))])
+        rules.append(make_rule(f"r{i}", lhs, rhs))
+    rng.shuffle(rules)
+    for _ in range(6):
+        s = _vary(rng, symbolic_term(rng, rng.randint(1, 10)), pure=True)
+        if rng.random() < 0.5:
+            # an instance of some left side, so that matches are common
+            rule = rng.choice(rules)
+            bindings = {}
+            for v in sorted(pattern_vars(rule.lhs)):
+                sub = _vary(rng, symbolic_term(rng, rng.randint(1, 4)), pure=True)
+                bindings[v] = Pure(sub) if v in rule.value_vars else sub
+            s = fn("h", s, instantiate(rule.lhs, bindings), fn("c"))
+        expected = [
+            (pos, i)
+            for pos, sub in iter_subterms(s)
+            for i, r in enumerate(rules)
+            if match_pattern(r.lhs, sub, r.value_vars) is not None
+        ]
+        found = symbolic_redexes(s, rules)
+        assert [(r.position, r.rule_index) for r in found] == expected
+        assert [r.rule_name for r in found] == [rules[i].name for _, i in expected]
+
+
+def test_rule_index_prunes_par_rules(monkeypatch):
+    rules = list(_scan_theory("par6").rules)
+    assert sum(r.lhs.name == "par" for r in rules) == 14
+    t = eff("par", eff("a1", Pure(Var("v"))), eff("b1", Pure(Var("w"))))
+    tried = []
+    real = effrew.rewrite.match_pattern
+
+    def counting(pattern, subject, value_vars=frozenset(), bindings=None):
+        if subject is t:
+            tried.append(pattern)
+        return real(pattern, subject, value_vars, bindings)
+
+    monkeypatch.setattr(effrew.rewrite, "match_pattern", counting)
+    index = effrew.rewrite.head_index(rules)
+    at_root = [r.rule_name for r in effrew.rewrite.iter_redexes(t, index) if r.position == ()]
+    assert len(tried) <= 2
+    assert at_root == ["par-left.a1", "par-right.b1"]
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])

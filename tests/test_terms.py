@@ -25,8 +25,11 @@ from effrew.terms import (
     term_size,
     with_children,
 )
-from effrew.theories import peano_numeral
-from termgen import symbolic_term
+from effrew.graph import reduction_graph
+from effrew.terms import Eff
+from effrew.theories import builtin, compose, peano_numeral
+from oracles import reference_canonical_key
+from termgen import PAR6_EFFECTS, TypedTermGen, par_interleaving, symbolic_term
 
 
 def test_free_vars_basics():
@@ -126,6 +129,25 @@ def test_iter_subterms_survives_deep_terms():
     assert count == 5001
 
 
+def test_deep_numeral_prints_keys_and_compares():
+    # far past the interpreter recursion limit, which stays as it is
+    n = 100_000
+    t = peano_numeral(n)
+    text = print_term(t)
+    assert len(text) == 10 * n + 9
+    assert text.startswith("(fn succ (fn succ ")
+    key = canonical_key(t)
+    assert len(key) == 13 * n + 12
+    assert key.startswith("(fn succ () (fn succ () ")
+    assert alpha_eq(t, peano_numeral(n))
+
+
+def test_canonical_key_innermost_binding_wins():
+    assert canonical_key(Lam("x", Lam("x", Var("x")))) == "(lam (lam #0))"
+    assert canonical_key(Lam("x", Lam("y", Var("x")))) == "(lam (lam #1))"
+    assert canonical_key(Let("x", Var("x"), Lam("x", Var("x")))) == "(let x (lam #0))"
+
+
 def test_with_children_roundtrip():
     t = Let("x", Pure(Var("a")), Var("x"))
     assert with_children(t, children(t)) == t
@@ -182,3 +204,24 @@ def test_replace_subterm_with_itself_is_identity(t):
 @given(symbolic_terms())
 def test_canonical_key_reflexive(t):
     assert alpha_eq(t, t)
+
+
+@given(st.sampled_from(("global-state+nondet", "retry", "peano")), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_canonical_key_matches_reference(name, seed):
+    rng = random.Random(seed)
+    gen = TypedTermGen(rng, compose(*(builtin(part) for part in name.split("+"))))
+    t = gen.gen_sized(Eff(rng.choice(gen.bases)), 40)
+    # an outer binder shadowed at once, so every draw has a shadowed one
+    b = rng.choice("xyz")
+    t = Lam(b, Let(b, Pure(Var(b)), t))
+    assert canonical_key(t) == reference_canonical_key(t)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_canonical_key_matches_reference_on_par_graphs(seed):
+    rules = list(builtin("par", effects=PAR6_EFFECTS).rules)
+    g = reduction_graph(par_interleaving(random.Random(seed), max_len=2), rules)
+    for key, term in g.nodes.items():
+        assert canonical_key(term) == reference_canonical_key(term) == key
