@@ -21,7 +21,7 @@ import sys
 
 from .graph import DEFAULT_NODE_FUEL, graph_summary, reduction_graph
 from .parser import ParseError, parse_term, parse_type
-from .rewrite import DEFAULT_FUEL, FuelExhausted, RuleError, normalize
+from .rewrite import DEFAULT_FUEL, STRATEGIES, FuelExhausted, RuleError, normalize
 from .rpo import (
     DEFAULT_SYMBOL_BOUND,
     NonSymbolicTermError,
@@ -149,8 +149,6 @@ def _cmd_check(args) -> int:
 
 def _normalize(args, theory, term):
     fuel = args.fuel if args.fuel is not None else _env_fuel(DEFAULT_FUEL)
-    if (args.seed is None) != (args.strategy != "random"):
-        raise _UsageError("--seed is required exactly when --strategy random is chosen")
     return normalize(term, list(theory.rules), strategy=args.strategy, fuel=fuel, seed=args.seed)
 
 
@@ -245,8 +243,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(cmd, help=blurb)
         _add_theory_flags(p)
         _add_term_flags(p)
-        p.add_argument("--strategy", choices=("leftmost-outermost", "rightmost-innermost", "random"),
-                       default="leftmost-outermost")
+        p.add_argument("--strategy", choices=STRATEGIES, default="leftmost-outermost")
         p.add_argument("--seed", type=int, help="rng seed; required for --strategy random")
         p.add_argument("--fuel", type=int, help=f"step budget (default {DEFAULT_FUEL} or {FUEL_ENV})")
         p.add_argument("--format", choices=("text", "json"), default="text")

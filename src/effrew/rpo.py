@@ -123,12 +123,6 @@ class RpoDerivation:
     index: int | None = None
     children: tuple["RpoDerivation", ...] = ()
 
-    def cases_used(self) -> set[str]:
-        out = {self.rule}
-        for c in self.children:
-            out |= c.cases_used()
-        return out
-
     def pretty(self, indent: int = 0) -> str:
         pad = "  " * indent
         if self.rule == CASE_EQ:
@@ -347,7 +341,10 @@ class CertReport:
         }
 
 
-def _certify(prec: Precedence, rules) -> CertReport:
+def certify_ruleset(prec: Precedence, rules) -> CertReport:
+    """Certify every rule under prec.  Overall success means the
+    non-extended fragment of the rule set is terminating.  Rules check
+    their own shape when built, so every non-extended side is symbolic."""
     prover = _Prover(prec)
     entries = []
     for rule in rules:
@@ -368,13 +365,6 @@ def _certify(prec: Precedence, rules) -> CertReport:
         else:
             entries.append(RuleCert(rule.name, "certified", derivation=d))
     return CertReport(tuple(entries), prec)
-
-
-def certify_ruleset(prec: Precedence, rules) -> CertReport:
-    """Certify every rule under prec.  Overall success means the
-    non-extended fragment of the rule set is terminating.  Rules check
-    their own shape when built, so every non-extended side is symbolic."""
-    return _certify(prec, list(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Small s-expression reader shared by the term and theory parsers.
 
-Atoms are either ints (all-digit tokens, optionally signed) or plain
+Atoms are either ints (decimal-digit tokens, optionally signed) or plain
 strings.  Lists come back as Python lists.  Errors carry line and column.
 """
 
@@ -59,7 +59,7 @@ class _Reader:
             chars.append(self._advance())
         token = "".join(chars)
         body = token[1:] if token[0] in "+-" and len(token) > 1 else token
-        if body.isdigit():
+        if body.isdecimal():
             return int(token)
         return token
 

@@ -54,7 +54,9 @@ class Signature:
             if isinstance(d, EffectDecl):
                 if d.arity < 0:
                     raise SignatureError(f"negative arity for {d.name}")
-                if len(set(d.param_domain)) != len(d.param_domain):
+                # values that print alike would give identities that print alike
+                n = len(d.param_domain)
+                if len(set(d.param_domain)) != n or len(set(map(str, d.param_domain))) != n:
                     raise SignatureError(f"repeated values in {d.name} parameter domain")
             seen[d.name] = d
         object.__setattr__(self, "_by_name", seen)

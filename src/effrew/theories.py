@@ -16,9 +16,15 @@ Theories compose by disjoint union.  Identical declarations shared by
 several parts (retry and peano both carry the naturals) merge silently;
 anything else with the same name is a clash.  Schemas are re-instantiated
 over the composed signature, so par picks up commuting rules for effects
-it has never seen.  A composition of any number of parts is built and
-validated once, as a whole: every check that would fail on a union of
-some of the parts also fails on the union of all of them.
+it has never seen.
+
+Each rule is checked once, where it enters the program.  A builtin's
+rules are constants built from its signature, and options only choose
+symbol names, arities and domain values, so the test suite checks the
+builtins under a grid of options and `builtin` does not.  Theory files
+are checked when parsed.  A composition of any number of parts is
+checked once, as a whole, when it is built: every check that would fail
+on a union of some of the parts also fails on the union of all of them.
 """
 
 from __future__ import annotations
@@ -129,6 +135,13 @@ def _validate(theory: Theory) -> Theory:
         if rule.name in seen:
             raise TheoryError(f"duplicate rule name: {rule.name}")
         seen.add(rule.name)
+        if not rule.extended:
+            # typing checks every symbol node against the signature
+            try:
+                infer_rule_types(theory.signature, rule.lhs, rule.rhs, pattern_vars(rule.lhs))
+            except TypingError as e:
+                raise TheoryError(f"rule {rule.name} is ill-typed: {e}") from e
+            continue
         for side, label in ((rule.lhs, "left"), (rule.rhs, "right")):
             for _, sub in iter_subterms(side):
                 if isinstance(sub, SymApp):
@@ -136,11 +149,6 @@ def _validate(theory: Theory) -> Theory:
                         check_symapp(theory.signature, sub)
                     except SignatureError as e:
                         raise TheoryError(f"rule {rule.name}, {label} side: {e}") from e
-        if not rule.extended:
-            try:
-                infer_rule_types(theory.signature, rule.lhs, rule.rhs, pattern_vars(rule.lhs))
-            except TypingError as e:
-                raise TheoryError(f"rule {rule.name} is ill-typed: {e}") from e
     try:
         theory.precedence
     except PrecedenceError as e:
@@ -156,6 +164,8 @@ def _global_state(domain: tuple[Param, ...] = (0, 1)) -> Theory:
     n = len(domain)
     if n == 0:
         raise TheoryError("global-state needs a nonempty value domain")
+    if any("." in str(i) for i in domain):
+        raise TheoryError("global-state domain values must not contain '.', which separates rule name parts")
     sig = Signature(
         (
             EffectDecl("assign", 1, tuple(domain)),
@@ -318,10 +328,9 @@ def builtin(name: str, **options) -> Theory:
     if name not in _BUILTINS:
         raise TheoryError(f"unknown builtin theory {name!r}; available: {', '.join(builtin_names())}")
     try:
-        theory = _BUILTINS[name](**options)
-    except TypeError as e:
+        return _BUILTINS[name](**options)
+    except (TypeError, SignatureError) as e:
         raise TheoryError(f"bad options for builtin {name}: {e}") from e
-    return _validate(theory)
 
 
 # ---------------------------------------------------------------------------

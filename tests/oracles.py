@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from effrew.rewrite import _ml_contraction, all_redexes, instantiate, match_pattern
-from effrew.rpo import Precedence, _certify, rule_identities
+from effrew.rpo import Precedence, certify_ruleset, rule_identities
 from effrew.terms import (
     App,
     Lam,
@@ -177,6 +177,6 @@ def brute_force_precedence(rules) -> Precedence | None:
     rules = [r for r in rules if not r.extended]
     for perm in itertools.permutations(rule_identities(rules)):
         prec = Precedence((a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
-        if _certify(prec, rules).overall:
+        if certify_ruleset(prec, rules).overall:
             return prec
     return None

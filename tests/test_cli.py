@@ -83,6 +83,12 @@ def test_check_parse_error_exit_code(capsys):
     assert "syntax" in err or "line" in err
 
 
+def test_check_superscript_digit_is_an_unknown_symbol(capsys):
+    code, _, err = run(capsys, "check", "--builtin", "nondet", "--term", "(fn ²)")
+    assert code == 1
+    assert "²" in err
+
+
 def test_check_bad_var_binding(capsys):
     code, _, err = run(
         capsys, "check", "--builtin", "nondet", "--term", "v", "--var", "v=val"
@@ -206,6 +212,19 @@ def test_normalize_random_needs_seed(capsys):
         "--builtin", "nondet",
         "--term", "(pure v)",
         "--strategy", "random",
+    )
+    assert code == 4
+    assert "seed" in err
+
+
+def test_normalize_seed_without_random_is_usage_error(capsys):
+    code, _, err = run(
+        capsys,
+        "normalize",
+        "--builtin", "nondet",
+        "--term", "(pure v)",
+        "--strategy", "leftmost-outermost",
+        "--seed", "3",
     )
     assert code == 4
     assert "seed" in err

@@ -10,6 +10,8 @@ def test_atom():
 def test_int_atom():
     assert parse_one("42") == 42
     assert parse_one("-7") == -7
+    # a digit that is not a decimal digit is an ident, not an int
+    assert parse_one("²") == "²"
 
 
 def test_nested_lists():

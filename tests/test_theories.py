@@ -2,11 +2,14 @@ import dataclasses
 
 import pytest
 
+import effrew.cli
 import effrew.theories
-from effrew.rewrite import normalize, pattern_vars
+from effrew.rewrite import make_rule, normalize, pattern_vars
 from effrew.rpo import Precedence, certify_ruleset
+from effrew.signature import EffectDecl, Signature
 from effrew.terms import Pure, Var, eff, fn, print_term
 from effrew.theories import (
+    Theory,
     TheoryError,
     builtin,
     builtin_names,
@@ -17,6 +20,7 @@ from effrew.theories import (
     peano_numeral,
 )
 from effrew.typecheck import infer_rule_types
+from termgen import PAR6_EFFECTS
 
 
 def rule_names(theory):
@@ -203,6 +207,42 @@ def test_all_builtins_certify_under_declared_precedence(gs, nondet, par, retry, 
         assert certify_ruleset(theory.precedence, list(theory.rules)).overall
 
 
+# builtin() does not validate what it builds: its rules are constants, and
+# options only choose symbol names, arities and domain values, so this grid
+# is where the builtins are checked
+BUILTIN_OPTIONS = [
+    *[("global-state", {"domain": d}) for d in ((0,), (1, 2, 3), ("a", "b"), (0, "a"))],
+    *[
+        ("par", {"effects": effects, "join": join})
+        for effects in ((("e", 0),), (("e", 1),), (("e", 3),), PAR6_EFFECTS)
+        for join in (True, False)
+    ],
+    *[(name, {}) for name in builtin_names()],
+]
+
+
+@pytest.mark.parametrize("name, options", BUILTIN_OPTIONS)
+def test_builtins_validate_under_options(name, options):
+    effrew.theories._validate(builtin(name, **options))
+
+
+@pytest.mark.parametrize(
+    "name, options, message",
+    [
+        # values that print alike would give two rules named assign-get.0
+        ("global-state", {"domain": (0, "0")}, "bad options .* repeated values"),
+        ("global-state", {"domain": (0, 0)}, "bad options .* repeated values"),
+        # both (a.b, c) and (a, b.c) would be named assign-assign.a.b.c
+        ("global-state", {"domain": ("a.b", "c", "a", "b.c")}, "must not contain '.'"),
+        ("par", {"effects": (("par", 2),)}, "bad options .* duplicate symbol name: par"),
+        ("par", {"colour": "red"}, "bad options .*colour"),
+    ],
+)
+def test_builtin_bad_options(name, options, message):
+    with pytest.raises(TheoryError, match=message):
+        builtin(name, **options)
+
+
 # -- theory files ---------------------------------------------------------------
 
 NONDET_FILE = """
@@ -356,6 +396,21 @@ def test_compose_duplicate_rule_names(nondet, peano):
         compose(nondet, peano, parse_theory(NONDET_FILE))
 
 
+def test_compose_checks_symbols_of_hand_built_rules(nondet):
+    # typing checks a typed rule's symbols; an extended rule is not typed,
+    # so its symbols are walked on their own
+    sig = Signature((EffectDecl("e", 1),))
+    for rule, message in (
+        (make_rule("typed", eff("e", Var("t")), fn("nosuch", Var("t"))), "typed is ill-typed: .*nosuch"),
+        (
+            make_rule("ext", eff("e", Var("v")), Pure(fn("nosuch", Var("v"))), extended=True),
+            "ext, right side: unknown symbol: nosuch",
+        ),
+    ):
+        with pytest.raises(TheoryError, match=message):
+            compose(Theory("hand", ("val",), (), sig, (rule,)), nondet)
+
+
 def test_compose_precedences_must_agree(peano, nondet):
     text = """
     (theory contra
@@ -388,6 +443,22 @@ def test_compose_validates_once(monkeypatch, gs, nondet, peano, retry):
     all_four = compose(gs, nondet, peano, retry)
     assert len(all_four.rules) == 13
     assert calls == {"validate": 1, "infer": 13}
+
+
+def test_cli_check_validates_each_rule_once(monkeypatch, capsys):
+    # the builtin parts are not validated on their own, and a typed rule's
+    # symbols are checked by typing alone
+    calls = {"_validate": 0, "infer_rule_types": 0, "check_symapp": 0}
+    for attr in calls:
+        def counted(*args, _attr=attr, _orig=getattr(effrew.theories, attr)):
+            calls[_attr] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(effrew.theories, attr, counted)
+    flags = ["--builtin", "global-state", "--builtin", "nondet", "--builtin", "peano", "--builtin", "retry"]
+    assert effrew.cli.main(["check", *flags, "--var", "v:val", "--term", "(pure v)"]) == 0
+    assert capsys.readouterr().out == "(E val)\n"
+    assert calls == {"_validate": 1, "infer_rule_types": 13, "check_symapp": 0}
 
 
 def test_compose_is_associative(par, nondet, gs):
