@@ -18,7 +18,7 @@ variables.
 All rules apply at any position (compatible closure): under binders, in
 let subjects, inside effect arguments.
 
-Redexes are found by a single scan: one explicit-stack preorder walk
+Redexes are listed by one explicit-stack preorder walk, iter_redexes,
 that tries the metalanguage rules at every node and, at a symbol
 application, only the user rules that a discrimination tree over the
 left sides retrieves for it.  The index is built once per normalize or
@@ -29,18 +29,27 @@ subject in preorder, with pattern variables as wildcards.  Retrieval may
 over-approximate (a repeated variable or a value metavariable is not
 checked there), so match_pattern confirms every candidate.  A node's
 position is unwound from parent links only when the node is a redex,
-and a redex builds its reduct only when it is first read, so
-leftmost-outermost normalisation stops the walk at the first hit and
-builds one reduct per step.
+and a redex builds its reduct only when it is first read.
+
+normalize lists the start term once, in the same order, with a walk of
+its own, and then keeps that listing up to date: a contraction at p
+replaces the entries under p with those of the contractum, and rechecks
+only the ancestors of p that the rules can see from above (every
+ancestor if a left side repeats a variable).  Subterms found to have no
+redex are remembered by identity for the call, so listing a contractum
+skips the parts it shares with the old term.  The current term is held
+as a zipper, so a step rebuilds only the path it walks, and the terms
+of the trace are built when read.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .terms import (
     App,
@@ -59,6 +68,7 @@ from .terms import (
     print_term,
     replace_at,
     substitute,
+    with_children,
 )
 
 ML_RULES = ("abs-beta", "let-beta", "let-assoc", "eff-assoc")
@@ -228,16 +238,22 @@ class Redex:
 
     The reduct (source with the contractum spliced in at position) is
     built on first access and then cached, so a scan that lists many
-    redexes pays only for the ones that are used.  Equality and hashing
-    go through position, rule name and reduct.
+    redexes pays only for the ones that are used.  The source is read
+    through `get_source`: a scan hands every redex the term it walked,
+    and a normalize trace builds its terms only when they are read.
+    Equality and hashing go through position, rule name and reduct.
     """
 
     position: Position
     rule_name: str
-    source: Term = field(repr=False)
+    get_source: Callable[[], Term] = field(repr=False)
     contract: Callable[[], Term] = field(repr=False)
     ml: bool = False
     rule_index: int = 0
+
+    @property
+    def source(self) -> Term:
+        return self.get_source()
 
     @cached_property
     def reduct(self) -> Term:
@@ -397,6 +413,10 @@ def iter_redexes(t: Term, index: HeadIndex) -> Iterator[Redex]:
     order, the metalanguage rule before user rules at a position, user
     rules by index.  Lazy, so a caller that wants only the first redex
     stops the walk there."""
+
+    def source() -> Term:
+        return t
+
     stack = [(t, None)]
     while stack:
         sub, link = stack.pop()
@@ -411,12 +431,12 @@ def iter_redexes(t: Term, index: HeadIndex) -> Iterator[Redex]:
                     if bindings is not None:
                         if pos is None:
                             pos = _position(link)
-                        yield Redex(pos, rule.name, t, partial(instantiate, rule.rhs, bindings), False, idx)
+                        yield Redex(pos, rule.name, source, partial(instantiate, rule.rhs, bindings), False, idx)
             kids = sub.args
         else:
             hit = _ml_contraction(sub)
             if hit is not None:
-                yield Redex(_position(link), hit[0], t, hit[1], ml=True)
+                yield Redex(_position(link), hit[0], source, hit[1], ml=True)
             kids = children(sub)
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], (link, i)))
@@ -456,10 +476,49 @@ def position_str(pos: Position) -> str:
     return "/" + "/".join(str(i) for i in pos) if pos else "/"
 
 
+class _Replay:
+    """The terms of one normalize run, built when they are read.  Term 0
+    is the start term and term i + 1 is term i with the contractum of step
+    i spliced in at its position; `fired` holds (listing entry, contractum)
+    per step.  Reading a term replays the steps from the nearest term
+    built before it and keeps every term it builds.  The last term, which
+    normalize returns, is there from the start."""
+
+    __slots__ = ("fired", "terms")
+
+    def __init__(self, initial: Term, fired: list, final: Term):
+        self.fired = fired
+        self.terms: list[Term | None] = [initial] + [None] * len(fired)
+        self.terms[-1] = final
+
+    def term(self, i: int) -> Term:
+        terms = self.terms
+        j = i
+        while terms[j] is None:
+            j -= 1
+        t = terms[j]
+        for entry, contractum in self.fired[j:i]:
+            j += 1
+            t = terms[j] = replace_at(t, entry[0], contractum)
+        return t
+
+    def contractum(self, i: int) -> Term:
+        return self.fired[i][1]
+
+
 @dataclass(frozen=True)
 class TraceStep:
+    """One normalize step: the redex contracted and the term it gave.  The
+    result is built when first read, and so is the redex's source, the
+    previous step's result (see _Replay)."""
+
     redex: Redex
-    result: Term
+    _terms: _Replay = field(repr=False, compare=False)
+    _index: int = field(repr=False, compare=False)
+
+    @property
+    def result(self) -> Term:
+        return self._terms.term(self._index + 1)
 
 
 @dataclass(frozen=True)
@@ -488,22 +547,145 @@ class Trace:
         }
 
 
+def _trace(initial: Term, fired: list, final: Term) -> Trace:
+    """The trace of a normalize run from initial to final; fired holds
+    (listing entry, contractum) per step."""
+    replay = _Replay(initial, fired, final)
+    steps = []
+    for i, ((pos, idx, name, rule), _) in enumerate(fired):
+        redex = Redex(pos, name, partial(replay.term, i), partial(replay.contractum, i), rule is None, idx)
+        steps.append(TraceStep(redex, replay, i))
+    return Trace(initial, tuple(steps))
+
+
+class _Zipper:
+    """A term held as a focused subterm and, root first, the parents above
+    it with the child index taken at each (Huet, "The Zipper", JFP 7(5),
+    1997).  Moving up rebuilds a parent only when its child has changed,
+    so a step pays for the path it walks, not for the whole spine."""
+
+    __slots__ = ("focus", "parents", "path")
+
+    def __init__(self, t: Term):
+        self.focus = t
+        self.parents: list[Term] = []
+        self.path: list[int] = []
+
+    def up(self) -> None:
+        node = self.parents.pop()
+        i = self.path.pop()
+        kids = children(node)
+        if kids[i] is not self.focus:
+            node = with_children(node, kids[:i] + (self.focus,) + kids[i + 1 :])
+        self.focus = node
+
+    def move(self, pos: Position) -> None:
+        """Focus the subterm at pos."""
+        path = self.path
+        common = min(len(path), len(pos))
+        if tuple(path[:common]) != pos[:common]:
+            common = 0
+            while path[common] == pos[common]:
+                common += 1
+        for _ in range(len(path) - common):
+            self.up()
+        focus = self.focus
+        for i in pos[common:]:
+            self.parents.append(focus)
+            path.append(i)
+            focus = children(focus)[i]
+        self.focus = focus
+
+    def root(self) -> Term:
+        while self.path:
+            self.up()
+        return self.focus
+
+
+def _reach(rules: Iterable[RewriteRule]) -> float:
+    """How many levels of a subterm, its root being level 1, can decide
+    whether a rule applies there; infinite when some left side repeats a
+    variable, since match_pattern then compares whole subterms.  A left
+    side reads every level that holds one of its symbols or a value
+    metavariable (which must see a pure or a variable); the metalanguage
+    rules read two levels."""
+    reach = 2
+    for rule in rules:
+        names = []
+        level, row = 1, [rule.lhs]
+        while row:
+            below = []
+            for p in row:
+                if type(p) is Var:
+                    names.append(p.name)
+                    if p.name not in rule.value_vars:
+                        continue
+                else:
+                    below += p.args
+                reach = max(reach, level)
+            row = below
+            level += 1
+        if len(set(names)) < len(names):
+            return math.inf
+    return reach
+
+
+def _rules_at(sub: Term, index: HeadIndex) -> Sequence[tuple[int, str, RewriteRule | None]]:
+    """(rule index, rule name, rule) for every rule that applies at sub
+    itself, in iter_redexes order; the rule is None for a metalanguage
+    rule, whose index is 0."""
+    if isinstance(sub, SymApp):
+        head = index.get((sub.kind, sub.identity))
+        if head is None:
+            return ()
+        return [
+            (idx, rule.name, rule)
+            for idx, rule in head.candidates(sub)
+            if match_pattern(rule.lhs, sub, rule.value_vars) is not None
+        ]
+    hit = _ml_contraction(sub)
+    return () if hit is None else ((0, hit[0], None),)
+
+
+def _list_redexes(t: Term, at: Position, index: HeadIndex, clean: dict[int, Term], out: list) -> None:
+    """Append an entry (position, rule index, rule name, rule) to out for
+    every redex of t, the subterm at position `at`, in iter_redexes order.
+    clean holds, by id, subterms known to have no redex: they are skipped,
+    and every subterm found to have none is added.  Each is held by the
+    record, so that its id cannot be reused."""
+    stack: list = [(t, None)]
+    push = stack.append
+    while stack:
+        sub, link = stack.pop()
+        if type(link) is int:
+            # leaving sub: link is the length of out when sub was entered
+            if len(out) == link:
+                clean[id(sub)] = sub
+            continue
+        if id(sub) in clean:
+            continue
+        hits = _rules_at(sub, index)
+        kids = children(sub)
+        if kids:
+            push((sub, len(out)))
+            for i in range(len(kids) - 1, -1, -1):
+                push((kids[i], (link, i)))
+        elif not hits:
+            clean[id(sub)] = sub
+        if hits:
+            pos = at + _position(link)
+            out += [(pos, idx, name, rule) for idx, name, rule in hits]
+
+
+def _contract(sub: Term, rule: RewriteRule | None) -> Term:
+    """The contractum of rule at sub; None stands for the metalanguage rule
+    that applies there."""
+    if rule is None:
+        return _ml_contraction(sub)[1]()
+    return instantiate(rule.rhs, match_pattern(rule.lhs, sub, rule.value_vars))
+
+
 DEFAULT_FUEL = 10_000
-
-
-def _pick(redexes: list[Redex], strategy: str, rng: Random | None) -> Redex:
-    if strategy == "leftmost-outermost":
-        # preorder listing is already sorted; the head is the leftmost
-        # outermost redex, ml before user rules on ties
-        return redexes[0]
-    if strategy == "rightmost-innermost":
-        # the greatest position comes last in the listing; at it, the ml
-        # rule comes first, then user rules by index
-        deepest = redexes[-1].position
-        return next(r for r in redexes if r.position == deepest)
-    if strategy == "random":
-        return rng.choice(redexes)
-    raise ValueError(f"unknown strategy: {strategy}")
 
 
 def normalize(
@@ -517,6 +699,10 @@ def normalize(
 
     Deterministic for a fixed strategy/seed.  Raises FuelExhausted (with
     the partial trace attached) if redexes remain after `fuel` steps.
+    Each step picks from the listing of every redex, in iter_redexes
+    order: leftmost-outermost takes the first entry, rightmost-innermost
+    the first entry at the last position, and random a choice of the
+    seeded generator.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
@@ -524,19 +710,53 @@ def normalize(
         raise ValueError("a seed is required exactly when the strategy is random")
     rng = Random(seed) if strategy == "random" else None
     index = head_index(rules)
-    # leftmost-outermost takes the first redex of the walk, so it stops there
-    limit = 1 if strategy == "leftmost-outermost" else None
-    steps: list[TraceStep] = []
-    current = t
-    while True:
-        redexes = list(islice(iter_redexes(current, index), limit))
-        if not redexes:
-            return current, Trace(t, tuple(steps))
-        if len(steps) >= fuel:
-            raise FuelExhausted(current, Trace(t, tuple(steps)))
-        chosen = _pick(redexes, strategy, rng)
-        current = chosen.reduct
-        steps.append(TraceStep(chosen, current))
+    reach = None
+    clean: dict[int, Term] = {}
+    listing: list = []
+    _list_redexes(t, (), index, clean, listing)
+    zipper = _Zipper(t)
+    fired: list = []
+    while listing:
+        if len(fired) >= fuel:
+            current = zipper.root()
+            raise FuelExhausted(current, _trace(t, fired, current))
+        if strategy == "leftmost-outermost":
+            entry = listing[0]
+        elif strategy == "rightmost-innermost":
+            i = len(listing) - 1
+            while i and listing[i - 1][0] == listing[i][0]:
+                i -= 1
+            entry = listing[i]
+        else:
+            entry = rng.choice(listing)
+        pos, _, _, rule = entry
+        zipper.move(pos)
+        contractum = zipper.focus = _contract(zipper.focus, rule)
+        fired.append((entry, contractum))
+        # the entries under pos form one slice, since the listing is in
+        # preorder; the contractum's entries take its place
+        lo = bisect_left(listing, (pos,))
+        hi = bisect_left(listing, (pos[:-1] + (pos[-1] + 1,),)) if pos else len(listing)
+        listed: list = []
+        _list_redexes(contractum, pos, index, clean, listed)
+        listing[lo:hi] = listed
+        # an ancestor more than reach - 1 levels up sees none of what
+        # changed; reach is at least 2, so it is derived from the rules only
+        # once a contraction lies deeper than one level
+        depth = levels = len(pos)
+        if depth > 1:
+            if reach is None:
+                reach = _reach(rules)
+            levels = min(reach - 1, depth)
+        for level in range(1, levels + 1):
+            zipper.up()
+            above = pos[: depth - level]
+            lo = hi = bisect_left(listing, (above,))
+            while hi < len(listing) and listing[hi][0] == above:
+                hi += 1
+            listing[lo:hi] = [(above, idx, name, rule) for idx, name, rule in _rules_at(zipper.focus, index)]
+    current = zipper.root()
+    return current, _trace(t, fired, current)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ differ only in bound names are interchangeable wherever it matters
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterator, Union
 
 Param = Union[int, str]
@@ -242,7 +243,9 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def substitute(t: Term, var: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of repl for free occurrences of var."""
+    """Capture-avoiding substitution of repl for free occurrences of var.
+    A subterm that the substitution leaves unchanged comes back as the same
+    object, so a caller can tell shared subterms by identity."""
     repl_fv = free_vars(repl)
 
     def go(t: Term) -> Term:
@@ -256,18 +259,23 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
             if binder in repl_fv and var in free_vars(body):
                 binder = fresh_name(binder, repl_fv | free_vars(body) | {var})
                 body = substitute(body, t.binder, Var(binder))
-            return Lam(binder, go(body))
+            body = go(body)
+            return t if body is t.body else Lam(binder, body)
         if isinstance(t, Let):
             subject = go(t.subject)
-            if t.binder == var:
-                return Let(t.binder, subject, t.body)
             body = t.body
             binder = t.binder
-            if binder in repl_fv and var in free_vars(body):
-                binder = fresh_name(binder, repl_fv | free_vars(body) | {var})
-                body = substitute(body, t.binder, Var(binder))
-            return Let(binder, subject, go(body))
-        return with_children(t, tuple(go(k) for k in children(t)))
+            if binder != var:
+                if binder in repl_fv and var in free_vars(body):
+                    binder = fresh_name(binder, repl_fv | free_vars(body) | {var})
+                    body = substitute(body, t.binder, Var(binder))
+                body = go(body)
+            if subject is t.subject and body is t.body:
+                return t
+            return Let(binder, subject, body)
+        kids = children(t)
+        new = tuple(map(go, kids))
+        return t if all(map(is_, new, kids)) else with_children(t, new)
 
     return go(t)
 

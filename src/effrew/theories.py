@@ -487,11 +487,10 @@ def compose(*theories: Theory) -> Theory:
     """Disjoint union of theories, named a+b+c.  Shared identical
     declarations merge; conflicting declarations, duplicate rule names, and
     inconsistent precedences are errors.  Schemas re-instantiate over the
-    union, which is validated once."""
+    union, which is validated once; a single part is validated like
+    several."""
     if not theories:
         raise TheoryError("compose needs at least one theory")
-    if len(theories) == 1:
-        return theories[0]
     sig = Signature()
     domains: dict[str, tuple[Param, ...]] = {}
     bases, rules, schemas, pairs = [], [], [], []

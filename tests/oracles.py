@@ -8,8 +8,17 @@ nesting count re-reads its definition off explicit positions, and so on.
 from __future__ import annotations
 
 import itertools
+from random import Random
 
-from effrew.rewrite import _ml_contraction, all_redexes, instantiate, match_pattern
+from effrew.rewrite import (
+    DEFAULT_FUEL,
+    _ml_contraction,
+    all_redexes,
+    head_index,
+    instantiate,
+    iter_redexes,
+    match_pattern,
+)
 from effrew.rpo import Precedence, certify_ruleset, rule_identities
 from effrew.terms import (
     App,
@@ -166,6 +175,35 @@ def reference_redexes(t: Term, rules) -> list[tuple]:
                 out.append((pos, rule.name, False, idx, splice(t, pos, instantiate(rule.rhs, bindings))))
     out.sort(key=lambda r: (r[0], not r[2], r[3]))
     return out
+
+
+def reference_normalize(t: Term, rules, strategy="leftmost-outermost", fuel=DEFAULT_FUEL, seed=None):
+    """normalize by a full rescan per step: each step lists every redex of
+    the whole current term with iter_redexes and contracts one, building
+    its reduct from the root.  leftmost-outermost takes the first redex,
+    rightmost-innermost the first one at the greatest position, and
+    random draws with Random(seed).choice from the listing.  Returns the
+    last term, the redexes contracted (each with its source and reduct),
+    and whether the fuel ran out with redexes left."""
+    rng = Random(seed)
+    index = head_index(rules)
+    chosen = []
+    current = t
+    while True:
+        redexes = list(iter_redexes(current, index))
+        if not redexes:
+            return current, chosen, False
+        if len(chosen) >= fuel:
+            return current, chosen, True
+        if strategy == "leftmost-outermost":
+            redex = redexes[0]
+        elif strategy == "rightmost-innermost":
+            deepest = redexes[-1].position
+            redex = next(r for r in redexes if r.position == deepest)
+        else:
+            redex = rng.choice(redexes)
+        current = redex.reduct
+        chosen.append(redex)
 
 
 def brute_force_precedence(rules) -> Precedence | None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import effrew.rewrite
 from effrew.rewrite import (
+    STRATEGIES,
     FuelExhausted,
     RewriteRule,
     RuleError,
@@ -42,7 +43,7 @@ from effrew.terms import (
     subterm_at,
 )
 from effrew.theories import builtin, builtin_names, compose, numeral_value, peano_numeral
-from oracles import naive_normal_forms, nesting_count_by_positions, reference_redexes
+from oracles import naive_normal_forms, nesting_count_by_positions, reference_normalize, reference_redexes
 from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, or_tree, par_interleaving, symbolic_term
 
 # -- the four metalanguage contractions --------------------------------------
@@ -489,6 +490,104 @@ def test_leftmost_outermost_follows_reference_head(case, seed):
     assert [(s.redex.rule_name, s.redex.position, s.result) for s in trace.steps] == expected
 
 
+# -- incremental normalize against the full rescan ------------------------------
+
+# rule sets whose left sides read deeper than the metalanguage rules, so
+# that a contraction can make a redex of an ancestor more than one level up
+_RECHECK_RULES = {
+    # a contraction two levels under h makes h a redex
+    "deep-lhs": (
+        make_rule("h-g-k", fn("h", fn("g", fn("k", Var("x")))), Var("x")),
+        make_rule("m-k", fn("m", Var("x")), fn("k", Var("x"))),
+    ),
+    # f compares its whole arguments, so a contraction at any depth under
+    # f can make it a redex
+    "nonlinear": (
+        make_rule("f-same", fn("f", Var("u"), Var("u")), Var("u")),
+        make_rule("m-k", fn("m", Var("x")), fn("k", Var("x"))),
+    ),
+    # the value metavariable v reads the third level, where it must see a
+    # pure or a variable
+    "value-var": (
+        make_rule("j-q", fn("j", fn("q", Var("v"))), Pure(Var("v")), extended=True),
+        make_rule("mk", fn("mk", Var("x")), Pure(Var("x")), extended=True),
+    ),
+}
+
+NORMALIZE_CASES = SCAN_CASES + tuple((name, "recheck") for name in _RECHECK_RULES)
+
+
+def _recheck_term(rng, budget: int):
+    """A term over the symbols of _RECHECK_RULES in which their left sides,
+    one contraction short, are common: h(g(m(t))), j(q(mk(t))), and
+    f(w(k(t)), w(m(t))) under a chain w of unary symbols."""
+    if budget <= 1:
+        return rng.choice((fn("c"), fn("a"), Var("x")))
+    t = _recheck_term(rng, budget - rng.randint(1, 3))
+    roll = rng.randrange(6)
+    if roll == 0:
+        return fn("h", fn("g", fn("m", t)))
+    if roll == 1:
+        return fn("j", fn("q", fn("mk", t)))
+    if roll == 2:
+        left, right = fn("k", t), fn("m", t)
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(("s", "g", "q"))
+            left, right = fn(name, left), fn(name, right)
+        return fn("f", *rng.sample((left, right), 2))
+    if roll == 3:
+        return fn("f", t, _recheck_term(rng, budget // 2))
+    return fn(rng.choice(("h", "g", "k", "m", "s", "j", "q", "mk")), t)
+
+
+def _normalize_case(case, seed: int):
+    name, shape = case
+    if shape == "recheck":
+        return _recheck_term(random.Random(seed), 14), list(_RECHECK_RULES[name])
+    return _random_term(case, seed)
+
+
+def _normalized(t, rules, strategy: str, fuel: int, seed: int):
+    """normalize's last term and trace, and whether the fuel ran out."""
+    seed = seed if strategy == "random" else None
+    try:
+        nf, trace = normalize(t, rules, strategy=strategy, fuel=fuel, seed=seed)
+    except FuelExhausted as exc:
+        return exc.term, exc.trace, True
+    return nf, trace, False
+
+
+# most runs need fewer than 40 steps, so a fuel drawn up to 40 ends some
+# runs by FuelExhausted and lets others finish
+_FUELS = st.integers(0, 40)
+
+
+@given(st.sampled_from(NORMALIZE_CASES), st.sampled_from(STRATEGIES), _FUELS, st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_full_rescan(case, strategy, fuel, seed):
+    t, rules = _normalize_case(case, seed)
+    term, trace, exhausted = _normalized(t, rules, strategy, fuel, seed)
+    ref_term, chosen, ref_exhausted = reference_normalize(t, rules, strategy, fuel, seed)
+    assert trace.initial == t
+    assert [(s.redex.rule_name, s.redex.position, s.redex.ml, s.redex.rule_index, s.result) for s in trace.steps] == [
+        (r.rule_name, r.position, r.ml, r.rule_index, r.reduct) for r in chosen
+    ]
+    assert (term, exhausted) == (ref_term, ref_exhausted)
+
+
+@given(st.sampled_from(NORMALIZE_CASES), st.sampled_from(STRATEGIES), _FUELS, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_normalize_trace_replays(case, strategy, fuel, seed):
+    # back to front, so that the first terms read are replayed from the
+    # start term and the later ones are found built
+    t, rules = _normalize_case(case, seed)
+    _, trace, _ = _normalized(t, rules, strategy, fuel, seed)
+    steps = trace.steps
+    for i in reversed(range(len(steps))):
+        prev = steps[i - 1].result if i else trace.initial
+        assert step(prev, steps[i].redex) == steps[i].result
+
+
 def _vary(rng, t, pure: bool):
     """t with some fn g nodes turned into eff g (the same name under the
     other kind), some binary f nodes cut to unary f (the same symbol at
@@ -575,3 +674,16 @@ def test_plus_200_normalizes_quickly(peano, strategy):
     assert len(trace.steps) == 201
     assert numeral_value(nf) == 400
     assert elapsed < 1.0, f"{strategy} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+def test_plus_800_normalizes_quickly(peano, strategy):
+    # a step that rescans the term from the root, rebuilds its spine, or
+    # keeps every intermediate term makes this 2-3 s per strategy
+    t = fn("plus", peano_numeral(800), peano_numeral(800))
+    start = time.perf_counter()
+    nf, trace = normalize(t, list(peano.rules), strategy=strategy)
+    elapsed = time.perf_counter() - start
+    assert len(trace.steps) == 801
+    assert numeral_value(nf) == 1600
+    assert elapsed < 0.5, f"{strategy} took {elapsed:.2f} s"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effrew.terms import (
@@ -176,8 +176,11 @@ def symbolic_terms(draw):
 
 
 @given(symbolic_terms())
+@example(Let("x", Pure(Var("a")), App(Lam("y", Var("y")), Var("b"))))
+@example(Let("zz_absent", Pure(Var("a")), Var("zz_absent")))
 def test_substitute_for_absent_var_is_identity(t):
     assert substitute(t, "zz_absent", Var("q")) == t
+    assert substitute(t, "zz_absent", Var("q")) is t
 
 
 @given(symbolic_terms(), symbolic_terms())

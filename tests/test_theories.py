@@ -398,7 +398,8 @@ def test_compose_duplicate_rule_names(nondet, peano):
 
 def test_compose_checks_symbols_of_hand_built_rules(nondet):
     # typing checks a typed rule's symbols; an extended rule is not typed,
-    # so its symbols are walked on their own
+    # so its symbols are walked on their own.  A single part is checked
+    # like several.
     sig = Signature((EffectDecl("e", 1),))
     for rule, message in (
         (make_rule("typed", eff("e", Var("t")), fn("nosuch", Var("t"))), "typed is ill-typed: .*nosuch"),
@@ -407,8 +408,10 @@ def test_compose_checks_symbols_of_hand_built_rules(nondet):
             "ext, right side: unknown symbol: nosuch",
         ),
     ):
-        with pytest.raises(TheoryError, match=message):
-            compose(Theory("hand", ("val",), (), sig, (rule,)), nondet)
+        hand = Theory("hand", ("val",), (), sig, (rule,))
+        for parts in ((hand, nondet), (hand,)):
+            with pytest.raises(TheoryError, match=message):
+                compose(*parts)
 
 
 def test_compose_precedences_must_agree(peano, nondet):
