@@ -4,7 +4,9 @@ Breadth-first closure of the one-step rewrite relation from a start
 term.  Nodes are identified modulo alpha through the canonical de Bruijn
 rendering, so graphs of terms with binders stay finite when they should.
 The fuel bounds the number of distinct nodes; a truncated graph keeps
-whatever was explored and says so.
+whatever was explored and says so.  Each node is listed once by the
+rewrite engine's redex walk, and each reduct is built from what that
+listing found (the bindings of a user rule), without a second match.
 
 Exploration is a pure function of (term, rules, fuel).
 """
@@ -15,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rewrite import RewriteRule, head_index, iter_redexes
-from .terms import Position, Term, canonical_key, print_term
+from .rewrite import RewriteRule, _contractum, _list_redexes, head_index
+from .terms import Position, Term, canonical_key, print_term, replace_at
 
 DEFAULT_NODE_FUEL = 100_000
 
@@ -118,19 +120,23 @@ def reduction_graph(
     truncated = False
     while queue:
         key = queue.popleft()
-        redexes = list(iter_redexes(nodes[key], index))
-        if not redexes:
+        term = nodes[key]
+        listing: list = []
+        # the redex-free record lasts for this node's walk only
+        _list_redexes(term, (), index, {}, listing)
+        if not listing:
             normal.append(key)
             continue
-        for r in redexes:
-            dst = canonical_key(r.reduct)
+        for pos, _, rule_name, rule, _, contraction in listing:
+            reduct = replace_at(term, pos, _contractum(rule, contraction))
+            dst = canonical_key(reduct)
             if dst not in nodes:
                 if len(nodes) >= fuel:
                     truncated = True
                     continue
-                nodes[dst] = r.reduct
+                nodes[dst] = reduct
                 queue.append(dst)
-            edges.append(Edge(key, r.rule_name, r.position, dst))
+            edges.append(Edge(key, rule_name, pos, dst))
     return ReductionGraph(root, nodes, tuple(edges), tuple(normal), truncated)
 
 

@@ -18,27 +18,34 @@ variables.
 All rules apply at any position (compatible closure): under binders, in
 let subjects, inside effect arguments.
 
-Redexes are listed by one explicit-stack preorder walk, iter_redexes,
-that tries the metalanguage rules at every node and, at a symbol
-application, only the user rules that a discrimination tree over the
-left sides retrieves for it.  The index is built once per normalize or
-graph exploration.  Its first level is keyed by the head (kind and
-identity), so a node whose head starts no rule costs one dict lookup;
-below a head, built on that head's first lookup, the tree reads the
-subject in preorder, with pattern variables as wildcards.  Retrieval may
-over-approximate (a repeated variable or a value metavariable is not
-checked there), so match_pattern confirms every candidate.  A node's
-position is unwound from parent links only when the node is a redex,
-and a redex builds its reduct only when it is first read.
+Redexes are listed by one explicit-stack preorder walk, _list_redexes,
+which every caller shares.  It tries the metalanguage rules at every node
+and, at a symbol application, the user rules that a discrimination tree
+over the left sides retrieves for it.  The index is built once per
+normalize or graph exploration.  Its first level is keyed by the head,
+so a node whose head starts no rule costs one dict lookup; below a head,
+built on that head's first lookup, the tree reads the subject in
+preorder, with pattern variables as wildcards.  Retrieval is exact and
+hands back each match's bindings: a linear left side with no value
+metavariable is decided by the tree walk alone, its bindings being the
+subterms read at its wildcard edges, and any other left side is
+confirmed by match_pattern.  Each entry of a listing holds what builds
+its contractum (the bindings, or the metalanguage rule's thunk), so no
+redex is matched twice.  Subterms found to have no redex are remembered
+by identity for the walk's caller.  all_redexes and its two filters wrap
+the entries into Redex objects; reduction_graph builds each reduct
+straight from them.
 
-normalize lists the start term once, in the same order, with a walk of
-its own, and then keeps that listing up to date: a contraction at p
-replaces the entries under p with those of the contractum, and rechecks
-only the ancestors of p that the rules can see from above (every
-ancestor if a left side repeats a variable).  Subterms found to have no
-redex are remembered by identity for the call, so listing a contractum
-skips the parts it shares with the old term.  The current term is held
-as a zipper, so a step rebuilds only the path it walks, and the terms
+normalize lists the start term once and then keeps that listing up to
+date: a contraction at p replaces the entries under p with those of the
+contractum, and rechecks only the ancestors of p that the rules can see
+from above (every ancestor if a left side repeats a variable).  The
+redex-free record lasts for the call, so listing a contractum skips the
+parts it shares with the old term.  The current term is held as a
+zipper, so a step rebuilds only the path it walks; an entry whose
+subterm was rebuilt since it was listed is matched again, since its
+bindings point into the old subterm.  The terms of the trace are built
+when read.
 of the trace are built when read.
 """
 
@@ -49,11 +56,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .terms import (
     App,
-    Identity,
     Lam,
     Let,
     Position,
@@ -308,13 +314,18 @@ class _Head:
     Indexing, LNAI 1053, 1996).
 
     A left side flattens in preorder into keys: a symbol application gives
-    (kind, identity, arity), a variable gives the wildcard None; the arity
-    keeps the pending subject arguments aligned with the pattern.  The
-    root's arity is the first key, since its kind and identity are the
+    (kind, name, params, arity), a variable gives the wildcard None; the
+    arity keeps the pending subject arguments aligned with the pattern.
+    The root's arity is the first key, since the rest of the root is the
     head.  Inner nodes map a key to the next node; once every key of a
-    left side is read the node is a list of (rule index, rule).  The tree
-    is built on the head's first lookup, so a normalize or graph run pays
-    only for the heads its terms reach."""
+    left side is read the node is a list of (rule index, rule, names).
+    names lists the left side's variables in preorder when the left side
+    is linear and has no value metavariable: reaching its leaf then decides
+    the match, and the subterms read at the wildcard edges, in order, are
+    the bindings.  Otherwise names is None and match_pattern confirms the
+    rule, since a repeated variable or a value metavariable is not checked
+    in the tree.  The tree is built on the head's first lookup, so a
+    normalize or graph run pays only for the heads its terms reach."""
 
     __slots__ = ("rules", "_tree")
 
@@ -324,26 +335,29 @@ class _Head:
 
     def _build(self) -> dict:
         tree: dict = {}
-        for entry in self.rules:
-            args = entry[1].lhs.args
+        for idx, rule in self.rules:
+            args = rule.lhs.args
             keys: list = [len(args)]
+            names: list[str] = []
             pending = list(reversed(args))
             while pending:
                 p = pending.pop()
                 if isinstance(p, Var):
                     keys.append(None)
+                    names.append(p.name)
                 else:
-                    keys.append((p.kind, p.identity, len(p.args)))
+                    keys.append((p.kind, p.name, p.params, len(p.args)))
                     pending.extend(reversed(p.args))
+            exact = len(set(names)) == len(names) and not rule.value_vars
             node = tree
             for key in keys[:-1]:
                 node = node.setdefault(key, {})
-            node.setdefault(keys[-1], []).append(entry)
+            node.setdefault(keys[-1], []).append((idx, rule, tuple(names) if exact else None))
         return tree
 
-    def candidates(self, sub: SymApp) -> list[tuple[int, RewriteRule]]:
-        """The rules whose left side agrees with sub on every symbol it
-        has, sorted by rule index."""
+    def matches(self, sub: SymApp) -> list[tuple[int, RewriteRule, dict[str, Term]]]:
+        """(rule index, rule, bindings) for every rule of this head that
+        matches sub, sorted by rule index."""
         tree = self._tree
         if tree is None:
             tree = self._tree = self._build()
@@ -351,46 +365,54 @@ class _Head:
         node = tree.get(len(args))
         if node is None:
             return []
-        out: list[tuple[int, RewriteRule]] = []
+        out: list = []
         # pending holds the subject subterms still to be read, next one
-        # last; every path to a node reads the same number of keys, so an
-        # empty pending means the node is a leaf
-        stack = [(node, args[::-1])]
+        # last, and read those read at wildcard edges, in preorder; every
+        # path to a node reads the same number of keys, so an empty pending
+        # means the node is a leaf
+        stack = [(node, args[::-1], ())]
         while stack:
-            node, pending = stack.pop()
+            node, pending, read = stack.pop()
             if not pending:
-                out += node
+                for idx, rule, names in node:
+                    if names is not None:
+                        out.append((idx, rule, dict(zip(names, read))))
+                    else:
+                        bindings = match_pattern(rule.lhs, sub, rule.value_vars)
+                        if bindings is not None:
+                            out.append((idx, rule, bindings))
                 continue
             s, rest = pending[-1], pending[:-1]
             child = node.get(None)
             if child is not None:
-                stack.append((child, rest))
-            if isinstance(s, SymApp):
+                stack.append((child, rest, read + (s,)))
+            if type(s) is SymApp:
                 kids = s.args
-                child = node.get((s.kind, s.identity, len(kids)))
+                child = node.get((s.kind, s.name, s.params, len(kids)))
                 if child is not None:
-                    stack.append((child, rest + kids[::-1]))
+                    stack.append((child, rest + kids[::-1], read))
+        # rule indices are distinct, so the sort never compares rules
         out.sort()
         return out
 
 
-HeadIndex = dict[tuple[str, Identity], _Head]
+HeadIndex = dict[tuple[str, str, tuple], _Head]
 
 
 def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
-    """The user rules by the (kind, identity) of their left side's root,
-    each head with the discrimination tree below it (see _Head).  A rule's
-    left side is always a symbol application, so a subject node whose
-    head starts no rule costs one dict lookup.
+    """The user rules by the kind, name and parameters of their left side's
+    root, each head with the discrimination tree below it (see _Head).  A
+    rule's left side is always a symbol application, so a subject node
+    whose head starts no rule costs one dict lookup.
 
-    Retrieval (`_Head.candidates`) treats every pattern variable as a
-    wildcard: it never misses a rule that matches, but may return one that
-    does not, because a repeated variable or a value metavariable is not
-    checked there.  iter_redexes confirms every candidate with
-    match_pattern."""
+    Retrieval (`_Head.matches`) is exact: it returns every rule that
+    matches, with its bindings, and no other.  A linear left side with no
+    value metavariable is decided by the tree walk alone; any other is
+    confirmed by match_pattern."""
     index: HeadIndex = {}
     for idx, rule in enumerate(rules):
-        key = (rule.lhs.kind, rule.lhs.identity)
+        lhs = rule.lhs
+        key = (lhs.kind, lhs.name, lhs.params)
         head = index.get(key)
         if head is None:
             head = index[key] = _Head()
@@ -408,55 +430,35 @@ def _position(link) -> Position:
     return tuple(out)
 
 
-def iter_redexes(t: Term, index: HeadIndex) -> Iterator[Redex]:
-    """Every redex of t in one preorder walk: positions in lexicographic
-    order, the metalanguage rule before user rules at a position, user
-    rules by index.  Lazy, so a caller that wants only the first redex
-    stops the walk there."""
+def _redexes(t: Term, index: HeadIndex) -> list[Redex]:
+    """The redex walk's entries for t as Redex objects."""
 
     def source() -> Term:
         return t
 
-    stack = [(t, None)]
-    while stack:
-        sub, link = stack.pop()
-        # user rules only match symbol applications and metalanguage rules
-        # never do, so one node never has both kinds of redex
-        if isinstance(sub, SymApp):
-            head = index.get((sub.kind, sub.identity))
-            if head is not None:
-                pos = None
-                for idx, rule in head.candidates(sub):
-                    bindings = match_pattern(rule.lhs, sub, rule.value_vars)
-                    if bindings is not None:
-                        if pos is None:
-                            pos = _position(link)
-                        yield Redex(pos, rule.name, source, partial(instantiate, rule.rhs, bindings), False, idx)
-            kids = sub.args
-        else:
-            hit = _ml_contraction(sub)
-            if hit is not None:
-                yield Redex(_position(link), hit[0], source, hit[1], ml=True)
-            kids = children(sub)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], (link, i)))
+    out: list = []
+    _list_redexes(t, (), index, {}, out)
+    return [
+        Redex(pos, name, source, c if rule is None else partial(instantiate, rule.rhs, c), rule is None, idx)
+        for pos, idx, name, rule, _, c in out
+    ]
 
 
 def ml_redexes(t: Term) -> list[Redex]:
     """All metalanguage redexes of t, in preorder position order."""
-    return list(iter_redexes(t, {}))
+    return _redexes(t, {})
 
 
 def symbolic_redexes(t: Term, rules: list[RewriteRule]) -> list[Redex]:
     """All user-rule redexes of t, positions in preorder, rules in the
     order given at equal positions."""
-    return [r for r in iter_redexes(t, head_index(rules)) if not r.ml]
+    return [r for r in _redexes(t, head_index(rules)) if not r.ml]
 
 
 def all_redexes(t: Term, rules: list[RewriteRule] = ()) -> list[Redex]:
     """Every redex of t, sorted by position (lexicographic), metalanguage
     rules before user rules at equal positions."""
-    return list(iter_redexes(t, head_index(rules)))
+    return _redexes(t, head_index(rules))
 
 
 def step(t: Term, redex: Redex) -> Term:
@@ -552,7 +554,7 @@ def _trace(initial: Term, fired: list, final: Term) -> Trace:
     (listing entry, contractum) per step."""
     replay = _Replay(initial, fired, final)
     steps = []
-    for i, ((pos, idx, name, rule), _) in enumerate(fired):
+    for i, ((pos, idx, name, rule, _, _), _) in enumerate(fired):
         redex = Redex(pos, name, partial(replay.term, i), partial(replay.contractum, i), rule is None, idx)
         steps.append(TraceStep(redex, replay, i))
     return Trace(initial, tuple(steps))
@@ -630,29 +632,34 @@ def _reach(rules: Iterable[RewriteRule]) -> float:
     return reach
 
 
-def _rules_at(sub: Term, index: HeadIndex) -> Sequence[tuple[int, str, RewriteRule | None]]:
-    """(rule index, rule name, rule) for every rule that applies at sub
-    itself, in iter_redexes order; the rule is None for a metalanguage
-    rule, whose index is 0."""
-    if isinstance(sub, SymApp):
-        head = index.get((sub.kind, sub.identity))
+def _rules_at(sub: Term, index: HeadIndex) -> Sequence[tuple[int, str, RewriteRule | None, object]]:
+    """(rule index, rule name, rule, contraction) for every rule that
+    applies at sub itself: the metalanguage rule, whose rule is None, index
+    0 and contraction a thunk that builds its contractum, or the user rules
+    by index, each with its bindings as contraction."""
+    if type(sub) is SymApp:
+        head = index.get((sub.kind, sub.name, sub.params))
         if head is None:
             return ()
-        return [
-            (idx, rule.name, rule)
-            for idx, rule in head.candidates(sub)
-            if match_pattern(rule.lhs, sub, rule.value_vars) is not None
-        ]
+        return [(idx, rule.name, rule, bindings) for idx, rule, bindings in head.matches(sub)]
     hit = _ml_contraction(sub)
-    return () if hit is None else ((0, hit[0], None),)
+    return () if hit is None else ((0, hit[0], None, hit[1]),)
+
+
+def _contractum(rule: RewriteRule | None, contraction) -> Term:
+    """The contractum that an entry's rule and contraction give."""
+    return contraction() if rule is None else instantiate(rule.rhs, contraction)
 
 
 def _list_redexes(t: Term, at: Position, index: HeadIndex, clean: dict[int, Term], out: list) -> None:
-    """Append an entry (position, rule index, rule name, rule) to out for
-    every redex of t, the subterm at position `at`, in iter_redexes order.
-    clean holds, by id, subterms known to have no redex: they are skipped,
-    and every subterm found to have none is added.  Each is held by the
-    record, so that its id cannot be reused."""
+    """The redex walk: append an entry (position, rule index, rule name,
+    rule, subterm, contraction) to out for every redex of t, the subterm at
+    position `at`, as _rules_at gives them; positions come in preorder, so
+    in lexicographic order.  One explicit-stack walk; a node's position is
+    unwound from parent links only when the node is a redex.  clean holds,
+    by id, subterms known to have no redex: they are skipped, and every
+    subterm found to have none is added.  Each is held by the record, so
+    that its id cannot be reused."""
     stack: list = [(t, None)]
     push = stack.append
     while stack:
@@ -674,15 +681,7 @@ def _list_redexes(t: Term, at: Position, index: HeadIndex, clean: dict[int, Term
             clean[id(sub)] = sub
         if hits:
             pos = at + _position(link)
-            out += [(pos, idx, name, rule) for idx, name, rule in hits]
-
-
-def _contract(sub: Term, rule: RewriteRule | None) -> Term:
-    """The contractum of rule at sub; None stands for the metalanguage rule
-    that applies there."""
-    if rule is None:
-        return _ml_contraction(sub)[1]()
-    return instantiate(rule.rhs, match_pattern(rule.lhs, sub, rule.value_vars))
+            out += [(pos, idx, name, rule, sub, contraction) for idx, name, rule, contraction in hits]
 
 
 DEFAULT_FUEL = 10_000
@@ -699,7 +698,7 @@ def normalize(
 
     Deterministic for a fixed strategy/seed.  Raises FuelExhausted (with
     the partial trace attached) if redexes remain after `fuel` steps.
-    Each step picks from the listing of every redex, in iter_redexes
+    Each step picks from the listing of every redex, in the redex walk's
     order: leftmost-outermost takes the first entry, rightmost-innermost
     the first entry at the last position, and random a choice of the
     seeded generator.
@@ -729,9 +728,17 @@ def normalize(
             entry = listing[i]
         else:
             entry = rng.choice(listing)
-        pos, _, _, rule = entry
+        pos, _, _, rule, sub, contraction = entry
         zipper.move(pos)
-        contractum = zipper.focus = _contract(zipper.focus, rule)
+        sub_now = zipper.focus
+        if sub_now is not sub:
+            # a contraction below, deeper than the rules read, rebuilt this
+            # subterm after it was listed: the rule still applies, but the
+            # bindings read from the old subterm are stale
+            contraction = (
+                _ml_contraction(sub_now)[1] if rule is None else match_pattern(rule.lhs, sub_now, rule.value_vars)
+            )
+        contractum = zipper.focus = _contractum(rule, contraction)
         fired.append((entry, contractum))
         # the entries under pos form one slice, since the listing is in
         # preorder; the contractum's entries take its place
@@ -754,7 +761,8 @@ def normalize(
             lo = hi = bisect_left(listing, (above,))
             while hi < len(listing) and listing[hi][0] == above:
                 hi += 1
-            listing[lo:hi] = [(above, idx, name, rule) for idx, name, rule in _rules_at(zipper.focus, index)]
+            focus = zipper.focus
+            listing[lo:hi] = [(above, idx, name, rule, focus, c) for idx, name, rule, c in _rules_at(focus, index)]
     current = zipper.root()
     return current, _trace(t, fired, current)
 

@@ -69,37 +69,128 @@ def type_str(ty: Type) -> str:
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Term:
+    """Base of the six term classes: immutable __slots__ nodes.  Assigning a
+    field raises AttributeError.  Equality is structural and the hash,
+    computed on first use, is cached in the node; both, and repr, walk an
+    explicit stack, so a deep term costs no Python stack.  Each class lists
+    its fields in __slots__, in constructor order."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or _scalars(a) != _scalars(b):
+                return False
+            ka, kb = children(a), children(b)
+            if len(ka) != len(kb):
+                return False
+            stack += zip(ka, kb)
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # postorder, so that every child's hash is cached when its parent's
+        # is taken
+        stack = [self]
+        while stack:
+            todo = [k for k in children(stack[-1]) if not hasattr(k, "_hash")]
+            if todo:
+                stack += todo
+                continue
+            t = stack.pop()
+            _set_hash(t, hash((type(t).__name__, *(getattr(t, f) for f in t.__slots__))))
+        return self._hash
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+                continue
+            out.append(type(t).__name__ + "(")
+            parts: list = []
+            for f in t.__slots__:
+                value = getattr(t, f)
+                parts.append(f"{f}=")
+                if isinstance(value, _Term):
+                    parts.append(value)
+                elif f == "args" and value:
+                    parts.append("(")
+                    for a in value:
+                        parts += (a, ", ")
+                    parts[-1] = ",)" if len(value) == 1 else ")"
+                else:
+                    parts.append(repr(value))
+                parts.append(", ")
+            parts[-1] = ")"
+            stack += reversed(parts)
+        return "".join(out)
 
 
-@dataclass(frozen=True)
-class Lam:
-    binder: str
-    body: "Term"
+_set_hash = _Term._hash.__set__
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class Var(_Term):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _var_name(self, name)
 
 
-@dataclass(frozen=True)
-class Pure:
-    body: "Term"
+class Lam(_Term):
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: "Term"):
+        _lam_binder(self, binder)
+        _lam_body(self, body)
 
 
-@dataclass(frozen=True)
-class Let:
-    binder: str
-    subject: "Term"
-    body: "Term"
+class App(_Term):
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: "Term", arg: "Term"):
+        _app_fun(self, fun)
+        _app_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class SymApp:
+class Pure(_Term):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Term"):
+        _pure_body(self, body)
+
+
+class Let(_Term):
+    __slots__ = ("binder", "subject", "body")
+
+    def __init__(self, binder: str, subject: "Term", body: "Term"):
+        _let_binder(self, binder)
+        _let_subject(self, subject)
+        _let_body(self, body)
+
+
+class SymApp(_Term):
     """Applied effect or function symbol.
 
     ``kind`` is "eff" or "fn".  Effect symbols may carry parameters drawn
@@ -108,14 +199,37 @@ class SymApp:
     parameterisations of the same family are unrelated symbols.
     """
 
-    kind: str
-    name: str
-    params: tuple[Param, ...]
-    args: tuple["Term", ...]
+    __slots__ = ("kind", "name", "params", "args")
+
+    def __init__(self, kind: str, name: str, params: tuple[Param, ...], args: tuple["Term", ...]):
+        _sym_kind(self, kind)
+        _sym_name(self, name)
+        _sym_params(self, params)
+        _sym_args(self, args)
 
     @property
     def identity(self) -> tuple[str, tuple[Param, ...]]:
         return (self.name, self.params)
+
+
+# the slots' own setters, which the constructors call past __setattr__
+_var_name = Var.name.__set__
+_lam_binder, _lam_body = Lam.binder.__set__, Lam.body.__set__
+_app_fun, _app_arg = App.fun.__set__, App.arg.__set__
+_pure_body = Pure.body.__set__
+_let_binder, _let_subject, _let_body = Let.binder.__set__, Let.subject.__set__, Let.body.__set__
+_sym_kind, _sym_name, _sym_params, _sym_args = (
+    SymApp.kind.__set__, SymApp.name.__set__, SymApp.params.__set__, SymApp.args.__set__
+)
+
+
+def _scalars(t: "Term") -> tuple:
+    """The fields of t that are not subterms."""
+    if type(t) is SymApp:
+        return (t.kind, t.name, t.params)
+    if type(t) is Var:
+        return (t.name,)
+    return (t.binder,) if type(t) is Lam or type(t) is Let else ()
 
 
 Term = Union[Var, Lam, App, Pure, Let, SymApp]
@@ -245,39 +359,56 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def substitute(t: Term, var: str, repl: Term) -> Term:
     """Capture-avoiding substitution of repl for free occurrences of var.
     A subterm that the substitution leaves unchanged comes back as the same
-    object, so a caller can tell shared subterms by identity."""
+    object, so a caller can tell shared subterms by identity.  The walk is
+    iterative, one explicit stack of pending subterms and rebuild marks; a
+    binder that would capture is renamed in its body by a nested call.
+    free_vars, which it calls on repl and on such a body, still recurses."""
     repl_fv = free_vars(repl)
-
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return repl if t.name == var else t
-        if isinstance(t, Lam):
-            if t.binder == var:
-                return t
-            body = t.body
-            binder = t.binder
+    done: list[Term] = []
+    # items: a term to substitute into; (term,), a term kept as it is; or
+    # (node, binder, n), rebuild node under binder from the last n of done
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is tuple:
+            if len(t) == 1:
+                done.append(t[0])
+                continue
+            node, binder, n = t
+            new = tuple(done[-n:])
+            del done[-n:]
+            if binder is not None and binder != node.binder:
+                done.append(Lam(binder, *new) if type(node) is Lam else Let(binder, *new))
+            elif all(map(is_, new, children(node))):
+                done.append(node)
+            else:
+                done.append(with_children(node, new))
+            continue
+        if tt is Var:
+            done.append(repl if t.name == var else t)
+            continue
+        kids = children(t)
+        binder = None
+        if tt is Lam or tt is Let:
+            binder, body = t.binder, t.body
+            if binder == var:
+                # var is bound here: a let substitutes into its subject only
+                if tt is Lam:
+                    done.append(t)
+                else:
+                    stack += [(t, binder, 2), (body,), t.subject]
+                continue
             if binder in repl_fv and var in free_vars(body):
                 binder = fresh_name(binder, repl_fv | free_vars(body) | {var})
                 body = substitute(body, t.binder, Var(binder))
-            body = go(body)
-            return t if body is t.body else Lam(binder, body)
-        if isinstance(t, Let):
-            subject = go(t.subject)
-            body = t.body
-            binder = t.binder
-            if binder != var:
-                if binder in repl_fv and var in free_vars(body):
-                    binder = fresh_name(binder, repl_fv | free_vars(body) | {var})
-                    body = substitute(body, t.binder, Var(binder))
-                body = go(body)
-            if subject is t.subject and body is t.body:
-                return t
-            return Let(binder, subject, body)
-        kids = children(t)
-        new = tuple(map(go, kids))
-        return t if all(map(is_, new, kids)) else with_children(t, new)
-
-    return go(t)
+            kids = kids[:-1] + (body,)
+        elif not kids:
+            done.append(t)
+            continue
+        stack.append((t, binder, len(kids)))
+        stack += reversed(kids)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,14 @@ nesting count re-reads its definition off explicit positions, and so on.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from random import Random
 
 from effrew.rewrite import (
     DEFAULT_FUEL,
     _ml_contraction,
     all_redexes,
-    head_index,
     instantiate,
-    iter_redexes,
     match_pattern,
 )
 from effrew.rpo import Precedence, certify_ruleset, rule_identities
@@ -177,20 +176,48 @@ def reference_redexes(t: Term, rules) -> list[tuple]:
     return out
 
 
+def reference_graph(t: Term, rules, fuel: int) -> tuple[list, list, list, bool]:
+    """reduction_graph the plain way: a breadth-first search that lists
+    each node with reference_redexes and keys every reduct with
+    reference_canonical_key, adding at most `fuel` nodes.  Returns the
+    node keys in discovery order, the edges as (source, rule name,
+    position, target), the keys of the normal forms, and whether a reduct
+    was left out for lack of fuel."""
+    root = reference_canonical_key(t)
+    nodes = {root: t}
+    edges, normal = [], []
+    queue = deque([root])
+    truncated = False
+    while queue:
+        key = queue.popleft()
+        redexes = reference_redexes(nodes[key], rules)
+        if not redexes:
+            normal.append(key)
+        for pos, rule_name, _, _, reduct in redexes:
+            dst = reference_canonical_key(reduct)
+            if dst not in nodes:
+                if len(nodes) >= fuel:
+                    truncated = True
+                    continue
+                nodes[dst] = reduct
+                queue.append(dst)
+            edges.append((key, rule_name, pos, dst))
+    return list(nodes), edges, normal, truncated
+
+
 def reference_normalize(t: Term, rules, strategy="leftmost-outermost", fuel=DEFAULT_FUEL, seed=None):
     """normalize by a full rescan per step: each step lists every redex of
-    the whole current term with iter_redexes and contracts one, building
+    the whole current term with all_redexes and contracts one, building
     its reduct from the root.  leftmost-outermost takes the first redex,
     rightmost-innermost the first one at the greatest position, and
     random draws with Random(seed).choice from the listing.  Returns the
     last term, the redexes contracted (each with its source and reduct),
     and whether the fuel ran out with redexes left."""
     rng = Random(seed)
-    index = head_index(rules)
     chosen = []
     current = t
     while True:
-        redexes = list(iter_redexes(current, index))
+        redexes = all_redexes(current, rules)
         if not redexes:
             return current, chosen, False
         if len(chosen) >= fuel:

@@ -43,7 +43,14 @@ from effrew.terms import (
     subterm_at,
 )
 from effrew.theories import builtin, builtin_names, compose, numeral_value, peano_numeral
-from oracles import naive_normal_forms, nesting_count_by_positions, reference_normalize, reference_redexes
+from effrew.graph import reduction_graph
+from oracles import (
+    naive_normal_forms,
+    nesting_count_by_positions,
+    reference_graph,
+    reference_normalize,
+    reference_redexes,
+)
 from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, or_tree, par_interleaving, symbolic_term
 
 # -- the four metalanguage contractions --------------------------------------
@@ -470,6 +477,20 @@ def test_scan_matches_reference(case, seed):
     assert _listing(symbolic_redexes(t, rules)) == [r for r in expected if not r[2]]
 
 
+# most graphs of these terms have fewer than 60 nodes, so a fuel drawn up
+# to 60 truncates some and lets others finish
+@given(st.sampled_from(SCAN_CASES), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_graph_matches_reference(case, fuel, seed):
+    t, rules = _random_term(case, seed)
+    g = reduction_graph(t, rules, fuel=fuel)
+    keys, edges, normal, truncated = reference_graph(t, rules, fuel)
+    assert list(g.nodes) == keys
+    assert [(e.src, e.rule_name, e.position, e.dst) for e in g.edges] == edges
+    assert list(g.normal_forms) == normal
+    assert g.truncated == truncated
+
+
 @given(st.sampled_from(SCAN_CASES), st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_leftmost_outermost_follows_reference_head(case, seed):
@@ -623,6 +644,7 @@ def test_rule_retrieval_matches_brute_force(seed):
         rhs = rng.choice([fn("c"), *map(Var, sorted(pattern_vars(lhs)))])
         rules.append(make_rule(f"r{i}", lhs, rhs))
     rng.shuffle(rules)
+    index = effrew.rewrite.head_index(rules)
     for _ in range(6):
         s = _vary(rng, symbolic_term(rng, rng.randint(1, 10)), pure=True)
         if rng.random() < 0.5:
@@ -642,6 +664,16 @@ def test_rule_retrieval_matches_brute_force(seed):
         found = symbolic_redexes(s, rules)
         assert [(r.position, r.rule_index) for r in found] == expected
         assert [r.rule_name for r in found] == [rules[i].name for _, i in expected]
+        # the index hands back each hit's bindings: read off the tree for a
+        # linear left side with no value metavariable, else from match_pattern
+        for _, sub in iter_subterms(s):
+            head = index.get((sub.kind, sub.name, sub.params)) if isinstance(sub, SymApp) else None
+            hits = head.matches(sub) if head is not None else []
+            assert [(i, bindings) for i, _, bindings in hits] == [
+                (i, match_pattern(r.lhs, sub, r.value_vars))
+                for i, r in enumerate(rules)
+                if match_pattern(r.lhs, sub, r.value_vars) is not None
+            ]
 
 
 def test_rule_index_prunes_par_rules(monkeypatch):
@@ -657,8 +689,7 @@ def test_rule_index_prunes_par_rules(monkeypatch):
         return real(pattern, subject, value_vars, bindings)
 
     monkeypatch.setattr(effrew.rewrite, "match_pattern", counting)
-    index = effrew.rewrite.head_index(rules)
-    at_root = [r.rule_name for r in effrew.rewrite.iter_redexes(t, index) if r.position == ()]
+    at_root = [r.rule_name for r in effrew.rewrite.all_redexes(t, rules) if r.position == ()]
     assert len(tried) <= 2
     assert at_root == ["par-left.a1", "par-right.b1"]
 

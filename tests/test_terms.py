@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from effrew.terms import (
     with_children,
 )
 from effrew.graph import reduction_graph
+from effrew.rewrite import StaleRedexError, all_redexes, step
 from effrew.terms import Eff
 from effrew.theories import builtin, compose, peano_numeral
 from oracles import reference_canonical_key
@@ -140,6 +142,69 @@ def test_deep_numeral_prints_keys_and_compares():
     assert len(key) == 13 * n + 12
     assert key.startswith("(fn succ () (fn succ () ")
     assert alpha_eq(t, peano_numeral(n))
+
+
+def test_deep_numeral_hashes_compares_and_steps(peano):
+    # far past the interpreter recursion limit: ==, hash and repr walk an
+    # explicit stack
+    n = 100_000
+    t, same = peano_numeral(n), peano_numeral(n)
+    assert t == same and not t != same
+    assert hash(t) == hash(same)
+    assert t != peano_numeral(n - 1)
+    assert repr(t).startswith("SymApp(kind='fn', name='succ', params=(), args=(SymApp(")
+    (redex,) = all_redexes(fn("plus", t, fn("zero")), list(peano.rules))
+    expected = fn("succ", fn("plus", peano_numeral(n - 1), fn("zero")))
+    assert step(fn("plus", same, fn("zero")), redex) == expected
+    assert hash(redex) == hash(redex)
+    with pytest.raises(StaleRedexError):
+        step(fn("plus", peano_numeral(n - 1), fn("zero")), redex)
+
+
+def test_term_reprs():
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(Lam("x", Var("x"))) == "Lam(binder='x', body=Var(name='x'))"
+    assert repr(App(Var("f"), Var("a"))) == "App(fun=Var(name='f'), arg=Var(name='a'))"
+    assert repr(Pure(Var("v"))) == "Pure(body=Var(name='v'))"
+    assert repr(Let("x", Var("a"), Var("x"))) == "Let(binder='x', subject=Var(name='a'), body=Var(name='x'))"
+    assert repr(eff("assign", fn("zero"), params=(1,))) == (
+        "SymApp(kind='eff', name='assign', params=(1,), args=(SymApp(kind='fn', name='zero', params=(), args=()),))"
+    )
+
+
+_TERM_FIELDS = (
+    (Var("x"), ("name",)),
+    (Lam("x", Var("x")), ("binder", "body")),
+    (App(Var("f"), Var("a")), ("fun", "arg")),
+    (Pure(Var("v")), ("body",)),
+    (Let("x", Var("a"), Var("x")), ("binder", "subject", "body")),
+    (fn("f", Var("a")), ("kind", "name", "params", "args")),
+)
+
+
+@pytest.mark.parametrize("t, fields", [pytest.param(t, f, id=type(t).__name__) for t, f in _TERM_FIELDS])
+def test_term_fields_are_read_only(t, fields):
+    assert type(t)(**{f: getattr(t, f) for f in fields}) == t
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(t, f, Var("y"))
+        with pytest.raises(AttributeError):
+            delattr(t, f)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
+def test_substitute_leaves_no_reference_cycles():
+    # the binder y is renamed, which substitutes in a nested call
+    t = Lam("y", App(Var("x"), Let("z", Var("x"), App(Var("y"), Var("z")))))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            substitute(t, "x", Var("y"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_key_innermost_binding_wins():
