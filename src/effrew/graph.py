@@ -118,12 +118,14 @@ def reduction_graph(
     normal: list[str] = []
     queue: deque[str] = deque([root])
     truncated = False
+    # one redex-free record serves every node's walk, since a subterm with
+    # no redex has none wherever it occurs
+    clean: dict[int, Term] = {}
     while queue:
         key = queue.popleft()
         term = nodes[key]
         listing: list = []
-        # the redex-free record lasts for this node's walk only
-        _list_redexes(term, (), index, {}, listing)
+        _list_redexes(term, (), index, clean, listing)
         if not listing:
             normal.append(key)
             continue

@@ -42,11 +42,11 @@ contractum, and rechecks only the ancestors of p that the rules can see
 from above (every ancestor if a left side repeats a variable).  The
 redex-free record lasts for the call, so listing a contractum skips the
 parts it shares with the old term.  The current term is held as a
-zipper, so a step rebuilds only the path it walks; an entry whose
-subterm was rebuilt since it was listed is matched again, since its
-bindings point into the old subterm.  The terms of the trace are built
-when read.
-of the trace are built when read.
+zipper, so a step rebuilds only the path it walks.  An entry whose
+subterm was rebuilt since it was listed holds bindings that point into
+the old subterm, so the lookup that listed it is run again on the new
+one.  The terms of the trace are built when read.  What the engine
+reads off a rule is derived when the rule is built (see RewriteRule).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 from .terms import (
     App,
+    Identity,
     Lam,
     Let,
     Position,
@@ -108,9 +109,18 @@ class RewriteRule:
     """A user rule, which checks its own shape when it is built: both sides
     lie in the symbolic fragment (the right side may also use pure when the
     rule is extended), the left side is not a bare variable, and the right
-    side invents no variables.  Raises RuleError otherwise.  value_vars is
-    derived: for extended rules, the right-side variables that occur under
-    a pure."""
+    side invents no variables.  Raises RuleError otherwise.
+
+    The check, one explicit-stack pass per side, also derives the fields
+    the engine reads; of these only value_vars takes part in ==, hash and
+    repr.  value_vars: an extended rule's right-side variables under a pure.
+    tree_keys: the left side's keys in the discrimination tree (_Head).
+    exact_vars: the left side's variables in preorder if it is linear and
+    has no value metavariable, else None.  reach: how many levels of a
+    subterm, its root at level 1, can decide whether the rule applies: the
+    deepest level holding a symbol or a value metavariable, or infinite if
+    a variable repeats, since match_pattern then compares whole subterms.
+    identities: the symbol identities of both sides."""
 
     name: str
     lhs: Term
@@ -118,56 +128,81 @@ class RewriteRule:
     extended: bool = False
     value_vars: frozenset[str] = field(init=False)
     certified: bool = False
+    tree_keys: tuple = field(init=False, compare=False, repr=False)
+    exact_vars: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
+    reach: float = field(init=False, compare=False, repr=False)
+    identities: frozenset[Identity] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         name, lhs, rhs, extended = self.name, self.lhs, self.rhs, self.extended
-        if isinstance(lhs, Var):
+        if type(lhs) is Var:
             raise RuleError(f"rule {name}: left side is a bare variable")
-        if not is_symbolic(lhs):
-            raise RuleError(f"rule {name}: left side leaves the symbolic fragment")
-        if not is_symbolic(rhs, allow_pure=extended):
-            raise RuleError(
-                f"rule {name}: right side leaves the symbolic fragment"
-                + ("" if extended else " (pure needs the extended flag)")
-            )
-        lv, rv = pattern_vars(lhs), pattern_vars(rhs)
-        if not rv <= lv:
-            missing = ", ".join(sorted(rv - lv))
-            raise RuleError(f"rule {name}: right side invents variables: {missing}")
-        object.__setattr__(self, "value_vars", _vars_under_pure(rhs) if extended else frozenset())
+        keys: list = []
+        # variable name -> level, in preorder of first occurrence
+        levels: dict[str, int] = {}
+        ids: set[Identity] = set()
+        reach = 1
+        stack: list = [(lhs, 1)]
+        while stack:
+            t, level = stack.pop()
+            if type(t) is SymApp:
+                keys.append((t.kind, t.name, t.params, len(t.args)))
+                ids.add((t.name, t.params))
+                reach = max(reach, level)
+                stack += [(a, level + 1) for a in reversed(t.args)]
+            elif type(t) is Var:
+                keys.append(None)
+                levels.setdefault(t.name, level)
+            else:
+                raise RuleError(f"rule {name}: left side leaves the symbolic fragment")
+        missing: set[str] = set()
+        under_pure: set[str] = set()
+        stack = [(rhs, False)]
+        while stack:
+            t, inside = stack.pop()
+            if type(t) is SymApp:
+                ids.add((t.name, t.params))
+                stack += [(a, inside) for a in t.args]
+            elif type(t) is Var:
+                if t.name not in levels:
+                    missing.add(t.name)
+                if inside:
+                    under_pure.add(t.name)
+            elif extended and type(t) is Pure:
+                stack.append((t.body, True))
+            else:
+                raise RuleError(
+                    f"rule {name}: right side leaves the symbolic fragment"
+                    + ("" if extended else " (pure needs the extended flag)")
+                )
+        if missing:
+            raise RuleError(f"rule {name}: right side invents variables: {', '.join(sorted(missing))}")
+        linear = keys.count(None) == len(levels)
+        setattr_ = object.__setattr__
+        setattr_(self, "value_vars", frozenset(under_pure))
+        setattr_(self, "tree_keys", (len(lhs.args), *keys[1:]))
+        setattr_(self, "exact_vars", tuple(levels) if linear and not under_pure else None)
+        setattr_(self, "reach", max([reach, *(levels[v] for v in under_pure)]) if linear else math.inf)
+        setattr_(self, "identities", frozenset(ids))
 
 
-def pattern_vars(t: Term) -> frozenset[str]:
-    """Variables of a symbolic pattern (patterns have no binders, so every
-    variable occurrence is a metavariable)."""
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: frozenset[str] = frozenset()
-    for k in children(t):
-        out |= pattern_vars(k)
-    return out
+# the variables of a symbolic pattern, which has no binders
+pattern_vars = free_vars
 
 
 def is_symbolic(t: Term, allow_pure: bool = False) -> bool:
     """Whether t is in the symbolic fragment: variables and symbol
     applications, plus pure when allow_pure is set."""
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, SymApp):
-        return all(is_symbolic(a, allow_pure) for a in t.args)
-    if allow_pure and isinstance(t, Pure):
-        return is_symbolic(t.body, allow_pure)
-    return False
-
-
-def _vars_under_pure(t: Term, inside: bool = False) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,)) if inside else frozenset()
-    inside = inside or isinstance(t, Pure)
-    out: frozenset[str] = frozenset()
-    for k in children(t):
-        out |= _vars_under_pure(k, inside)
-    return out
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is SymApp:
+            stack += t.args
+        elif allow_pure and type(t) is Pure:
+            stack.append(t.body)
+        elif type(t) is not Var:
+            return False
+    return True
 
 
 def make_rule(name: str, lhs: Term, rhs: Term, extended: bool = False) -> RewriteRule:
@@ -313,19 +348,18 @@ class _Head:
     discrimination tree over the rest of their left sides (Graf, Term
     Indexing, LNAI 1053, 1996).
 
-    A left side flattens in preorder into keys: a symbol application gives
-    (kind, name, params, arity), a variable gives the wildcard None; the
-    arity keeps the pending subject arguments aligned with the pattern.
-    The root's arity is the first key, since the rest of the root is the
-    head.  Inner nodes map a key to the next node; once every key of a
-    left side is read the node is a list of (rule index, rule, names).
-    names lists the left side's variables in preorder when the left side
-    is linear and has no value metavariable: reaching its leaf then decides
-    the match, and the subterms read at the wildcard edges, in order, are
-    the bindings.  Otherwise names is None and match_pattern confirms the
-    rule, since a repeated variable or a value metavariable is not checked
-    in the tree.  The tree is built on the head's first lookup, so a
-    normalize or graph run pays only for the heads its terms reach."""
+    A left side flattens in preorder into its rule's tree_keys: the root's
+    arity (the rest of the root is the head), then (kind, name, params,
+    arity) for a symbol application and the wildcard None for a variable;
+    the arity keeps the pending subject arguments aligned with the pattern.
+    Inner nodes map a key to the next node; once every key of a left side
+    is read the node is a list of (rule index, rule).  If the rule has
+    exact_vars, reaching its leaf decides the match, and the subterms read
+    at the wildcard edges, in order, are the bindings.  Otherwise
+    match_pattern confirms the rule, since a repeated variable or a value
+    metavariable is not checked in the tree.  The tree is built on the
+    head's first lookup, so a normalize or graph run pays only for the
+    heads its terms reach."""
 
     __slots__ = ("rules", "_tree")
 
@@ -336,23 +370,11 @@ class _Head:
     def _build(self) -> dict:
         tree: dict = {}
         for idx, rule in self.rules:
-            args = rule.lhs.args
-            keys: list = [len(args)]
-            names: list[str] = []
-            pending = list(reversed(args))
-            while pending:
-                p = pending.pop()
-                if isinstance(p, Var):
-                    keys.append(None)
-                    names.append(p.name)
-                else:
-                    keys.append((p.kind, p.name, p.params, len(p.args)))
-                    pending.extend(reversed(p.args))
-            exact = len(set(names)) == len(names) and not rule.value_vars
+            keys = rule.tree_keys
             node = tree
             for key in keys[:-1]:
                 node = node.setdefault(key, {})
-            node.setdefault(keys[-1], []).append((idx, rule, tuple(names) if exact else None))
+            node.setdefault(keys[-1], []).append((idx, rule))
         return tree
 
     def matches(self, sub: SymApp) -> list[tuple[int, RewriteRule, dict[str, Term]]]:
@@ -374,9 +396,9 @@ class _Head:
         while stack:
             node, pending, read = stack.pop()
             if not pending:
-                for idx, rule, names in node:
-                    if names is not None:
-                        out.append((idx, rule, dict(zip(names, read))))
+                for idx, rule in node:
+                    if rule.exact_vars is not None:
+                        out.append((idx, rule, dict(zip(rule.exact_vars, read))))
                     else:
                         bindings = match_pattern(rule.lhs, sub, rule.value_vars)
                         if bindings is not None:
@@ -604,34 +626,6 @@ class _Zipper:
         return self.focus
 
 
-def _reach(rules: Iterable[RewriteRule]) -> float:
-    """How many levels of a subterm, its root being level 1, can decide
-    whether a rule applies there; infinite when some left side repeats a
-    variable, since match_pattern then compares whole subterms.  A left
-    side reads every level that holds one of its symbols or a value
-    metavariable (which must see a pure or a variable); the metalanguage
-    rules read two levels."""
-    reach = 2
-    for rule in rules:
-        names = []
-        level, row = 1, [rule.lhs]
-        while row:
-            below = []
-            for p in row:
-                if type(p) is Var:
-                    names.append(p.name)
-                    if p.name not in rule.value_vars:
-                        continue
-                else:
-                    below += p.args
-                reach = max(reach, level)
-            row = below
-            level += 1
-        if len(set(names)) < len(names):
-            return math.inf
-    return reach
-
-
 def _rules_at(sub: Term, index: HeadIndex) -> Sequence[tuple[int, str, RewriteRule | None, object]]:
     """(rule index, rule name, rule, contraction) for every rule that
     applies at sub itself: the metalanguage rule, whose rule is None, index
@@ -709,7 +703,8 @@ def normalize(
         raise ValueError("a seed is required exactly when the strategy is random")
     rng = Random(seed) if strategy == "random" else None
     index = head_index(rules)
-    reach = None
+    # the metalanguage rules read two levels
+    reach = max([2, *(rule.reach for rule in rules)])
     clean: dict[int, Term] = {}
     listing: list = []
     _list_redexes(t, (), index, clean, listing)
@@ -728,16 +723,15 @@ def normalize(
             entry = listing[i]
         else:
             entry = rng.choice(listing)
-        pos, _, _, rule, sub, contraction = entry
+        pos, idx, _, rule, sub, contraction = entry
         zipper.move(pos)
         sub_now = zipper.focus
         if sub_now is not sub:
             # a contraction below, deeper than the rules read, rebuilt this
             # subterm after it was listed: the rule still applies, but the
-            # bindings read from the old subterm are stale
-            contraction = (
-                _ml_contraction(sub_now)[1] if rule is None else match_pattern(rule.lhs, sub_now, rule.value_vars)
-            )
+            # bindings read from the old subterm are stale.  At one node the
+            # rule index tells the rules that apply apart
+            contraction = next(c for i, _, _, c in _rules_at(sub_now, index) if i == idx)
         contractum = zipper.focus = _contractum(rule, contraction)
         fired.append((entry, contractum))
         # the entries under pos form one slice, since the listing is in
@@ -747,15 +741,9 @@ def normalize(
         listed: list = []
         _list_redexes(contractum, pos, index, clean, listed)
         listing[lo:hi] = listed
-        # an ancestor more than reach - 1 levels up sees none of what
-        # changed; reach is at least 2, so it is derived from the rules only
-        # once a contraction lies deeper than one level
-        depth = levels = len(pos)
-        if depth > 1:
-            if reach is None:
-                reach = _reach(rules)
-            levels = min(reach - 1, depth)
-        for level in range(1, levels + 1):
+        # an ancestor more than reach - 1 levels up sees none of what changed
+        depth = len(pos)
+        for level in range(1, min(reach - 1, depth) + 1):
             zipper.up()
             above = pos[: depth - level]
             lo = hi = bisect_left(listing, (above,))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rewrite import is_symbolic
-from .terms import Identity, SymApp, Term, children, ident_str, sym_str
+from .terms import Identity, SymApp, Term, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -372,18 +372,8 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
 
 
 def rule_identities(rules) -> list[Identity]:
-    ids: set[Identity] = set()
-    for rule in rules:
-        if rule.extended:
-            continue
-        for side in (rule.lhs, rule.rhs):
-            stack = [side]
-            while stack:
-                t = stack.pop()
-                if isinstance(t, SymApp):
-                    ids.add(t.identity)
-                stack.extend(children(t))
-    return sorted(ids)
+    """The symbol identities of the non-extended rules, sorted."""
+    return sorted({i for rule in rules if not rule.extended for i in rule.identities})
 
 
 DEFAULT_SYMBOL_BOUND = 8

@@ -1,15 +1,23 @@
 """Small s-expression reader shared by the term and theory parsers.
 
 Atoms are either ints (decimal-digit tokens, optionally signed) or plain
-strings.  Lists come back as Python lists.  Errors carry line and column.
+strings.  Lists come back as Python lists.  Whitespace is " \t\r\n", and
+';' starts a comment that runs to the end of the line.  One regular
+expression splits the text into tokens and one loop folds them into
+lists, with an explicit stack of the lists still open, so a deep form
+costs no Python stack.  Errors carry line and column, counted from the
+offset only when an error is raised.
 """
 
 from __future__ import annotations
 
+import re
+
 Node = int | str | list
 
-_DELIMS = "()"
-_WS = " \t\r\n"
+# blanks and comments, then a paren or an atom; the token group is empty
+# only at the end of the text, since the greedy skip stops at a token
+_TOKEN = re.compile(r"(?:[ \t\r\n]|;[^\n]*)*([()]|[^ \t\r\n();]+)?")
 
 
 class SexprError(Exception):
@@ -19,89 +27,47 @@ class SexprError(Exception):
         self.col = col
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _error(message: str, text: str, offset: int) -> SexprError:
+    line = text.count("\n", 0, offset) + 1
+    return SexprError(message, line, offset - text.rfind("\n", 0, offset))
 
-    def _peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
 
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _skip_blank(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch is not None and ch in _WS:
-                self._advance()
-            elif ch == ";":
-                while self._peek() not in (None, "\n"):
-                    self._advance()
-            else:
-                return
-
-    def _atom(self) -> "int | str":
-        chars = []
-        while True:
-            ch = self._peek()
-            if ch is None or ch in _WS or ch in _DELIMS or ch == ";":
-                break
-            chars.append(self._advance())
-        token = "".join(chars)
-        body = token[1:] if token[0] in "+-" and len(token) > 1 else token
-        if body.isdecimal():
-            return int(token)
-        return token
-
-    def read(self) -> Node:
-        self._skip_blank()
-        ch = self._peek()
-        if ch is None:
-            raise SexprError("unexpected end of input", self.line, self.col)
-        if ch == ")":
-            raise SexprError("unmatched ')'", self.line, self.col)
-        if ch == "(":
-            open_line, open_col = self.line, self.col
-            self._advance()
+def _read(text: str, one: bool) -> list:
+    """The forms of text, in order.  With one set, there must be exactly
+    one: a token after the first complete form is trailing input."""
+    forms: list = []
+    items = forms
+    # (offset of the '(', list it sits in) for every list still open
+    open_lists: list[tuple[int, list]] = []
+    for m in _TOKEN.finditer(text):
+        token = m.group(1)
+        if token is None:
+            break
+        if one and forms and not open_lists:
+            raise _error("trailing input after form", text, m.start(1))
+        if token == "(":
+            open_lists.append((m.start(1), items))
             items = []
-            while True:
-                self._skip_blank()
-                nxt = self._peek()
-                if nxt is None:
-                    raise SexprError("unclosed '('", open_line, open_col)
-                if nxt == ")":
-                    self._advance()
-                    return items
-                items.append(self.read())
-        return self._atom()
-
-    def at_end(self) -> bool:
-        self._skip_blank()
-        return self._peek() is None
+        elif token == ")":
+            if not open_lists:
+                raise _error("unmatched ')'", text, m.start(1))
+            _, outer = open_lists.pop()
+            outer.append(items)
+            items = outer
+        else:
+            body = token[1:] if token[0] in "+-" and len(token) > 1 else token
+            items.append(int(token) if body.isdecimal() else token)
+    if open_lists:
+        raise _error("unclosed '('", text, open_lists[-1][0])
+    if one and not forms:
+        raise _error("unexpected end of input", text, len(text))
+    return forms
 
 
 def parse_one(text: str) -> Node:
     """Parse exactly one form; trailing garbage is an error."""
-    r = _Reader(text)
-    node = r.read()
-    if not r.at_end():
-        raise SexprError("trailing input after form", r.line, r.col)
-    return node
+    return _read(text, True)[0]
 
 
 def parse_many(text: str) -> list:
-    r = _Reader(text)
-    out = []
-    while not r.at_end():
-        out.append(r.read())
-    return out
+    return _read(text, False)

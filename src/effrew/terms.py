@@ -327,7 +327,11 @@ def iter_subterms(t: Term, pos: Position = ()) -> Iterator[tuple[Position, Term]
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(k) for k in children(t))
+    n, stack = 0, [t]
+    while stack:
+        n += 1
+        stack += children(stack.pop())
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +339,27 @@ def term_size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.binder}
-    if isinstance(t, Let):
-        return free_vars(t.subject) | (free_vars(t.body) - {t.binder})
-    out: frozenset[str] = frozenset()
-    for k in children(t):
-        out |= free_vars(k)
-    return out
+    """The variables with a free occurrence in t.  Iterative: a binder's
+    body is pushed last, so it is popped next, and under it the binder's
+    boxed name, which ends its scope when popped; bound counts by name the
+    binders in scope."""
+    out: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is tuple:
+            bound[t[0]] -= 1
+        elif tt is Var:
+            if not bound.get(t.name):
+                out.add(t.name)
+        elif tt is Lam or tt is Let:
+            stack += (t.subject, (t.binder,), t.body) if tt is Let else ((t.binder,), t.body)
+            bound[t.binder] = bound.get(t.binder, 0) + 1
+        else:
+            stack += children(t)
+    return frozenset(out)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -361,8 +376,7 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
     A subterm that the substitution leaves unchanged comes back as the same
     object, so a caller can tell shared subterms by identity.  The walk is
     iterative, one explicit stack of pending subterms and rebuild marks; a
-    binder that would capture is renamed in its body by a nested call.
-    free_vars, which it calls on repl and on such a body, still recurses."""
+    binder that would capture is renamed in its body by a nested call."""
     repl_fv = free_vars(repl)
     done: list[Term] = []
     # items: a term to substitute into; (term,), a term kept as it is; or

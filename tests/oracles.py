@@ -8,6 +8,7 @@ nesting count re-reads its definition off explicit positions, and so on.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from random import Random
 
@@ -18,7 +19,8 @@ from effrew.rewrite import (
     instantiate,
     match_pattern,
 )
-from effrew.rpo import Precedence, certify_ruleset, rule_identities
+from effrew.rpo import Precedence, certify_ruleset
+from effrew.sexpr import Node, SexprError
 from effrew.terms import (
     App,
     Lam,
@@ -233,6 +235,20 @@ def reference_normalize(t: Term, rules, strategy="leftmost-outermost", fuel=DEFA
         chosen.append(redex)
 
 
+def reference_identities(rules) -> list:
+    """The symbol identities on both sides of the non-extended rules,
+    sorted, by a walk over every subterm."""
+    ids = set()
+    for rule in rules:
+        if rule.extended:
+            continue
+        for side in (rule.lhs, rule.rhs):
+            for _, t in iter_subterms(side):
+                if isinstance(t, SymApp):
+                    ids.add(t.identity)
+    return sorted(ids)
+
+
 def brute_force_precedence(rules) -> Precedence | None:
     """The first total order on the rules' symbol identities, in
     itertools.permutations order, under which every non-extended rule
@@ -240,8 +256,164 @@ def brute_force_precedence(rules) -> Precedence | None:
     precedence: if a strict partial order works, so does any total
     extension of it."""
     rules = [r for r in rules if not r.extended]
-    for perm in itertools.permutations(rule_identities(rules)):
+    for perm in itertools.permutations(reference_identities(rules)):
         prec = Precedence((a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
         if certify_ruleset(prec, rules).overall:
             return prec
     return None
+
+
+def reference_reach(rules) -> float:
+    """How many levels of a subterm, its root being level 1, can decide
+    whether some rule applies there, read off the left sides level by
+    level: every level that holds a symbol or a value metavariable, and at
+    least the two that the metalanguage rules read; infinite when some
+    left side repeats a variable."""
+    reach = 2
+    for rule in rules:
+        names = []
+        level, row = 1, [rule.lhs]
+        while row:
+            below = []
+            for p in row:
+                if type(p) is Var:
+                    names.append(p.name)
+                    if p.name not in rule.value_vars:
+                        continue
+                else:
+                    below += p.args
+                reach = max(reach, level)
+            row = below
+            level += 1
+        if len(set(names)) < len(names):
+            return math.inf
+    return reach
+
+
+def reference_tree_keys(rule) -> tuple[tuple, tuple | None]:
+    """A left side flattened for the discrimination tree: the root's
+    arity, then its arguments in preorder, a symbol application as (kind,
+    name, params, arity) and a variable as None; and the variable names in
+    preorder if the left side is linear and the rule has no value
+    metavariable, else None."""
+    args = rule.lhs.args
+    keys: list = [len(args)]
+    names: list[str] = []
+    pending = list(reversed(args))
+    while pending:
+        p = pending.pop()
+        if isinstance(p, Var):
+            keys.append(None)
+            names.append(p.name)
+        else:
+            keys.append((p.kind, p.name, p.params, len(p.args)))
+            pending.extend(reversed(p.args))
+    exact = len(set(names)) == len(names) and not rule.value_vars
+    return tuple(keys), tuple(names) if exact else None
+
+
+def reference_value_vars(t: Term, inside: bool = False) -> frozenset[str]:
+    """The variables of t that occur under a pure, by plain recursion."""
+    if isinstance(t, Var):
+        return frozenset((t.name,)) if inside else frozenset()
+    inside = inside or isinstance(t, Pure)
+    out: frozenset[str] = frozenset()
+    for k in children(t):
+        out |= reference_value_vars(k, inside)
+    return out
+
+
+class _Reader:
+    """The s-expression reader one character at a time, by recursive
+    descent, with line and column kept up to date as it goes."""
+
+    _DELIMS = "()"
+    _WS = " \t\r\n"
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def _peek(self) -> str | None:
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def _advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def _skip_blank(self) -> None:
+        while True:
+            ch = self._peek()
+            if ch is not None and ch in self._WS:
+                self._advance()
+            elif ch == ";":
+                while self._peek() not in (None, "\n"):
+                    self._advance()
+            else:
+                return
+
+    def _atom(self) -> "int | str":
+        chars = []
+        while True:
+            ch = self._peek()
+            if ch is None or ch in self._WS or ch in self._DELIMS or ch == ";":
+                break
+            chars.append(self._advance())
+        token = "".join(chars)
+        body = token[1:] if token[0] in "+-" and len(token) > 1 else token
+        if body.isdecimal():
+            return int(token)
+        return token
+
+    def read(self) -> Node:
+        self._skip_blank()
+        ch = self._peek()
+        if ch is None:
+            raise SexprError("unexpected end of input", self.line, self.col)
+        if ch == ")":
+            raise SexprError("unmatched ')'", self.line, self.col)
+        if ch == "(":
+            open_line, open_col = self.line, self.col
+            self._advance()
+            items = []
+            while True:
+                self._skip_blank()
+                nxt = self._peek()
+                if nxt is None:
+                    raise SexprError("unclosed '('", open_line, open_col)
+                if nxt == ")":
+                    self._advance()
+                    return items
+                items.append(self.read())
+        return self._atom()
+
+    def at_end(self) -> bool:
+        self._skip_blank()
+        return self._peek() is None
+
+
+def reference_parse_one(text: str) -> Node:
+    """parse_one by the character reader: one form, then nothing but
+    blanks and comments."""
+    r = _Reader(text)
+    node = r.read()
+    if not r.at_end():
+        raise SexprError("trailing input after form", r.line, r.col)
+    return node
+
+
+def reference_parse_many(text: str) -> list:
+    """parse_many by the character reader."""
+    r = _Reader(text)
+    out = []
+    while not r.at_end():
+        out.append(r.read())
+    return out

@@ -44,12 +44,17 @@ from effrew.terms import (
 )
 from effrew.theories import builtin, builtin_names, compose, numeral_value, peano_numeral
 from effrew.graph import reduction_graph
+from effrew.rpo import rule_identities
 from oracles import (
     naive_normal_forms,
     nesting_count_by_positions,
     reference_graph,
+    reference_identities,
     reference_normalize,
+    reference_reach,
     reference_redexes,
+    reference_tree_keys,
+    reference_value_vars,
 )
 from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, or_tree, par_interleaving, symbolic_term
 
@@ -674,6 +679,49 @@ def test_rule_retrieval_matches_brute_force(seed):
                 for i, r in enumerate(rules)
                 if match_pattern(r.lhs, sub, r.value_vars) is not None
             ]
+
+
+def _check_rule_facts(rules):
+    """The facts a rule derives when built, against the walks that derived
+    them before: the tree flattening, the reach, the value metavariables,
+    the pattern variables and the symbol identities."""
+    for rule in rules:
+        assert (rule.tree_keys, rule.exact_vars) == reference_tree_keys(rule)
+        assert max(2, rule.reach) == reference_reach([rule])
+        assert rule.value_vars == (reference_value_vars(rule.rhs) if rule.extended else frozenset())
+        assert pattern_vars(rule.lhs) == {v.name for _, v in iter_subterms(rule.lhs) if isinstance(v, Var)}
+        assert rule.identities == {
+            t.identity for side in (rule.lhs, rule.rhs) for _, t in iter_subterms(side) if isinstance(t, SymApp)
+        }
+    assert max([2, *(rule.reach for rule in rules)]) == reference_reach(rules)
+    assert rule_identities(rules) == reference_identities(rules)
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "par6"])
+def test_rule_facts_of_builtins(name):
+    _check_rule_facts(list(_scan_theory(name).rules))
+
+
+def test_rule_facts_of_tree_edge_rules():
+    _check_rule_facts(list(_TREE_EDGE_RULES))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_rule_facts_of_random_rules(seed):
+    rng = random.Random(seed)
+    rules = []
+    for i in range(rng.randint(1, 6)):
+        lhs = _vary(rng, symbolic_term(rng, rng.randint(1, 9)), pure=False)
+        if isinstance(lhs, Var):
+            lhs = fn("f", lhs)
+        extended = rng.random() < 0.5
+        # an extended rule's right side may wrap variables in pure, which
+        # makes them value metavariables
+        kept = [Var(v) for v in sorted(pattern_vars(lhs)) if rng.random() < 0.7]
+        rhs = _vary(rng, fn("k", *kept), pure=extended)
+        rules.append(make_rule(f"r{i}", lhs, rhs, extended=extended))
+    _check_rule_facts(rules)
 
 
 def test_rule_index_prunes_par_rules(monkeypatch):

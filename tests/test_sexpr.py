@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from effrew.sexpr import SexprError, parse_many, parse_one
+from oracles import reference_parse_many, reference_parse_one
 
 
 def test_atom():
@@ -66,3 +69,34 @@ def test_error_reports_position():
 def test_atom_with_special_chars():
     assert parse_one("assign-get.1") == "assign-get.1"
     assert parse_one("->") == "->"
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except SexprError as e:
+        return "error", str(e), e.line, e.col
+
+
+@given(st.text(alphabet="() ;\nab1-+\t\u00b2\x0b", max_size=40))
+@example("(a) (b")  # trailing input is reported before the unclosed paren
+@example("a ; (")  # a paren in a comment at the end of the text
+@example("(a\n ;)\n  (b")
+@example("\x0b1 -1 +1 - + 1-")  # a vertical tab is not whitespace
+@settings(max_examples=1000, deadline=None)
+def test_reader_matches_character_reader(text):
+    assert _outcome(parse_one, text) == _outcome(reference_parse_one, text)
+    assert _outcome(parse_many, text) == _outcome(reference_parse_many, text)
+
+
+def test_deep_nested_list():
+    # far past the interpreter recursion limit
+    n = 100_000
+    node = parse_one("(" * n + "x" + ")" * n)
+    for _ in range(n):
+        assert type(node) is list and len(node) == 1
+        node = node[0]
+    assert node == "x"
+    with pytest.raises(SexprError) as exc:
+        parse_many("\n" + "(" * n)
+    assert (exc.value.line, exc.value.col) == (2, n)

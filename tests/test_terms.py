@@ -27,7 +27,7 @@ from effrew.terms import (
     with_children,
 )
 from effrew.graph import reduction_graph
-from effrew.rewrite import StaleRedexError, all_redexes, step
+from effrew.rewrite import StaleRedexError, all_redexes, normalize, step
 from effrew.terms import Eff
 from effrew.theories import builtin, compose, peano_numeral
 from oracles import reference_canonical_key
@@ -159,6 +159,24 @@ def test_deep_numeral_hashes_compares_and_steps(peano):
     assert hash(redex) == hash(redex)
     with pytest.raises(StaleRedexError):
         step(fn("plus", peano_numeral(n - 1), fn("zero")), redex)
+
+
+def test_deep_terms_sizes_free_vars_and_substitution():
+    # far past the interpreter recursion limit
+    n = 100_000
+    d = peano_numeral(n)
+    assert term_size(d) == n + 1
+    assert free_vars(d) == frozenset()
+    assert substitute(Var("x"), "x", d) is d
+    nf, trace = normalize(Let("x", Pure(d), Pure(Var("x"))))
+    assert nf == Pure(d) and [s.redex.rule_name for s in trace.steps] == ["let-beta"]
+    # binders nested as deep: each let binds x in a lam that binds y
+    t = App(Var("x"), Var("y"))
+    for _ in range(n):
+        t = Let("x", Var("w"), Lam("y", t))
+    assert term_size(t) == 3 * n + 3
+    assert free_vars(t) == {"w"}
+    assert free_vars(Lam("w", t)) == frozenset()
 
 
 def test_term_reprs():
