@@ -20,21 +20,24 @@ let subjects, inside effect arguments.
 
 Redexes are listed by one explicit-stack preorder walk, _list_redexes,
 which every caller shares.  It tries the metalanguage rules at every node
-and, at a symbol application, the user rules that a discrimination tree
-over the left sides retrieves for it.  The index is built once per
-normalize or graph exploration.  Its first level is keyed by the head,
-so a node whose head starts no rule costs one dict lookup; below a head,
-built on that head's first lookup, the tree reads the subject in
-preorder, with pattern variables as wildcards.  Retrieval is exact and
-hands back each match's bindings: a linear left side with no value
-metavariable is decided by the tree walk alone, its bindings being the
-subterms read at its wildcard edges, and any other left side is
-confirmed by match_pattern.  Each entry of a listing holds what builds
-its contractum (the bindings, or the metalanguage rule's thunk), so no
-redex is matched twice.  Subterms found to have no redex are remembered
-by identity for the walk's caller.  all_redexes and its two filters wrap
-the entries into Redex objects; reduction_graph builds each reduct
-straight from them.
+and, at a symbol application, the user rules that an index over the left
+sides retrieves for it.  The index is built once per normalize or graph
+exploration.  Its first level is keyed by the head, so a node whose head
+starts no rule costs one dict lookup; below a head, built on that head's
+first lookup, the rules are filed by their root's arity and their first
+argument's symbol, a variable there filing the rule under every symbol.
+Retrieval is exact and hands back each match's bindings: each candidate
+is decided by a matcher compiled for its rule, which reads the bindings
+at fixed paths of the subject after checking the symbols there, or calls
+match_pattern when the left side repeats a variable or has a value
+metavariable.  Each entry of a listing holds what builds its contractum
+(the bindings, or the metalanguage rule's thunk), so no redex is matched
+twice, and a user rule's contractum is built by a builder compiled from
+its right side.  A rule compiles its matcher and its builder when they
+are first used, not when it is built, and keeps them.  Subterms found to
+have no redex are remembered by identity for the walk's caller.
+all_redexes and its two filters wrap the entries into Redex objects;
+reduction_graph builds each reduct straight from them.
 
 normalize lists the start term once and then keeps that listing up to
 date: a contraction at p replaces the entries under p with those of the
@@ -45,8 +48,9 @@ parts it shares with the old term.  The current term is held as a
 zipper, so a step rebuilds only the path it walks.  An entry whose
 subterm was rebuilt since it was listed holds bindings that point into
 the old subterm, so the lookup that listed it is run again on the new
-one.  The terms of the trace are built when read.  What the engine
-reads off a rule is derived when the rule is built (see RewriteRule).
+one.  The trace holds per step only what normalize recorded; its terms
+and its redexes are built when read.  What the engine reads off a rule
+is derived when the rule is built (see RewriteRule).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -114,13 +119,17 @@ class RewriteRule:
     The check, one explicit-stack pass per side, also derives the fields
     the engine reads; of these only value_vars takes part in ==, hash and
     repr.  value_vars: an extended rule's right-side variables under a pure.
-    tree_keys: the left side's keys in the discrimination tree (_Head).
     exact_vars: the left side's variables in preorder if it is linear and
     has no value metavariable, else None.  reach: how many levels of a
     subterm, its root at level 1, can decide whether the rule applies: the
     deepest level holding a symbol or a value metavariable, or infinite if
     a variable repeats, since match_pattern then compares whole subterms.
-    identities: the symbol identities of both sides."""
+    identities: the symbol identities of both sides.
+
+    _matcher and _builder, the rule's compiled left and right sides (see
+    _compile_matcher and _compile_builder), are built on first use and
+    kept.  Copying and pickling rebuild the rule from its constructor's
+    arguments, so a copy compiles its own."""
 
     name: str
     lhs: Term
@@ -128,7 +137,6 @@ class RewriteRule:
     extended: bool = False
     value_vars: frozenset[str] = field(init=False)
     certified: bool = False
-    tree_keys: tuple = field(init=False, compare=False, repr=False)
     exact_vars: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
     reach: float = field(init=False, compare=False, repr=False)
     identities: frozenset[Identity] = field(init=False, compare=False, repr=False)
@@ -137,7 +145,7 @@ class RewriteRule:
         name, lhs, rhs, extended = self.name, self.lhs, self.rhs, self.extended
         if type(lhs) is Var:
             raise RuleError(f"rule {name}: left side is a bare variable")
-        keys: list = []
+        occurrences = 0
         # variable name -> level, in preorder of first occurrence
         levels: dict[str, int] = {}
         ids: set[Identity] = set()
@@ -146,12 +154,11 @@ class RewriteRule:
         while stack:
             t, level = stack.pop()
             if type(t) is SymApp:
-                keys.append((t.kind, t.name, t.params, len(t.args)))
                 ids.add((t.name, t.params))
                 reach = max(reach, level)
                 stack += [(a, level + 1) for a in reversed(t.args)]
             elif type(t) is Var:
-                keys.append(None)
+                occurrences += 1
                 levels.setdefault(t.name, level)
             else:
                 raise RuleError(f"rule {name}: left side leaves the symbolic fragment")
@@ -177,13 +184,23 @@ class RewriteRule:
                 )
         if missing:
             raise RuleError(f"rule {name}: right side invents variables: {', '.join(sorted(missing))}")
-        linear = keys.count(None) == len(levels)
+        linear = occurrences == len(levels)
         setattr_ = object.__setattr__
         setattr_(self, "value_vars", frozenset(under_pure))
-        setattr_(self, "tree_keys", (len(lhs.args), *keys[1:]))
         setattr_(self, "exact_vars", tuple(levels) if linear and not under_pure else None)
         setattr_(self, "reach", max([reach, *(levels[v] for v in under_pure)]) if linear else math.inf)
         setattr_(self, "identities", frozenset(ids))
+
+    def __reduce__(self):
+        return (RewriteRule, (self.name, self.lhs, self.rhs, self.extended, self.certified))
+
+    @cached_property
+    def _matcher(self) -> Callable[[SymApp], dict[str, Term] | None]:
+        return _compile_matcher(self)
+
+    @cached_property
+    def _builder(self) -> Callable[[dict[str, Term]], Term]:
+        return _compile_builder(self.rhs)
 
 
 # the variables of a symbolic pattern, which has no binders
@@ -257,16 +274,68 @@ def match_pattern(
     raise RuleError(f"pattern leaves the symbolic fragment: {print_term(pattern)}")
 
 
-def instantiate(rhs: Term, bindings: dict[str, Term]) -> Term:
-    """Plug matched bindings into a rule right-hand side.  Right sides are
-    binder-free, so this cannot capture."""
-    if isinstance(rhs, Var):
-        return bindings[rhs.name]
-    if isinstance(rhs, SymApp):
-        return SymApp(rhs.kind, rhs.name, rhs.params, tuple(instantiate(a, bindings) for a in rhs.args))
-    if isinstance(rhs, Pure):
-        return Pure(instantiate(rhs.body, bindings))
-    raise RuleError(f"rule right side leaves the symbolic fragment: {print_term(rhs)}")
+def _compile_matcher(rule: RewriteRule) -> Callable[[SymApp], dict[str, Term] | None]:
+    """The rule's left side as a function from a subject, whose root and
+    first argument's symbol the head's index has already checked (see
+    _Head), to the match's bindings or None.  For a rule with exact_vars
+    it checks kind, name, parameters and arity of every other symbol
+    application at its fixed path, in preorder so that each path's
+    parents are checked first, and then reads each variable's binding at
+    its path.  Any other rule is decided by match_pattern."""
+    lhs, value_vars = rule.lhs, rule.value_vars
+    if rule.exact_vars is None:
+        return lambda sub: match_pattern(lhs, sub, value_vars)
+    checks: list = []
+    reads: list = []
+    stack = [(a, (i,)) for i, a in enumerate(lhs.args)][::-1]
+    while stack:
+        p, path = stack.pop()
+        if type(p) is Var:
+            reads.append((p.name, path))
+            continue
+        if path != (0,):
+            checks.append((path, p.name, p.kind, p.params, len(p.args)))
+        stack += [(a, path + (i,)) for i, a in enumerate(p.args)][::-1]
+
+    def match(sub: SymApp) -> dict[str, Term] | None:
+        for path, name, kind, params, arity in checks:
+            s = sub
+            for i in path:
+                s = s.args[i]
+            if type(s) is not SymApp or s.name != name or s.kind != kind or s.params != params or len(s.args) != arity:
+                return None
+        out = {}
+        for var, path in reads:
+            s = sub
+            for i in path:
+                s = s.args[i]
+            out[var] = s
+        return out
+
+    return match
+
+
+def _compile_builder(rhs: Term) -> Callable[[dict[str, Term]], Term]:
+    """A rule's right side as a function from a match's bindings to the
+    contractum: one closure per node of the side, a variable read from the
+    bindings and a nullary symbol shared.  Right sides are binder-free, so
+    this cannot capture; the recursion is bounded by the rule's size."""
+    if type(rhs) is Var:
+        return itemgetter(rhs.name)
+    if type(rhs) is Pure:
+        body = _compile_builder(rhs.body)
+        return lambda bindings: Pure(body(bindings))
+    kind, name, params, args = rhs.kind, rhs.name, rhs.params, rhs.args
+    if not args:
+        return lambda bindings: rhs
+    parts = tuple(map(_compile_builder, args))
+    if len(parts) == 1:
+        (first,) = parts
+        return lambda bindings: SymApp(kind, name, params, (first(bindings),))
+    if len(parts) == 2:
+        first, second = parts
+        return lambda bindings: SymApp(kind, name, params, (first(bindings), second(bindings)))
+    return lambda bindings: SymApp(kind, name, params, tuple([part(bindings) for part in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +383,9 @@ def _let_assoc(t: Let) -> Let:
     in the outer body."""
     subj = t.subject
     inner_binder, t1, t2 = subj.binder, subj.subject, subj.body
-    if inner_binder in free_vars(t.body):
-        renamed = fresh_name(
-            inner_binder,
-            free_vars(t.body) | free_vars(t2) | free_vars(t1) | {t.binder},
-        )
+    body_fv = free_vars(t.body)
+    if inner_binder in body_fv:
+        renamed = fresh_name(inner_binder, body_fv | free_vars(t2) | free_vars(t1) | {t.binder})
         t2 = substitute(t2, inner_binder, Var(renamed))
         inner_binder = renamed
     return Let(inner_binder, t1, Let(t.binder, t2, t.body))
@@ -344,77 +411,62 @@ def _ml_contraction(t: Term) -> tuple[str, Callable[[], Term]] | None:
 
 class _Head:
     """The user rules whose left sides share one head (kind and identity),
-    each with its position in the rule list, and below that head a
-    discrimination tree over the rest of their left sides (Graf, Term
+    each with its position in the rule list, and below that head an index
+    on the root's arity and the first argument's symbol (Graf, Term
     Indexing, LNAI 1053, 1996).
 
-    A left side flattens in preorder into its rule's tree_keys: the root's
-    arity (the rest of the root is the head), then (kind, name, params,
-    arity) for a symbol application and the wildcard None for a variable;
-    the arity keeps the pending subject arguments aligned with the pattern.
-    Inner nodes map a key to the next node; once every key of a left side
-    is read the node is a list of (rule index, rule).  If the rule has
-    exact_vars, reaching its leaf decides the match, and the subterms read
-    at the wildcard edges, in order, are the bindings.  Otherwise
-    match_pattern confirms the rule, since a repeated variable or a value
-    metavariable is not checked in the tree.  The tree is built on the
-    head's first lookup, so a normalize or graph run pays only for the
-    heads its terms reach."""
+    For each arity the index holds the rules whose first argument is a
+    variable (or that have no argument), and a dict from the kind, name,
+    parameters and arity of a first argument to the rules whose first
+    argument is that symbol, followed, in rule order, by those whose first
+    argument is a variable.  The candidates for a subject are decided one
+    by one by their rules' compiled matchers (see _compile_matcher), which
+    check what the index has not, so retrieval is exact.  The index is
+    built on the head's first lookup, so a normalize or graph run pays
+    only for the heads its terms reach."""
 
-    __slots__ = ("rules", "_tree")
+    __slots__ = ("rules", "_index")
 
     def __init__(self):
         self.rules: list[tuple[int, RewriteRule]] = []
-        self._tree: dict | None = None
+        self._index: dict | None = None
 
     def _build(self) -> dict:
-        tree: dict = {}
+        index: dict = {}
         for idx, rule in self.rules:
-            keys = rule.tree_keys
-            node = tree
-            for key in keys[:-1]:
-                node = node.setdefault(key, {})
-            node.setdefault(keys[-1], []).append((idx, rule))
-        return tree
+            args = rule.lhs.args
+            wild, keyed = index.setdefault(len(args), ([], {}))
+            entry = (idx, rule.name, rule, rule._matcher)
+            first = args[0] if args else None
+            if type(first) is SymApp:
+                key = (first.kind, first.name, first.params, len(first.args))
+                keyed.setdefault(key, wild[:]).append(entry)
+            else:
+                wild.append(entry)
+                for bucket in keyed.values():
+                    bucket.append(entry)
+        return index
 
-    def matches(self, sub: SymApp) -> list[tuple[int, RewriteRule, dict[str, Term]]]:
-        """(rule index, rule, bindings) for every rule of this head that
-        matches sub, sorted by rule index."""
-        tree = self._tree
-        if tree is None:
-            tree = self._tree = self._build()
+    def matches(self, sub: SymApp) -> list[tuple[int, str, RewriteRule, dict[str, Term]]]:
+        """(rule index, rule name, rule, bindings) for every rule of this
+        head that matches sub, in rule order."""
+        index = self._index
+        if index is None:
+            index = self._index = self._build()
         args = sub.args
-        node = tree.get(len(args))
+        node = index.get(len(args))
         if node is None:
             return []
-        out: list = []
-        # pending holds the subject subterms still to be read, next one
-        # last, and read those read at wildcard edges, in preorder; every
-        # path to a node reads the same number of keys, so an empty pending
-        # means the node is a leaf
-        stack = [(node, args[::-1], ())]
-        while stack:
-            node, pending, read = stack.pop()
-            if not pending:
-                for idx, rule in node:
-                    if rule.exact_vars is not None:
-                        out.append((idx, rule, dict(zip(rule.exact_vars, read))))
-                    else:
-                        bindings = match_pattern(rule.lhs, sub, rule.value_vars)
-                        if bindings is not None:
-                            out.append((idx, rule, bindings))
-                continue
-            s, rest = pending[-1], pending[:-1]
-            child = node.get(None)
-            if child is not None:
-                stack.append((child, rest, read + (s,)))
-            if type(s) is SymApp:
-                kids = s.args
-                child = node.get((s.kind, s.name, s.params, len(kids)))
-                if child is not None:
-                    stack.append((child, rest + kids[::-1], read))
-        # rule indices are distinct, so the sort never compares rules
-        out.sort()
+        candidates, keyed = node
+        if keyed:
+            first = args[0]
+            if type(first) is SymApp:
+                candidates = keyed.get((first.kind, first.name, first.params, len(first.args)), candidates)
+        out = []
+        for idx, name, rule, matcher in candidates:
+            bindings = matcher(sub)
+            if bindings is not None:
+                out.append((idx, name, rule, bindings))
         return out
 
 
@@ -423,14 +475,12 @@ HeadIndex = dict[tuple[str, str, tuple], _Head]
 
 def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
     """The user rules by the kind, name and parameters of their left side's
-    root, each head with the discrimination tree below it (see _Head).  A
-    rule's left side is always a symbol application, so a subject node
-    whose head starts no rule costs one dict lookup.
+    root, each head with the index below it (see _Head).  A rule's left
+    side is always a symbol application, so a subject node whose head
+    starts no rule costs one dict lookup.
 
     Retrieval (`_Head.matches`) is exact: it returns every rule that
-    matches, with its bindings, and no other.  A linear left side with no
-    value metavariable is decided by the tree walk alone; any other is
-    confirmed by match_pattern."""
+    matches, with its bindings, and no other, in rule order."""
     index: HeadIndex = {}
     for idx, rule in enumerate(rules):
         lhs = rule.lhs
@@ -461,7 +511,7 @@ def _redexes(t: Term, index: HeadIndex) -> list[Redex]:
     out: list = []
     _list_redexes(t, (), index, {}, out)
     return [
-        Redex(pos, name, source, c if rule is None else partial(instantiate, rule.rhs, c), rule is None, idx)
+        Redex(pos, name, source, partial(_contractum, rule, c), rule is None, idx)
         for pos, idx, name, rule, _, c in out
     ]
 
@@ -530,19 +580,44 @@ class _Replay:
         return self.fired[i][1]
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    """One normalize step: the redex contracted and the term it gave.  The
-    result is built when first read, and so is the redex's source, the
-    previous step's result (see _Replay)."""
+    """One normalize step: the redex contracted and the term it gave.  A
+    step holds only the run's _Replay and its own number; its redex is
+    built when first read and then kept, and its result, which is also the
+    redex's source for the next step, is built when read (see _Replay).
+    Equality, hashing and repr go through the redex."""
 
-    redex: Redex
-    _terms: _Replay = field(repr=False, compare=False)
-    _index: int = field(repr=False, compare=False)
+    __slots__ = ("_replay", "_index", "_redex")
+
+    def __init__(self, replay: _Replay, index: int):
+        self._replay = replay
+        self._index = index
+        self._redex: Redex | None = None
+
+    @property
+    def redex(self) -> Redex:
+        redex = self._redex
+        if redex is None:
+            replay, i = self._replay, self._index
+            pos, idx, name, rule, _, _ = replay.fired[i][0]
+            term, contractum = partial(replay.term, i), partial(replay.contractum, i)
+            redex = self._redex = Redex(pos, name, term, contractum, rule is None, idx)
+        return redex
 
     @property
     def result(self) -> Term:
-        return self._terms.term(self._index + 1)
+        return self._replay.term(self._index + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.redex == other.redex
+
+    def __hash__(self) -> int:
+        return hash((self.redex,))
+
+    def __repr__(self) -> str:
+        return f"TraceStep(redex={self.redex!r})"
 
 
 @dataclass(frozen=True)
@@ -575,11 +650,7 @@ def _trace(initial: Term, fired: list, final: Term) -> Trace:
     """The trace of a normalize run from initial to final; fired holds
     (listing entry, contractum) per step."""
     replay = _Replay(initial, fired, final)
-    steps = []
-    for i, ((pos, idx, name, rule, _, _), _) in enumerate(fired):
-        redex = Redex(pos, name, partial(replay.term, i), partial(replay.contractum, i), rule is None, idx)
-        steps.append(TraceStep(redex, replay, i))
-    return Trace(initial, tuple(steps))
+    return Trace(initial, tuple([TraceStep(replay, i) for i in range(len(fired))]))
 
 
 class _Zipper:
@@ -635,14 +706,14 @@ def _rules_at(sub: Term, index: HeadIndex) -> Sequence[tuple[int, str, RewriteRu
         head = index.get((sub.kind, sub.name, sub.params))
         if head is None:
             return ()
-        return [(idx, rule.name, rule, bindings) for idx, rule, bindings in head.matches(sub)]
+        return head.matches(sub)
     hit = _ml_contraction(sub)
     return () if hit is None else ((0, hit[0], None, hit[1]),)
 
 
 def _contractum(rule: RewriteRule | None, contraction) -> Term:
     """The contractum that an entry's rule and contraction give."""
-    return contraction() if rule is None else instantiate(rule.rhs, contraction)
+    return contraction() if rule is None else rule._builder(contraction)
 
 
 def _list_redexes(t: Term, at: Position, index: HeadIndex, clean: dict[int, Term], out: list) -> None:
@@ -762,12 +833,14 @@ def normalize(
 def left_nesting_measure(t: Term) -> int:
     """Number of let nodes that sit anywhere inside the subject subtree of
     an enclosing let.  Every let-assoc step strictly decreases this on the
-    rewritten subtree."""
-
-    def go(t: Term, in_subject: bool) -> int:
-        if isinstance(t, Let):
-            own = 1 if in_subject else 0
-            return own + go(t.subject, True) + go(t.body, in_subject)
-        return sum(go(k, in_subject) for k in children(t))
-
-    return go(t, False)
+    rewritten subtree.  One explicit-stack pass."""
+    count = 0
+    stack = [(t, False)]
+    while stack:
+        t, in_subject = stack.pop()
+        if type(t) is Let:
+            count += in_subject
+            stack += [(t.body, in_subject), (t.subject, True)]
+        else:
+            stack += [(k, in_subject) for k in children(t)]
+    return count

@@ -413,9 +413,11 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
                 else:
                     stack += [(t, binder, 2), (body,), t.subject]
                 continue
-            if binder in repl_fv and var in free_vars(body):
-                binder = fresh_name(binder, repl_fv | free_vars(body) | {var})
-                body = substitute(body, t.binder, Var(binder))
+            if binder in repl_fv:
+                body_fv = free_vars(body)
+                if var in body_fv:
+                    binder = fresh_name(binder, repl_fv | body_fv | {var})
+                    body = substitute(body, t.binder, Var(binder))
             kids = kids[:-1] + (body,)
         elif not kids:
             done.append(t)

@@ -14,9 +14,9 @@ from random import Random
 
 from effrew.rewrite import (
     DEFAULT_FUEL,
+    RuleError,
     _ml_contraction,
     all_redexes,
-    instantiate,
     match_pattern,
 )
 from effrew.rpo import Precedence, certify_ruleset
@@ -142,14 +142,27 @@ def reference_canonical_key(t: Term) -> str:
     return go(t, ())
 
 
+def instantiate(rhs: Term, bindings: dict[str, Term]) -> Term:
+    """Plug matched bindings into a rule right-hand side by plain
+    recursion: the reference for a rule's compiled builder.  Right sides
+    are binder-free, so this cannot capture."""
+    if isinstance(rhs, Var):
+        return bindings[rhs.name]
+    if isinstance(rhs, SymApp):
+        return SymApp(rhs.kind, rhs.name, rhs.params, tuple(instantiate(a, bindings) for a in rhs.args))
+    if isinstance(rhs, Pure):
+        return Pure(instantiate(rhs.body, bindings))
+    raise RuleError(f"rule right side leaves the symbolic fragment: {rhs!r}")
+
+
 def reference_redexes(t: Term, rules) -> list[tuple]:
     """Every redex of t as (position, rule_name, ml, rule_index, reduct),
     found the plain way: one recursive walk for the metalanguage rules and
     one for the user rules, every rule tried at every node, every reduct
-    built by recursive splicing, then one sort.  It shares the per-node
-    rule logic with the engine (_ml_contraction, match_pattern,
-    instantiate); what it checks is the walk, the rule lookup, the order,
-    the positions and the reducts."""
+    built by recursive splicing and instantiate, then one sort.  It shares
+    the per-node rule logic with the engine (_ml_contraction,
+    match_pattern); what it checks is the walk, the rule lookup, the
+    order, the positions and the reducts."""
 
     def walk(t: Term, pos: tuple):
         yield pos, t
@@ -290,26 +303,19 @@ def reference_reach(rules) -> float:
     return reach
 
 
-def reference_tree_keys(rule) -> tuple[tuple, tuple | None]:
-    """A left side flattened for the discrimination tree: the root's
-    arity, then its arguments in preorder, a symbol application as (kind,
-    name, params, arity) and a variable as None; and the variable names in
-    preorder if the left side is linear and the rule has no value
-    metavariable, else None."""
-    args = rule.lhs.args
-    keys: list = [len(args)]
-    names: list[str] = []
-    pending = list(reversed(args))
-    while pending:
-        p = pending.pop()
+def reference_exact_vars(rule) -> tuple | None:
+    """The variable names of a left side in preorder, by plain recursion,
+    if the left side is linear and the rule has no value metavariable,
+    else None."""
+
+    def names(p) -> list[str]:
         if isinstance(p, Var):
-            keys.append(None)
-            names.append(p.name)
-        else:
-            keys.append((p.kind, p.name, p.params, len(p.args)))
-            pending.extend(reversed(p.args))
-    exact = len(set(names)) == len(names) and not rule.value_vars
-    return tuple(keys), tuple(names) if exact else None
+            return [p.name]
+        return [n for a in p.args for n in names(a)]
+
+    found = names(rule.lhs)
+    exact = len(set(found)) == len(found) and not rule.value_vars
+    return tuple(found) if exact else None
 
 
 def reference_value_vars(t: Term, inside: bool = False) -> frozenset[str]:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import time
 from functools import cache
@@ -14,8 +16,8 @@ from effrew.rewrite import (
     RewriteRule,
     RuleError,
     StaleRedexError,
+    _contractum,
     all_redexes,
-    instantiate,
     left_nesting_measure,
     make_rule,
     match_pattern,
@@ -46,16 +48,18 @@ from effrew.theories import builtin, builtin_names, compose, numeral_value, pean
 from effrew.graph import reduction_graph
 from effrew.rpo import rule_identities
 from oracles import (
+    instantiate,
     naive_normal_forms,
     nesting_count_by_positions,
+    reference_exact_vars,
     reference_graph,
     reference_identities,
     reference_normalize,
     reference_reach,
     reference_redexes,
-    reference_tree_keys,
     reference_value_vars,
 )
+from stack_safe import stack_safe
 from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, or_tree, par_interleaving, symbolic_term
 
 # -- the four metalanguage contractions --------------------------------------
@@ -395,6 +399,17 @@ def test_left_nesting_measure_examples():
     assert left_nesting_measure(body_let) == 0
 
 
+@stack_safe
+def test_left_nesting_measure_survives_deep_subject_chains():
+    # far past the interpreter recursion limit: each let is the subject of
+    # the next, so every let but the outermost sits in a subject
+    n = 100_000
+    t = Pure(Var("a"))
+    for _ in range(n):
+        t = Let("x", t, Pure(Var("x")))
+    assert left_nesting_measure(t) == n - 1
+
+
 def test_left_nesting_measure_matches_positional_oracle():
     rng = random.Random(123)
     gen = TypedTermGen(rng, builtin("nondet"))
@@ -625,7 +640,17 @@ def _vary(rng, t, pure: bool):
     return Pure(t) if pure and rng.random() < 0.15 else t
 
 
-# rules whose shape the discrimination tree sees only in part
+def _over(rng, t, names):
+    """t with each variable replaced by one of names, or by the constant c
+    when names is empty: a right side for a left side with those names."""
+    if isinstance(t, Var):
+        return Var(rng.choice(names)) if names else fn("c")
+    if isinstance(t, SymApp):
+        return SymApp(t.kind, t.name, t.params, tuple(_over(rng, a, names) for a in t.args))
+    return t
+
+
+# rules whose shape the index sees only in part
 _TREE_EDGE_RULES = (
     make_rule("nonlinear", fn("f", Var("u"), Var("u")), Var("u")),
     make_rule("value", fn("f", Var("u"), Var("w")), Pure(Var("u")), extended=True),
@@ -634,6 +659,9 @@ _TREE_EDGE_RULES = (
     make_rule("f-unary", fn("f", Var("u")), Var("u")),
     make_rule("inner-f-binary", fn("g", fn("f", Var("u"), Var("w"))), Var("u")),
     make_rule("inner-f-unary", fn("g", fn("f", Var("u"))), Var("u")),
+    make_rule("second-f-unary", fn("f", Var("u"), fn("f", Var("w"))), Var("w")),
+    make_rule("deep-f-binary", fn("g", fn("g", fn("f", Var("u"), Var("w")))), Var("w")),
+    make_rule("deep-f-unary", fn("g", fn("g", fn("f", Var("u")))), Var("u")),
 )
 
 
@@ -646,7 +674,8 @@ def test_rule_retrieval_matches_brute_force(seed):
         lhs = _vary(rng, symbolic_term(rng, rng.randint(1, 7)), pure=False)
         if isinstance(lhs, Var):
             continue
-        rhs = rng.choice([fn("c"), *map(Var, sorted(pattern_vars(lhs)))])
+        names = sorted(pattern_vars(lhs))
+        rhs = rng.choice([fn("c"), *map(Var, names), _over(rng, symbolic_term(rng, rng.randint(1, 8)), names)])
         rules.append(make_rule(f"r{i}", lhs, rhs))
     rng.shuffle(rules)
     index = effrew.rewrite.head_index(rules)
@@ -669,24 +698,30 @@ def test_rule_retrieval_matches_brute_force(seed):
         found = symbolic_redexes(s, rules)
         assert [(r.position, r.rule_index) for r in found] == expected
         assert [r.rule_name for r in found] == [rules[i].name for _, i in expected]
-        # the index hands back each hit's bindings: read off the tree for a
-        # linear left side with no value metavariable, else from match_pattern
+        # the index hands back each hit's bindings: read at fixed paths for
+        # a linear left side with no value metavariable, else from
+        # match_pattern; and each hit's contractum is what instantiate
+        # builds from them
         for _, sub in iter_subterms(s):
             head = index.get((sub.kind, sub.name, sub.params)) if isinstance(sub, SymApp) else None
             hits = head.matches(sub) if head is not None else []
-            assert [(i, bindings) for i, _, bindings in hits] == [
+            expected = [
                 (i, match_pattern(r.lhs, sub, r.value_vars))
                 for i, r in enumerate(rules)
                 if match_pattern(r.lhs, sub, r.value_vars) is not None
+            ]
+            assert [(i, bindings) for i, _, _, bindings in hits] == expected
+            assert [_contractum(rule, bindings) for _, _, rule, bindings in hits] == [
+                instantiate(rules[i].rhs, bindings) for i, bindings in expected
             ]
 
 
 def _check_rule_facts(rules):
     """The facts a rule derives when built, against the walks that derived
-    them before: the tree flattening, the reach, the value metavariables,
+    them before: the exact variables, the reach, the value metavariables,
     the pattern variables and the symbol identities."""
     for rule in rules:
-        assert (rule.tree_keys, rule.exact_vars) == reference_tree_keys(rule)
+        assert rule.exact_vars == reference_exact_vars(rule)
         assert max(2, rule.reach) == reference_reach([rule])
         assert rule.value_vars == (reference_value_vars(rule.rhs) if rule.extended else frozenset())
         assert pattern_vars(rule.lhs) == {v.name for _, v in iter_subterms(rule.lhs) if isinstance(v, Var)}
@@ -724,21 +759,71 @@ def test_rule_facts_of_random_rules(seed):
     _check_rule_facts(rules)
 
 
+_COPY_CASES = {
+    "peano": fn("plus", peano_numeral(3), peano_numeral(2)),
+    "par": eff("join", eff("par", eff("e1", Pure(Var("a"))), eff("e2", eff("e1", Pure(Var("b")))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COPY_CASES))
+def test_rules_and_theories_survive_copy_and_pickle(name):
+    # a rule compiles its sides when they are first used and keeps them:
+    # copies made before and after must come back equal and fire the same
+    theory = builtin(name)
+    rules = list(theory.rules)
+    t = _COPY_CASES[name]
+    duplicates = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+
+    def compiled():
+        return [r.name for r in rules if "_matcher" in vars(r) or "_builder" in vars(r)]
+
+    def check_copies():
+        for dup in duplicates:
+            again = dup(theory)
+            assert again == theory and again.rules == theory.rules
+            for rule in rules:
+                again = dup(rule)
+                assert (again, hash(again), repr(again)) == (rule, hash(rule), repr(rule))
+                assert (again.exact_vars, again.reach, again.identities) == (
+                    rule.exact_vars,
+                    rule.reach,
+                    rule.identities,
+                )
+
+    check_copies()
+    assert compiled() == []
+    nf, trace = normalize(t, rules)
+    g = reduction_graph(t, rules)
+    assert compiled()
+    check_copies()
+    for dup in duplicates:
+        copies = [dup(rule) for rule in rules]
+        again_nf, again_trace = normalize(t, copies)
+        assert again_nf == nf and again_trace.export_lines() == trace.export_lines()
+        assert reduction_graph(t, copies) == g
+        again = dup(trace)
+        assert again == trace and again.export_lines() == trace.export_lines()
+
+
 def test_rule_index_prunes_par_rules(monkeypatch):
     rules = list(_scan_theory("par6").rules)
     assert sum(r.lhs.name == "par" for r in rules) == 14
     t = eff("par", eff("a1", Pure(Var("v"))), eff("b1", Pure(Var("w"))))
+    # every candidate that retrieval decides goes through its rule's matcher
     tried = []
-    real = effrew.rewrite.match_pattern
+    for rule in rules:
 
-    def counting(pattern, subject, value_vars=frozenset(), bindings=None):
-        if subject is t:
-            tried.append(pattern)
-        return real(pattern, subject, value_vars, bindings)
+        def counting(sub, name=rule.name, real=rule._matcher):
+            if sub is t:
+                tried.append(name)
+            return real(sub)
 
-    monkeypatch.setattr(effrew.rewrite, "match_pattern", counting)
+        monkeypatch.setitem(rule.__dict__, "_matcher", counting)
     at_root = [r.rule_name for r in effrew.rewrite.all_redexes(t, rules) if r.position == ()]
-    assert len(tried) <= 2
+    # the first argument's symbol leaves par-left.a1 and the 7 par-right
+    # rules, whose first argument is a variable; a flat loop tries all 14
+    assert len(tried) <= 8
+    assert [n for n in tried if n.startswith("par-left.")] == ["par-left.a1"]
     assert at_root == ["par-left.a1", "par-right.b1"]
 
 

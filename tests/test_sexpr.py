@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from effrew.sexpr import SexprError, parse_many, parse_one
 from oracles import reference_parse_many, reference_parse_one
+from stack_safe import stack_safe
 
 
 def test_atom():
@@ -89,6 +90,7 @@ def test_reader_matches_character_reader(text):
     assert _outcome(parse_many, text) == _outcome(reference_parse_many, text)
 
 
+@stack_safe
 def test_deep_nested_list():
     # far past the interpreter recursion limit
     n = 100_000

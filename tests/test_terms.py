@@ -31,6 +31,7 @@ from effrew.rewrite import StaleRedexError, all_redexes, normalize, step
 from effrew.terms import Eff
 from effrew.theories import builtin, compose, peano_numeral
 from oracles import reference_canonical_key
+from stack_safe import stack_safe
 from termgen import PAR6_EFFECTS, TypedTermGen, par_interleaving, symbolic_term
 
 
@@ -121,6 +122,7 @@ def test_iter_subterms_is_preorder():
     assert positions == sorted(positions)
 
 
+@stack_safe
 def test_iter_subterms_survives_deep_terms():
     # far past the interpreter recursion limit
     t = peano_numeral(5000)
@@ -131,6 +133,7 @@ def test_iter_subterms_survives_deep_terms():
     assert count == 5001
 
 
+@stack_safe
 def test_deep_numeral_prints_keys_and_compares():
     # far past the interpreter recursion limit, which stays as it is
     n = 100_000
@@ -144,6 +147,7 @@ def test_deep_numeral_prints_keys_and_compares():
     assert alpha_eq(t, peano_numeral(n))
 
 
+@stack_safe
 def test_deep_numeral_hashes_compares_and_steps(peano):
     # far past the interpreter recursion limit: ==, hash and repr walk an
     # explicit stack
@@ -161,6 +165,7 @@ def test_deep_numeral_hashes_compares_and_steps(peano):
         step(fn("plus", peano_numeral(n - 1), fn("zero")), redex)
 
 
+@stack_safe
 def test_deep_terms_sizes_free_vars_and_substitution():
     # far past the interpreter recursion limit
     n = 100_000

@@ -62,7 +62,8 @@ def test_global_state_custom_domain():
 
 
 def test_global_state_rule_shapes(gs):
-    from effrew.rewrite import instantiate, match_pattern
+    from effrew.rewrite import match_pattern
+    from oracles import instantiate
 
     def apply(rule_name, term):
         rule = next(r for r in gs.rules if r.name == rule_name)
