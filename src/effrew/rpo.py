@@ -16,11 +16,23 @@ RPO(3) chains down to an occurrence of x.  A rule set whose every rule
 has lhs > rhs rewrites inside a well-founded order, so it terminates;
 certificates carry the full derivation and can be replayed against the
 definition.
+
+The cases are spelt out once, by _cases, as conjunctions of one optional
+precedence atom f > g and subgoals s' > t'.  _evaluate runs one step per
+goal on an explicit stack, memoized on (s, t).  Replay, the reports and
+the search's backtracking walk explicit stacks too, so neither the depth
+of a term or derivation nor the number of rules costs Python stack.
+There are two steps: _derive finds the derivation of the first case
+that holds under a fixed precedence (certification), and _extensions
+finds the minimal consistent sets of atoms under which some case holds
+(precedence search; the constraint encoding of Codish, Lagoon & Stuckey,
+RTA 2006).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .rewrite import is_symbolic
 from .terms import Identity, SymApp, Term, ident_str, sym_str
@@ -124,26 +136,40 @@ class RpoDerivation:
     children: tuple["RpoDerivation", ...] = ()
 
     def pretty(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        if self.rule == CASE_EQ:
-            return f"{pad}{sym_str(self.lhs)} = {sym_str(self.rhs)}"
-        where = ""
-        if self.rule == CASE_LEX:
-            where = f", deciding position {self.index}"
-        elif self.rule == CASE_SUB:
-            where = f", argument {self.index}"
-        head = f"{pad}{sym_str(self.lhs)} > {sym_str(self.rhs)}   [{_LABEL[self.rule]}{where}]"
-        return "\n".join([head] + [c.pretty(indent + 1) for c in self.children])
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            d, depth = stack.pop()
+            pad = "  " * depth
+            if d.rule == CASE_EQ:
+                lines.append(f"{pad}{sym_str(d.lhs)} = {sym_str(d.rhs)}")
+                continue
+            where = ""
+            if d.rule == CASE_LEX:
+                where = f", deciding position {d.index}"
+            elif d.rule == CASE_SUB:
+                where = f", argument {d.index}"
+            lines.append(f"{pad}{sym_str(d.lhs)} > {sym_str(d.rhs)}   [{_LABEL[d.rule]}{where}]")
+            stack += [(c, depth + 1) for c in reversed(d.children)]
+        return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "lhs": sym_str(self.lhs),
-            "rhs": sym_str(self.rhs),
-            "case": _LABEL[self.rule],
-            "rule": self.rule,
-            "index": self.index,
-            "children": [c.to_json() for c in self.children],
-        }
+        root: list[dict] = []
+        # each item: a derivation, and the children list its JSON joins
+        stack = [(self, root)]
+        while stack:
+            d, siblings = stack.pop()
+            kids: list[dict] = []
+            siblings.append({
+                "lhs": sym_str(d.lhs),
+                "rhs": sym_str(d.rhs),
+                "case": _LABEL[d.rule],
+                "rule": d.rule,
+                "index": d.index,
+                "children": kids,
+            })
+            stack += [(c, kids) for c in reversed(d.children)]
+        return root[0]
 
 
 def _check_symbolic(t: Term, side: str) -> None:
@@ -151,65 +177,81 @@ def _check_symbolic(t: Term, side: str) -> None:
         raise NonSymbolicTermError(f"{side} is not in the symbolic fragment: {sym_str(t)}")
 
 
-class _Prover:
-    """Memoized RPO derivation search for one fixed precedence."""
+def _cases(s: Term, t: Term):
+    """The RPO cases for s > t, lazily, in the order they are tried: RPO(3)
+    per argument of s, then RPO(1) or RPO(2).  Each is (case, index, atom,
+    goals) and holds exactly when the precedence atom (a pair of
+    identities, or None) holds and so does s' > t' for every (s', t') in
+    goals.  An RPO(3) case with no goal is an argument equal to t.  A case
+    whose goal has a variable on the left is left out, since x > t never
+    holds."""
+    if type(s) is not SymApp:
+        return
+    for i, arg in enumerate(s.args):
+        if arg == t:
+            yield CASE_SUB, i, None, ()
+        elif type(arg) is SymApp:
+            yield CASE_SUB, i, None, ((arg, t),)
+    if type(t) is not SymApp:
+        return
+    rest = tuple((s, tj) for tj in t.args)
+    if s.identity != t.identity:
+        yield CASE_PREC, None, (s.identity, t.identity), rest
+    elif len(s.args) == len(t.args):
+        # the first argument pair that is not syntactically equal decides
+        for i, (a, b) in enumerate(zip(s.args, t.args)):
+            if a != b:
+                if type(a) is SymApp:
+                    yield CASE_LEX, i, None, ((a, b), *rest)
+                return
 
-    def __init__(self, prec: Precedence):
-        self.prec = prec
-        self.memo: dict[tuple[Term, Term], RpoDerivation | None] = {}
 
-    def greater(self, s: Term, t: Term) -> RpoDerivation | None:
-        key = (s, t)
-        if key in self.memo:
-            return self.memo[key]
-        result = self._compute(s, t)
-        self.memo[key] = result
-        return result
+_UNKNOWN = object()
 
-    def geq(self, s: Term, t: Term) -> RpoDerivation | None:
-        if s == t:
-            return RpoDerivation(s, t, CASE_EQ)
-        return self.greater(s, t)
 
-    def _compute(self, s: Term, t: Term) -> RpoDerivation | None:
-        if not isinstance(s, SymApp):
-            return None  # variables are minimal
-        # RPO(3): a subterm already dominates t
-        for i, arg in enumerate(s.args):
-            sub = self.geq(arg, t)
-            if sub is not None:
-                return RpoDerivation(s, t, CASE_SUB, index=i, children=(sub,))
-        if not isinstance(t, SymApp):
-            return None
-        if s.identity == t.identity and len(s.args) == len(t.args):
-            # RPO(1): same head, lexicographic descent on the arguments
-            lex = self._lex(s.args, t.args)
-            if lex is None:
-                return None
-            case, index, first = CASE_LEX, lex[0], (lex[1],)
-        elif self.prec.holds(s.identity, t.identity):
-            # RPO(2): head precedence
-            case, index, first = CASE_PREC, None, ()
-        else:
-            return None
-        # both cases also need s > tj for every j
-        rest = []
-        for tj in t.args:
-            d = self.greater(s, tj)
+def _evaluate(step, s: Term, t: Term, memo: dict):
+    """The value of goal s > t under step, memoized in memo by (s, t).
+    step(s, t) is a generator that yields each subgoal (s', t') it needs,
+    is sent that subgoal's value, and returns the goal's value.  The
+    generators wait on one explicit stack; subgoals are strictly smaller
+    pairs, so no goal waits on itself."""
+    value = memo.get((s, t), _UNKNOWN)
+    if value is not _UNKNOWN:
+        return value
+    stack = [((s, t), step(s, t))]
+    value = None
+    while stack:
+        goal, run = stack[-1]
+        try:
+            sub = run.send(value)
+        except StopIteration as done:
+            memo[goal] = value = done.value
+            stack.pop()
+            continue
+        value = memo.get(sub, _UNKNOWN)
+        if value is _UNKNOWN:
+            stack.append((sub, step(*sub)))
+            value = None
+    return value
+
+
+def _derive(prec: Precedence, s: Term, t: Term):
+    """Step for a derivation of s > t under prec: that of the first case
+    that holds, or None."""
+    for case, index, atom, goals in _cases(s, t):
+        if atom is not None and not prec.holds(*atom):
+            continue
+        kids = []
+        for goal in goals:
+            d = yield goal
             if d is None:
-                return None
-            rest.append(d)
-        return RpoDerivation(s, t, case, index=index, children=(*first, *rest))
-
-    def _lex(self, ss, ts) -> tuple[int, RpoDerivation] | None:
-        """First strictly decreasing position after a syntactically equal
-        prefix, with its witness derivation."""
-        for i, (a, b) in enumerate(zip(ss, ts)):
-            if a == b:
-                continue
-            d = self.greater(a, b)
-            return None if d is None else (i, d)
-        return None
+                break
+            kids.append(d)
+        else:
+            if not goals and case == CASE_SUB:
+                kids.append(RpoDerivation(s.args[index], t, CASE_EQ))
+            return RpoDerivation(s, t, case, index=index, children=tuple(kids))
+    return None
 
 
 def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
@@ -217,17 +259,20 @@ def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
     the symbolic fragment."""
     _check_symbolic(s, "left term")
     _check_symbolic(t, "right term")
-    return _Prover(prec).greater(s, t)
+    return _evaluate(partial(_derive, prec), s, t, {})
 
 
 def rpo_geq(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
     _check_symbolic(s, "left term")
     _check_symbolic(t, "right term")
-    return _Prover(prec).geq(s, t)
+    if s == t:
+        return RpoDerivation(s, t, CASE_EQ)
+    return _evaluate(partial(_derive, prec), s, t, {})
 
 
 def lex_greater(prec: Precedence, ss, ts) -> bool:
-    """Strict lexicographic extension over equal-length tuples."""
+    """Strict lexicographic extension over equal-length tuples: the first
+    position that is not syntactically equal is decreasing."""
     ss, ts = tuple(ss), tuple(ts)
     if len(ss) != len(ts):
         raise ValueError(f"lexicographic comparison needs equal lengths, got {len(ss)} and {len(ts)}")
@@ -235,51 +280,60 @@ def lex_greater(prec: Precedence, ss, ts) -> bool:
         _check_symbolic(a, "left tuple entry")
     for b in ts:
         _check_symbolic(b, "right tuple entry")
-    return _Prover(prec)._lex(ss, ts) is not None
+    diff = next(((a, b) for a, b in zip(ss, ts) if a != b), None)
+    return diff is not None and _evaluate(partial(_derive, prec), *diff, {}) is not None
 
 
 def validate_derivation(prec: Precedence, d: RpoDerivation) -> bool:
-    """Replay a derivation against the definition, node by node."""
-    if d.rule == CASE_EQ:
-        return d.lhs == d.rhs and not d.children and d.index is None
-    if not isinstance(d.lhs, SymApp):
-        return False
-    args = d.lhs.args
-    if d.rule == CASE_SUB:
-        if d.index is None or not (0 <= d.index < len(args)) or len(d.children) != 1:
+    """Replay a derivation against the definition, node by node, over an
+    explicit stack."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        if d.rule == CASE_EQ:
+            if d.lhs != d.rhs or d.children or d.index is not None:
+                return False
+            continue
+        if not isinstance(d.lhs, SymApp):
             return False
-        sub = d.children[0]
-        return sub.lhs == args[d.index] and sub.rhs == d.rhs and validate_derivation(prec, sub)
-    if not isinstance(d.rhs, SymApp):
-        return False
-    targs = d.rhs.args
-    if d.rule == CASE_PREC:
-        if not prec.holds(d.lhs.identity, d.rhs.identity):
+        args = d.lhs.args
+        if d.rule == CASE_SUB:
+            if d.index is None or not (0 <= d.index < len(args)) or len(d.children) != 1:
+                return False
+            sub = d.children[0]
+            if sub.lhs != args[d.index] or sub.rhs != d.rhs:
+                return False
+            stack.append(sub)
+            continue
+        if not isinstance(d.rhs, SymApp):
             return False
-        if len(d.children) != len(targs):
+        targs = d.rhs.args
+        if d.rule == CASE_PREC:
+            if not prec.holds(d.lhs.identity, d.rhs.identity):
+                return False
+            if len(d.children) != len(targs):
+                return False
+            rest = d.children
+        elif d.rule == CASE_LEX:
+            if d.lhs.identity != d.rhs.identity or len(args) != len(targs):
+                return False
+            k = d.index
+            if k is None or not (0 <= k < len(args)) or len(d.children) != 1 + len(targs):
+                return False
+            if any(args[j] != targs[j] for j in range(k)):
+                return False
+            witness = d.children[0]
+            if witness.rule == CASE_EQ or witness.lhs != args[k] or witness.rhs != targs[k]:
+                return False
+            stack.append(witness)
+            rest = d.children[1:]
+        else:
             return False
-        return all(
-            c.rule != CASE_EQ and c.lhs == d.lhs and c.rhs == tj and validate_derivation(prec, c)
-            for c, tj in zip(d.children, targs)
-        )
-    if d.rule == CASE_LEX:
-        if d.lhs.identity != d.rhs.identity or len(args) != len(targs):
-            return False
-        k = d.index
-        if k is None or not (0 <= k < len(args)) or len(d.children) != 1 + len(targs):
-            return False
-        if any(args[j] != targs[j] for j in range(k)):
-            return False
-        witness = d.children[0]
-        if witness.rule == CASE_EQ or witness.lhs != args[k] or witness.rhs != targs[k]:
-            return False
-        if not validate_derivation(prec, witness):
-            return False
-        return all(
-            c.rule != CASE_EQ and c.lhs == d.lhs and c.rhs == tj and validate_derivation(prec, c)
-            for c, tj in zip(d.children[1:], targs)
-        )
-    return False
+        for c, tj in zip(rest, targs):
+            if c.rule == CASE_EQ or c.lhs != d.lhs or c.rhs != tj:
+                return False
+            stack.append(c)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +399,7 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
     """Certify every rule under prec.  Overall success means the
     non-extended fragment of the rule set is terminating.  Rules check
     their own shape when built, so every non-extended side is symbolic."""
-    prover = _Prover(prec)
+    derive, memo = partial(_derive, prec), {}
     entries = []
     for rule in rules:
         if rule.extended:
@@ -353,7 +407,7 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
                 RuleCert(rule.name, "refused-extended", reason="rule uses pure on the right side")
             )
             continue
-        d = prover.greater(rule.lhs, rule.rhs)
+        d = _evaluate(derive, rule.lhs, rule.rhs, memo)
         if d is None:
             entries.append(
                 RuleCert(
@@ -388,37 +442,35 @@ def _minimal(alts) -> list[frozenset]:
     return out
 
 
-def _orient(s: Term, t: Term, memo: dict) -> list[frozenset]:
-    """Minimal consistent sets of precedence pairs under which s > t holds,
-    following _Prover._compute case by case.  The ordering is monotone in
-    the precedence, so s > t holds under one exactly when it contains one
-    of these sets."""
-    if (s, t) in memo:
-        return memo[s, t]
+_TRUE = [frozenset()]
+
+
+def _extensions(s: Term, t: Term):
+    """Step for the minimal consistent sets of precedence pairs under which
+    s > t holds, smallest first.  The ordering is monotone in the
+    precedence, so s > t holds under one exactly when it contains one of
+    these sets.  A case that needs no pair settles the goal at once, and a
+    case with no set left is dropped."""
     alts: list[frozenset] = []
-    if isinstance(s, SymApp):
-        for arg in s.args:  # RPO(3)
-            alts += [frozenset()] if arg == t else _orient(arg, t, memo)
-        if isinstance(t, SymApp):
-            head: list[frozenset] = []
-            if s.identity == t.identity and len(s.args) == len(t.args):
-                diff = next(((a, b) for a, b in zip(s.args, t.args) if a != b), None)
-                head = [] if diff is None else _orient(*diff, memo)  # RPO(1)
-            elif s.identity != t.identity:
-                head = [frozenset({(s.identity, t.identity)})]  # RPO(2)
-            for tj in t.args:
-                head = _minimal([a | b for a in head for b in _orient(s, tj, memo)])
-            alts += head
-    memo[s, t] = result = _minimal(alts)
-    return result
+    for _case, _index, atom, goals in _cases(s, t):
+        value = _TRUE if atom is None else [frozenset((atom,))]
+        for goal in goals:
+            sub = yield goal
+            value = sub if value == _TRUE else _minimal([a | b for a in value for b in sub])
+            if not value:
+                break
+        if value == _TRUE:
+            return _TRUE
+        alts += value
+    return _minimal(alts)
 
 
 def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     """Find a precedence under which certify_ruleset passes, or None.
 
     Exact: each non-extended rule is oriented by one of its minimal
-    precedence extensions (_orient), and a backtracking search picks one
-    per rule, fewest choices first, whose union is a strict partial
+    precedence extensions (_extensions), and a backtracking search picks
+    one per rule, fewest choices first, whose union is a strict partial
     order.  Raises SearchBoundError beyond max_symbols symbol identities.
     """
     rules = [r for r in rules if not r.extended]
@@ -428,14 +480,20 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
             f"{len(ids)} symbol identities exceed the search bound of {max_symbols}"
         )
     memo: dict = {}
-    options = sorted((_orient(r.lhs, r.rhs, memo) for r in rules), key=len)
-
-    def pick(i: int, pairs: frozenset):
-        if i == len(options):
-            yield Precedence(pairs)
+    options = sorted((_evaluate(_extensions, r.lhs, r.rhs, memo) for r in rules), key=len)
+    if not options:
+        return Precedence()
+    # one entry per rule chosen so far: the pairs before its choice, and
+    # the choices for it not yet tried
+    stack = [(frozenset(), iter(options[0]))]
+    while stack:
+        pairs, alts = stack[-1]
+        for alt in alts:
+            if Precedence.consistent(pairs | alt):
+                if len(stack) == len(options):
+                    return Precedence(pairs | alt)
+                stack.append((pairs | alt, iter(options[len(stack)])))
+                break
         else:
-            for alt in options[i]:
-                if Precedence.consistent(pairs | alt):
-                    yield from pick(i + 1, pairs | alt)
-
-    return next(pick(0, frozenset()), None)
+            stack.pop()
+    return None

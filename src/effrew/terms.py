@@ -90,6 +90,10 @@ class _Term:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        # equal terms hash equal, so two cached hashes that differ settle it
+        h = getattr(self, "_hash", None)
+        if h is not None and h != getattr(other, "_hash", h):
+            return False
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -435,9 +439,10 @@ def _params_str(params: tuple[Param, ...]) -> str:
     return " ".join(map(str, params)) if params else ""
 
 
-# print_term's pending literal tokens, boxed so that they cannot be taken
-# for a term: a str in place of a term is refused like any other non-term
-_CLOSE, _SPACE = (")",), (" ",)
+# the pending literal tokens of print_term and sym_str, boxed so that they
+# cannot be taken for a term: a str in place of a term is refused like any
+# other non-term
+_CLOSE, _SPACE, _COMMA = (")",), (" ",), (", ",)
 
 
 def print_term(t: Term) -> str:
@@ -547,11 +552,29 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def sym_str(t: Term) -> str:
     """Compact mathematical rendering for symbolic terms, used in reports:
-    or(or(s1,s2),s3), assign_1(x), pure(pair(v,w))."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, SymApp):
-        return ident_str(t.identity) + "(" + ", ".join(sym_str(a) for a in t.args) + ")"
-    if isinstance(t, Pure):
-        return f"pure({sym_str(t.body)})"
-    return print_term(t)
+    or(or(s1,s2),s3), assign_1(x), pure(pair(v,w)).  Iterative, like
+    print_term, which renders any other node."""
+    out: list[str] = []
+    stack: list = [t]
+    push = stack.append
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is tuple:
+            out.append(t[0])
+        elif tt is Var:
+            out.append(t.name)
+        elif tt is SymApp:
+            out.append(ident_str(t.identity) + "(")
+            push(_CLOSE)
+            for i in range(len(t.args) - 1, -1, -1):
+                push(t.args[i])
+                if i:
+                    push(_COMMA)
+        elif tt is Pure:
+            out.append("pure(")
+            push(_CLOSE)
+            push(t.body)
+        else:
+            out.append(print_term(t))
+    return "".join(out)

@@ -19,7 +19,18 @@ from effrew.rewrite import (
     all_redexes,
     match_pattern,
 )
-from effrew.rpo import Precedence, certify_ruleset
+from effrew.rpo import (
+    _LABEL,
+    CASE_EQ,
+    CASE_LEX,
+    CASE_PREC,
+    CASE_SUB,
+    DEFAULT_SYMBOL_BOUND,
+    Precedence,
+    RpoDerivation,
+    SearchBoundError,
+    _minimal,
+)
 from effrew.sexpr import Node, SexprError
 from effrew.terms import (
     App,
@@ -32,6 +43,7 @@ from effrew.terms import (
     Var,
     canonical_key,
     children,
+    ident_str,
     iter_subterms,
     with_children,
 )
@@ -265,15 +277,189 @@ def reference_identities(rules) -> list:
 def brute_force_precedence(rules) -> Precedence | None:
     """The first total order on the rules' symbol identities, in
     itertools.permutations order, under which every non-extended rule
-    certifies, or None.  Complete because the ordering is monotone in the
-    precedence: if a strict partial order works, so does any total
-    extension of it."""
+    has a derivation from the reference prover, or None.  Complete
+    because the ordering is monotone in the precedence: if a strict
+    partial order works, so does any total extension of it."""
     rules = [r for r in rules if not r.extended]
     for perm in itertools.permutations(reference_identities(rules)):
         prec = Precedence((a, b) for i, a in enumerate(perm) for b in perm[i + 1 :])
-        if certify_ruleset(prec, rules).overall:
+        prover = _Prover(prec)
+        if all(prover.greater(r.lhs, r.rhs) is not None for r in rules):
             return prec
     return None
+
+
+class _Prover:
+    """Memoized RPO derivation search for one fixed precedence, by plain
+    recursion over the cases: the reference for rpo._derive."""
+
+    def __init__(self, prec: Precedence):
+        self.prec = prec
+        self.memo: dict[tuple[Term, Term], RpoDerivation | None] = {}
+
+    def greater(self, s: Term, t: Term) -> RpoDerivation | None:
+        key = (s, t)
+        if key in self.memo:
+            return self.memo[key]
+        result = self._compute(s, t)
+        self.memo[key] = result
+        return result
+
+    def geq(self, s: Term, t: Term) -> RpoDerivation | None:
+        if s == t:
+            return RpoDerivation(s, t, CASE_EQ)
+        return self.greater(s, t)
+
+    def _compute(self, s: Term, t: Term) -> RpoDerivation | None:
+        if not isinstance(s, SymApp):
+            return None  # variables are minimal
+        # RPO(3): a subterm already dominates t
+        for i, arg in enumerate(s.args):
+            sub = self.geq(arg, t)
+            if sub is not None:
+                return RpoDerivation(s, t, CASE_SUB, index=i, children=(sub,))
+        if not isinstance(t, SymApp):
+            return None
+        if s.identity == t.identity and len(s.args) == len(t.args):
+            # RPO(1): same head, lexicographic descent on the arguments
+            lex = self._lex(s.args, t.args)
+            if lex is None:
+                return None
+            case, index, first = CASE_LEX, lex[0], (lex[1],)
+        elif self.prec.holds(s.identity, t.identity):
+            # RPO(2): head precedence
+            case, index, first = CASE_PREC, None, ()
+        else:
+            return None
+        # both cases also need s > tj for every j
+        rest = []
+        for tj in t.args:
+            d = self.greater(s, tj)
+            if d is None:
+                return None
+            rest.append(d)
+        return RpoDerivation(s, t, case, index=index, children=(*first, *rest))
+
+    def _lex(self, ss, ts) -> tuple[int, RpoDerivation] | None:
+        """First strictly decreasing position after a syntactically equal
+        prefix, with its witness derivation."""
+        for i, (a, b) in enumerate(zip(ss, ts)):
+            if a == b:
+                continue
+            d = self.greater(a, b)
+            return None if d is None else (i, d)
+        return None
+
+
+def _orient(s: Term, t: Term, memo: dict) -> list[frozenset]:
+    """Minimal consistent sets of precedence pairs under which s > t holds,
+    following _Prover._compute case by case.  The ordering is monotone in
+    the precedence, so s > t holds under one exactly when it contains one
+    of these sets.  The reference for rpo._extensions."""
+    if (s, t) in memo:
+        return memo[s, t]
+    alts: list[frozenset] = []
+    if isinstance(s, SymApp):
+        for arg in s.args:  # RPO(3)
+            alts += [frozenset()] if arg == t else _orient(arg, t, memo)
+        if isinstance(t, SymApp):
+            head: list[frozenset] = []
+            if s.identity == t.identity and len(s.args) == len(t.args):
+                diff = next(((a, b) for a, b in zip(s.args, t.args) if a != b), None)
+                head = [] if diff is None else _orient(*diff, memo)  # RPO(1)
+            elif s.identity != t.identity:
+                head = [frozenset({(s.identity, t.identity)})]  # RPO(2)
+            for tj in t.args:
+                head = _minimal([a | b for a in head for b in _orient(s, tj, memo)])
+            alts += head
+    memo[s, t] = result = _minimal(alts)
+    return result
+
+
+def reference_search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
+    """search_precedence with _orient and a recursive backtracking pick."""
+    rules = [r for r in rules if not r.extended]
+    ids = reference_identities(rules)
+    if len(ids) > max_symbols:
+        raise SearchBoundError(
+            f"{len(ids)} symbol identities exceed the search bound of {max_symbols}"
+        )
+    memo: dict = {}
+    options = sorted((_orient(r.lhs, r.rhs, memo) for r in rules), key=len)
+
+    def pick(i: int, pairs: frozenset):
+        if i == len(options):
+            yield Precedence(pairs)
+        else:
+            for alt in options[i]:
+                if Precedence.consistent(pairs | alt):
+                    yield from pick(i + 1, pairs | alt)
+
+    return next(pick(0, frozenset()), None)
+
+
+def reference_pretty(d: RpoDerivation, indent: int = 0) -> str:
+    """RpoDerivation.pretty by plain recursion."""
+    pad = "  " * indent
+    if d.rule == CASE_EQ:
+        return f"{pad}{reference_sym_str(d.lhs)} = {reference_sym_str(d.rhs)}"
+    where = ""
+    if d.rule == CASE_LEX:
+        where = f", deciding position {d.index}"
+    elif d.rule == CASE_SUB:
+        where = f", argument {d.index}"
+    head = f"{pad}{reference_sym_str(d.lhs)} > {reference_sym_str(d.rhs)}   [{_LABEL[d.rule]}{where}]"
+    return "\n".join([head] + [reference_pretty(c, indent + 1) for c in d.children])
+
+
+def reference_derivation_json(d: RpoDerivation) -> dict:
+    """RpoDerivation.to_json by plain recursion."""
+    return {
+        "lhs": reference_sym_str(d.lhs),
+        "rhs": reference_sym_str(d.rhs),
+        "case": _LABEL[d.rule],
+        "rule": d.rule,
+        "index": d.index,
+        "children": [reference_derivation_json(c) for c in d.children],
+    }
+
+
+def reference_sym_str(t: Term) -> str:
+    """sym_str of a symbolic term by plain recursion."""
+    if isinstance(t, Var):
+        return t.name
+    return ident_str(t.identity) + "(" + ", ".join(reference_sym_str(a) for a in t.args) + ")"
+
+
+def reference_certify(prec: Precedence, rules) -> tuple[str, dict]:
+    """The text and JSON of certify_ruleset's report, from _Prover's
+    derivations and the recursive renderers."""
+    prover = _Prover(prec)
+    lines, entries, overall = [], [], True
+    for rule in rules:
+        entry = {"name": rule.name, "status": "certified", "derivation": None, "reason": None}
+        if rule.extended:
+            entry["status"] = "refused-extended"
+            entry["reason"] = "rule uses pure on the right side"
+            lines.append(f"rule {rule.name}: refused-extended ({entry['reason']})")
+        elif (d := prover.greater(rule.lhs, rule.rhs)) is None:
+            overall = False
+            entry["status"] = "failed"
+            entry["reason"] = (
+                f"no RPO case applies to {reference_sym_str(rule.lhs)} > {reference_sym_str(rule.rhs)}"
+            )
+            lines.append(f"rule {rule.name}: FAILED ({entry['reason']})")
+        else:
+            entry["derivation"] = reference_derivation_json(d)
+            lines += [f"rule {rule.name}: certified", reference_pretty(d, 1)]
+        entries.append(entry)
+    lines.append("overall: " + ("certified" if overall else "not certified"))
+    blob = {
+        "overall": overall,
+        "precedence": [[ident_str(a), ident_str(b)] for a, b in sorted(prec.pairs)],
+        "rules": entries,
+    }
+    return "\n".join(lines), blob
 
 
 def reference_reach(rules) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from effrew.parser import parse_term
 from effrew.rewrite import normalize
 from effrew.rpo import certify_ruleset
 from effrew.terms import print_term
-from effrew.theories import builtin
+from effrew.theories import builtin, builtin_names, compose
+from oracles import reference_certify, reference_search_precedence
+from stack_safe import stack_safe
 
 
 def run(capsys, *argv):
@@ -372,6 +375,36 @@ def test_search_json(capsys):
     code, out, _ = run(capsys, "search", "--builtin", "nondet", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"precedence": []}
+
+
+_COMBOS = [(n,) for n in builtin_names()] + list(itertools.combinations(builtin_names(), 2))
+
+
+@pytest.mark.parametrize("names", _COMBOS, ids="+".join)
+def test_certify_and_search_match_references(capsys, names):
+    theory = compose(*(builtin(n) for n in names))
+    text, blob = reference_certify(theory.precedence, list(theory.rules))
+    flags = [arg for n in names for arg in ("--builtin", n)]
+    code, out, _ = run(capsys, "certify", *flags)
+    assert (code, out) == (0 if blob["overall"] else 2, text + "\n")
+    code, out, _ = run(capsys, "certify", *flags, "--format", "json")
+    assert json.loads(out) == blob
+    prec = reference_search_precedence(list(theory.rules), max_symbols=16)
+    code, out, _ = run(capsys, "search", *flags, "--max-symbols", "16")
+    expected = ["none"] if prec is None else prec.display_lines()
+    assert (code, out.splitlines()) == (0 if prec is not None else 2, expected)
+
+
+@stack_safe
+def test_search_on_more_rules_than_stack_frames(capsys, tmp_path):
+    theory = tmp_path / "many.theory"
+    rules = "".join(f"(rule r{i} (fn f (fn f x)) (fn g x))\n" for i in range(1200))
+    theory.write_text(
+        f"(theory many (base val) (function f (val -> val)) (function g (val -> val))\n{rules})",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "search", "--theory", str(theory))
+    assert (code, out, err) == (0, "f > g\n", "")
 
 
 def test_search_bound_exceeded(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -15,6 +16,8 @@ from effrew.rpo import (
     Precedence,
     PrecedenceError,
     SearchBoundError,
+    _evaluate,
+    _extensions,
     certify_ruleset,
     lex_greater,
     rpo_geq,
@@ -22,9 +25,17 @@ from effrew.rpo import (
     search_precedence,
     validate_derivation,
 )
-from effrew.terms import Lam, Pure, Var, eff, fn, substitute
+from effrew.terms import Lam, Pure, SymApp, Var, eff, fn, iter_subterms, replace_at, substitute
 from effrew.theories import builtin, builtin_names, compose
-from oracles import brute_force_precedence
+from oracles import (
+    _orient,
+    _Prover,
+    brute_force_precedence,
+    reference_derivation_json,
+    reference_pretty,
+    reference_search_precedence,
+)
+from stack_safe import stack_safe
 from termgen import random_precedence, rpo_identities, symbolic_term
 
 F = ("f", ())
@@ -214,7 +225,17 @@ def test_validate_all_cases_roundtrip():
         if d is None:
             continue
         assert validate_derivation(prec, d)
+        # every node is replayed, however deep
+        assert not any(validate_derivation(prec, f) for f in _break_each_node(d))
         checked += 1
+
+
+def _break_each_node(d):
+    """d with one node's rule made unknown, once for each node."""
+    yield dataclasses.replace(d, rule="unknown")
+    for i, c in enumerate(d.children):
+        for broken in _break_each_node(c):
+            yield dataclasses.replace(d, children=d.children[:i] + (broken,) + d.children[i + 1 :])
 
 
 # -- certification ------------------------------------------------------------
@@ -340,10 +361,7 @@ def test_search_composed_builtins_quickly():
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_search_agrees_with_brute_force(seed):
-    rng = random.Random(seed)
+def _random_rules(rng):
     rules = []
     for i in range(rng.randint(1, 5)):
         lhs, rhs = symbolic_term(rng, rng.randint(2, 7)), symbolic_term(rng, rng.randint(1, 6))
@@ -351,6 +369,13 @@ def test_search_agrees_with_brute_force(seed):
             rules.append(make_rule(f"r{i}", lhs, rhs))
         except RuleError:
             pass  # bare-variable left side, or variables invented on the right
+    return rules
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_search_agrees_with_brute_force(seed):
+    rules = _random_rules(random.Random(seed))
     prec = search_precedence(rules)
     assert (prec is None) == (brute_force_precedence(rules) is None)
     if prec is not None:
@@ -358,6 +383,92 @@ def test_search_agrees_with_brute_force(seed):
         assert report.overall, report.text()
         for entry in report.entries:
             assert validate_derivation(prec, entry.derivation)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_evaluator_agrees_with_recursive_references(seed):
+    rng = random.Random(seed)
+    prec = random_precedence(rng)
+    s = symbolic_term(rng, rng.randint(1, 9))
+    if rng.random() < 0.5:
+        t = symbolic_term(rng, rng.randint(1, 9))
+    else:  # a variant of s, so that RPO(1) comes up
+        pos, _ = rng.choice(list(iter_subterms(s)))
+        t = replace_at(s, pos, symbolic_term(rng, rng.randint(1, 4)))
+    prover = _Prover(prec)
+    d = rpo_greater(prec, s, t)
+    assert d == prover.greater(s, t)
+    if d is not None:
+        assert d.pretty(1) == reference_pretty(d, 1)
+        assert d.to_json() == reference_derivation_json(d)
+    assert rpo_geq(prec, s, t) == prover.geq(s, t)
+    if isinstance(s, SymApp) and isinstance(t, SymApp) and len(s.args) == len(t.args):
+        assert lex_greater(prec, s.args, t.args) == (prover._lex(s.args, t.args) is not None)
+    assert _evaluate(_extensions, s, t, {}) == _orient(s, t, {})
+    rules = _random_rules(rng)
+    assert search_precedence(rules) == reference_search_precedence(rules)
+
+
+def _tower(name, n, t):
+    for _ in range(n):
+        t = fn(name, t)
+    return t
+
+
+@stack_safe
+def test_deep_goal_proves_and_validates(peano):
+    # far past the interpreter recursion limit
+    n = 10_000
+    s = _tower("succ", n, fn("plus", fn("zero"), fn("zero")))
+    t = _tower("succ", n, fn("zero"))
+    start = time.perf_counter()
+    d = rpo_greater(peano.precedence, s, t)
+    assert d is not None and validate_derivation(peano.precedence, d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f} s"
+    # down s by RPO(3) to plus(zero, zero), down t by RPO(2), then zero = zero
+    cases = []
+    while True:
+        cases.append(d.rule)
+        if not d.children:
+            break
+        d = d.children[0]
+    assert cases == [CASE_SUB] * n + [CASE_PREC] * n + [CASE_SUB, CASE_EQ]
+
+
+@stack_safe
+def test_search_survives_one_rule_per_stack_frame():
+    x = v("x")
+    rules = [make_rule(f"r{i}", fn("f", fn("f", x)), fn("g", x)) for i in range(1200)]
+    assert search_precedence(rules) == Precedence([(F, G)])
+
+
+@stack_safe
+def test_certify_reports_render_deep_rule_sides():
+    x = v("x")
+    deep = _tower("f", 1500, x)
+    report = certify_ruleset(EMPTY, [make_rule("deep-fail", fn("g", deep), fn("h", deep))])
+    entry = report.entry("deep-fail")
+    assert entry.status == "failed"
+    side = "f(" * 1500 + "x" + ")" * 1500
+    assert entry.reason == f"no RPO case applies to g({side}) > h({side})"
+
+    report = certify_ruleset(EMPTY, [make_rule("deep-drop", fn("g", _tower("f", 1200, x)), x)])
+    assert report.overall
+    # g(..) > x and 1200 f(..) > x by RPO(3), then x = x
+    lines = report.text().splitlines()
+    assert len(lines) == 1 + 1202 + 1
+    assert lines[1] == "  g(" + "f(" * 1200 + "x" + ")" * 1201 + " > x   [RPO(3), argument 0]"
+    assert lines[-2] == "  " * 1202 + "x = x"
+    blob = report.to_json()["rules"][0]["derivation"]
+    depth = 0
+    while blob["children"]:
+        (blob,) = blob["children"]
+        depth += 1
+    assert depth == 1201 and blob == {
+        "lhs": "x", "rhs": "x", "case": "=", "rule": CASE_EQ, "index": None, "children": []
+    }
 
 
 # -- order-theoretic properties ------------------------------------------------

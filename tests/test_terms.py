@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 
@@ -290,6 +291,18 @@ def test_term_size_counts_subterms(t):
 def test_replace_subterm_with_itself_is_identity(t):
     for pos, sub in iter_subterms(t):
         assert replace_at(t, pos, sub) == t
+
+
+@given(symbolic_terms(), symbolic_terms(), st.booleans(), st.booleans())
+def test_equality_does_not_depend_on_cached_hashes(t, other, hash_left, hash_right):
+    # deepcopy builds fresh nodes, which hold no cached hash
+    for a, b in ((t, other), (t, t)):
+        a, b = copy.deepcopy(a), copy.deepcopy(b)
+        if hash_left:
+            hash(a)
+        if hash_right:
+            hash(b)
+        assert (a == b) == (print_term(a) == print_term(b))
 
 
 @given(symbolic_terms())
