@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rewrite import RewriteRule, _contractum, _list_redexes, head_index
+from .rewrite import _ROOT, RewriteRule, _cell_position, _contractum, _list_redexes, head_index
 from .terms import Position, Term, canonical_key, print_term, replace_at
 
 DEFAULT_NODE_FUEL = 100_000
@@ -125,11 +125,15 @@ def reduction_graph(
         key = queue.popleft()
         term = nodes[key]
         listing: list = []
-        _list_redexes(term, (), index, clean, listing)
+        _list_redexes(term, _ROOT, index, clean, listing)
         if not listing:
             normal.append(key)
             continue
-        for pos, _, rule_name, rule, _, contraction in listing:
+        cell = None
+        for at, _, rule_name, rule, _, contraction in listing:
+            # the entries at one node share its cell
+            if at is not cell:
+                cell, pos = at, _cell_position(at)
             reduct = replace_at(term, pos, _contractum(rule, contraction))
             dst = canonical_key(reduct)
             if dst not in nodes:

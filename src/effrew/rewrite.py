@@ -21,23 +21,15 @@ let subjects, inside effect arguments.
 Redexes are listed by one explicit-stack preorder walk, _list_redexes,
 which every caller shares.  It tries the metalanguage rules at every node
 and, at a symbol application, the user rules that an index over the left
-sides retrieves for it.  The index is built once per normalize or graph
-exploration.  Its first level is keyed by the head, so a node whose head
-starts no rule costs one dict lookup; below a head, built on that head's
-first lookup, the rules are filed by their root's arity and their first
-argument's symbol, a variable there filing the rule under every symbol.
-Retrieval is exact and hands back each match's bindings: each candidate
-is decided by a matcher compiled for its rule, which reads the bindings
-at fixed paths of the subject after checking the symbols there, or calls
-match_pattern when the left side repeats a variable or has a value
-metavariable.  Each entry of a listing holds what builds its contractum
-(the bindings, or the metalanguage rule's thunk), so no redex is matched
-twice, and a user rule's contractum is built by a builder compiled from
-its right side.  A rule compiles its matcher and its builder when they
-are first used, not when it is built, and keeps them.  Subterms found to
-have no redex are remembered by identity for the walk's caller.
-all_redexes and its two filters wrap the entries into Redex objects;
-reduction_graph builds each reduct straight from them.
+sides (see head_index and _Head), built once per normalize or graph
+exploration, retrieves for it.  Retrieval is exact and hands back each
+match's bindings, read by a matcher compiled for its rule.  Each entry of
+a listing holds what builds its contractum (the bindings, or the
+metalanguage rule's thunk), so no redex is matched twice, and a user
+rule's contractum is built by a builder compiled from its right side (see
+RewriteRule).  Subterms found to have no redex are remembered by identity
+for the walk's caller.  all_redexes and its two filters wrap the entries
+into Redex objects; reduction_graph builds each reduct straight from them.
 
 normalize lists the start term once and then keeps that listing up to
 date: a contraction at p replaces the entries under p with those of the
@@ -45,18 +37,19 @@ contractum, and rechecks only the ancestors of p that the rules can see
 from above (every ancestor if a left side repeats a variable).  The
 redex-free record lasts for the call, so listing a contractum skips the
 parts it shares with the old term.  The current term is held as a
-zipper, so a step rebuilds only the path it walks.  An entry whose
-subterm was rebuilt since it was listed holds bindings that point into
-the old subterm, so the lookup that listed it is run again on the new
-one.  The trace holds per step only what normalize recorded; its terms
-and its redexes are built when read.  What the engine reads off a rule
-is derived when the rule is built (see RewriteRule).
+zipper, and every position as a cell linked to its parent's, so a step
+pays for the path it walks and not for its depth; a position becomes a
+tuple only where one is read (a Redex, a trace step, a graph edge).  An
+entry whose subterm was rebuilt since it was listed holds bindings that
+point into the old subterm, so the lookup that listed it is run again on
+the new one.  The trace holds per step only what normalize recorded; its
+terms and its redexes are built when read.  What the engine reads off a
+rule is derived when the rule is built (see RewriteRule).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
@@ -492,11 +485,18 @@ def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
     return index
 
 
-def _position(link) -> Position:
-    """Unwind a (parent link, child index) chain into a position."""
+# A position as a cell (parent cell, child index, depth).  The walk makes a
+# node's cell from its parent's, so within a normalize run a position has
+# one cell however often it is listed, and cells compare by identity.
+Cell = tuple
+_ROOT: Cell = (None, 0, 0)
+
+
+def _cell_position(cell: Cell) -> Position:
+    """The position that cell holds, as a tuple."""
     out = []
-    while link is not None:
-        link, i = link
+    while cell[0] is not None:
+        cell, i, _ = cell
         out.append(i)
     out.reverse()
     return tuple(out)
@@ -509,10 +509,10 @@ def _redexes(t: Term, index: HeadIndex) -> list[Redex]:
         return t
 
     out: list = []
-    _list_redexes(t, (), index, {}, out)
+    _list_redexes(t, _ROOT, index, {}, out)
     return [
-        Redex(pos, name, source, partial(_contractum, rule, c), rule is None, idx)
-        for pos, idx, name, rule, _, c in out
+        Redex(_cell_position(cell), name, source, partial(_contractum, rule, c), rule is None, idx)
+        for cell, idx, name, rule, _, c in out
     ]
 
 
@@ -573,7 +573,7 @@ class _Replay:
         t = terms[j]
         for entry, contractum in self.fired[j:i]:
             j += 1
-            t = terms[j] = replace_at(t, entry[0], contractum)
+            t = terms[j] = replace_at(t, _cell_position(entry[0]), contractum)
         return t
 
     def contractum(self, i: int) -> Term:
@@ -599,9 +599,9 @@ class TraceStep:
         redex = self._redex
         if redex is None:
             replay, i = self._replay, self._index
-            pos, idx, name, rule, _, _ = replay.fired[i][0]
+            cell, idx, name, rule, _, _ = replay.fired[i][0]
             term, contractum = partial(replay.term, i), partial(replay.contractum, i)
-            redex = self._redex = Redex(pos, name, term, contractum, rule is None, idx)
+            redex = self._redex = Redex(_cell_position(cell), name, term, contractum, rule is None, idx)
         return redex
 
     @property
@@ -654,45 +654,49 @@ def _trace(initial: Term, fired: list, final: Term) -> Trace:
 
 
 class _Zipper:
-    """A term held as a focused subterm and, root first, the parents above
-    it with the child index taken at each (Huet, "The Zipper", JFP 7(5),
-    1997).  Moving up rebuilds a parent only when its child has changed,
-    so a step pays for the path it walks, not for the whole spine."""
+    """A term held as a focused subterm, the parents above it, root first,
+    and the focus's cell (Huet, "The Zipper", JFP 7(5), 1997).  A move
+    climbs to the common ancestor of two cells, so it costs the path it
+    walks, not the depth it reaches, and moving up rebuilds a parent only
+    when its child has changed."""
 
-    __slots__ = ("focus", "parents", "path")
+    __slots__ = ("focus", "parents", "cell")
 
     def __init__(self, t: Term):
         self.focus = t
         self.parents: list[Term] = []
-        self.path: list[int] = []
+        self.cell: Cell = _ROOT
 
     def up(self) -> None:
         node = self.parents.pop()
-        i = self.path.pop()
+        self.cell, i, _ = self.cell
         kids = children(node)
         if kids[i] is not self.focus:
             node = with_children(node, kids[:i] + (self.focus,) + kids[i + 1 :])
         self.focus = node
 
-    def move(self, pos: Position) -> None:
-        """Focus the subterm at pos."""
-        path = self.path
-        common = min(len(path), len(pos))
-        if tuple(path[:common]) != pos[:common]:
-            common = 0
-            while path[common] == pos[common]:
-                common += 1
-        for _ in range(len(path) - common):
+    def move(self, target: Cell) -> None:
+        """Focus the subterm at target, whose chain of cells meets the
+        focus's."""
+        here, there = self.cell, target
+        down = []
+        while here is not there:
+            if here[2] > there[2]:
+                here = here[0]
+            else:
+                there, i, _ = there
+                down.append(i)
+        for _ in range(self.cell[2] - here[2]):
             self.up()
-        focus = self.focus
-        for i in pos[common:]:
-            self.parents.append(focus)
-            path.append(i)
+        focus, parents = self.focus, self.parents
+        for i in reversed(down):
+            parents.append(focus)
             focus = children(focus)[i]
         self.focus = focus
+        self.cell = target
 
     def root(self) -> Term:
-        while self.path:
+        while self.parents:
             self.up()
         return self.focus
 
@@ -716,37 +720,55 @@ def _contractum(rule: RewriteRule | None, contraction) -> Term:
     return contraction() if rule is None else rule._builder(contraction)
 
 
-def _list_redexes(t: Term, at: Position, index: HeadIndex, clean: dict[int, Term], out: list) -> None:
-    """The redex walk: append an entry (position, rule index, rule name,
-    rule, subterm, contraction) to out for every redex of t, the subterm at
-    position `at`, as _rules_at gives them; positions come in preorder, so
-    in lexicographic order.  One explicit-stack walk; a node's position is
-    unwound from parent links only when the node is a redex.  clean holds,
-    by id, subterms known to have no redex: they are skipped, and every
-    subterm found to have none is added.  Each is held by the record, so
-    that its id cannot be reused."""
-    stack: list = [(t, None)]
+def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], out: list) -> None:
+    """The redex walk: append an entry (cell, rule index, rule name, rule,
+    subterm, contraction) to out for every redex of t, the subterm at cell
+    `at`, as _rules_at gives them; positions come in preorder, so in
+    lexicographic order.  One explicit-stack walk, which makes each child's
+    cell from its parent's.  clean holds, by id, subterms known to have no
+    redex: they are skipped, and every subterm found to have none is added.
+    Each is held by the record, so that its id cannot be reused."""
+    stack: list = [] if id(t) in clean else [(t, at)]
     push = stack.append
     while stack:
-        sub, link = stack.pop()
-        if type(link) is int:
-            # leaving sub: link is the length of out when sub was entered
-            if len(out) == link:
+        sub, cell = stack.pop()
+        if type(cell) is int:
+            # leaving sub: cell is the length of out when sub was entered
+            if len(out) == cell:
                 clean[id(sub)] = sub
-            continue
-        if id(sub) in clean:
             continue
         hits = _rules_at(sub, index)
         kids = children(sub)
         if kids:
             push((sub, len(out)))
+            depth = cell[2] + 1
             for i in range(len(kids) - 1, -1, -1):
-                push((kids[i], (link, i)))
+                if id(kids[i]) not in clean:
+                    push((kids[i], (cell, i, depth)))
         elif not hits:
             clean[id(sub)] = sub
         if hits:
-            pos = at + _position(link)
-            out += [(pos, idx, name, rule, sub, contraction) for idx, name, rule, contraction in hits]
+            out += [(cell, idx, name, rule, sub, contraction) for idx, name, rule, contraction in hits]
+
+
+def _edge(listing: list, cell: Cell, k: int, step: int) -> int:
+    """The first index from k on in direction step (1 or -1) whose entry
+    does not lie under cell (its cell, climbed to cell's depth, is not
+    cell), or len(listing) or -1.  The listing is in preorder, so the
+    entries under cell form one slice, whose edge a gallop and then a
+    bisection find."""
+    depth, n = cell[2], len(listing)
+    inside, gap, outside = k - step, step, None
+    while outside is None or abs(outside - inside) > 1:
+        j = inside + gap if outside is None else (inside + outside) // 2
+        c = listing[j][0] if 0 <= j < n else None
+        while c is not None and c[2] > depth:
+            c = c[0]
+        if c is cell:
+            inside, gap = j, gap + gap
+        else:
+            outside = j
+    return outside
 
 
 DEFAULT_FUEL = 10_000
@@ -766,7 +788,9 @@ def normalize(
     Each step picks from the listing of every redex, in the redex walk's
     order: leftmost-outermost takes the first entry, rightmost-innermost
     the first entry at the last position, and random a choice of the
-    seeded generator.
+    seeded generator.  The entries hold their positions as cells, and a
+    step finds the slice it replaces and the ancestors it rechecks by
+    walking cells, so its cost does not grow with the depth of its redex.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
@@ -778,7 +802,7 @@ def normalize(
     reach = max([2, *(rule.reach for rule in rules)])
     clean: dict[int, Term] = {}
     listing: list = []
-    _list_redexes(t, (), index, clean, listing)
+    _list_redexes(t, _ROOT, index, clean, listing)
     zipper = _Zipper(t)
     fired: list = []
     while listing:
@@ -786,16 +810,17 @@ def normalize(
             current = zipper.root()
             raise FuelExhausted(current, _trace(t, fired, current))
         if strategy == "leftmost-outermost":
-            entry = listing[0]
+            i = 0
         elif strategy == "rightmost-innermost":
             i = len(listing) - 1
-            while i and listing[i - 1][0] == listing[i][0]:
+            while i and listing[i - 1][0] is listing[i][0]:
                 i -= 1
-            entry = listing[i]
         else:
-            entry = rng.choice(listing)
-        pos, idx, _, rule, sub, contraction = entry
-        zipper.move(pos)
+            # a choice among the indices draws what one among the entries does
+            i = rng.choice(range(len(listing)))
+        entry = listing[i]
+        cell, idx, _, rule, sub, contraction = entry
+        zipper.move(cell)
         sub_now = zipper.focus
         if sub_now is not sub:
             # a contraction below, deeper than the rules read, rebuilt this
@@ -805,22 +830,22 @@ def normalize(
             contraction = next(c for i, _, _, c in _rules_at(sub_now, index) if i == idx)
         contractum = zipper.focus = _contractum(rule, contraction)
         fired.append((entry, contractum))
-        # the entries under pos form one slice, since the listing is in
-        # preorder; the contractum's entries take its place
-        lo = bisect_left(listing, (pos,))
-        hi = bisect_left(listing, (pos[:-1] + (pos[-1] + 1,),)) if pos else len(listing)
+        # the contractum's entries take the place of the slice under cell
+        lo = i
+        while lo and listing[lo - 1][0] is cell:
+            lo -= 1
+        hi = _edge(listing, cell, i + 1, 1)
         listed: list = []
-        _list_redexes(contractum, pos, index, clean, listed)
+        _list_redexes(contractum, cell, index, clean, listed)
         listing[lo:hi] = listed
-        # an ancestor more than reach - 1 levels up sees none of what changed
-        depth = len(pos)
-        for level in range(1, min(reach - 1, depth) + 1):
+        # an ancestor more than reach - 1 levels up sees none of what changed;
+        # its entries come first in its slice, which ends at or after lo
+        for _ in range(min(reach - 1, cell[2])):
             zipper.up()
-            above = pos[: depth - level]
-            lo = hi = bisect_left(listing, (above,))
-            while hi < len(listing) and listing[hi][0] == above:
+            above, focus = zipper.cell, zipper.focus
+            lo = hi = _edge(listing, above, lo - 1, -1) + 1
+            while hi < len(listing) and listing[hi][0] is above:
                 hi += 1
-            focus = zipper.focus
             listing[lo:hi] = [(above, idx, name, rule, focus, c) for idx, name, rule, c in _rules_at(focus, index)]
     current = zipper.root()
     return current, _trace(t, fired, current)

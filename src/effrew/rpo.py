@@ -286,10 +286,17 @@ def lex_greater(prec: Precedence, ss, ts) -> bool:
 
 def validate_derivation(prec: Precedence, d: RpoDerivation) -> bool:
     """Replay a derivation against the definition, node by node, over an
-    explicit stack."""
+    explicit stack.  A node's check reads only the node and its children,
+    so a node that the memo shares among several parents is replayed once;
+    replayed nodes are kept by id, since the dataclass hash walks the whole
+    tree."""
     stack = [d]
+    replayed: set[int] = set()
     while stack:
         d = stack.pop()
+        if id(d) in replayed:
+            continue
+        replayed.add(id(d))
         if d.rule == CASE_EQ:
             if d.lhs != d.rhs or d.children or d.index is not None:
                 return False

@@ -629,6 +629,44 @@ def test_normalize_trace_replays(case, strategy, fuel, seed):
         assert step(prev, steps[i].redex) == steps[i].result
 
 
+def _check_against_full_rescan(t, rules, strategy: str, fuel: int, seed: int):
+    """What test_normalize_matches_full_rescan checks, for a given term."""
+    term, trace, exhausted = _normalized(t, rules, strategy, fuel, seed)
+    ref_term, chosen, ref_exhausted = reference_normalize(t, rules, strategy, fuel, seed)
+    assert trace.initial == t
+    assert [(s.redex.rule_name, s.redex.position, s.redex.ml, s.redex.rule_index, s.result) for s in trace.steps] == [
+        (r.rule_name, r.position, r.ml, r.rule_index, r.reduct) for r in chosen
+    ]
+    assert (term, exhausted) == (ref_term, ref_exhausted)
+
+
+def test_random_normalize_matches_full_rescan_where_rules_compete():
+    # several par rules apply at one par node, so a random draw often takes
+    # an entry that is not its node's first, and the step must replace the
+    # entries before it at that node too
+    for seed in range(60):
+        t, rules = _normalize_case(("par6", "interleave"), seed)
+        _check_against_full_rescan(t, rules, "random", 40, seed)
+
+
+@given(
+    st.sampled_from(NORMALIZE_CASES),
+    st.sampled_from(STRATEGIES),
+    _FUELS,
+    st.integers(0, 2**32 - 1),
+    st.integers(100, 400),
+)
+@settings(max_examples=40, deadline=None)
+def test_normalize_matches_full_rescan_in_deep_context(case, strategy, fuel, seed, depth):
+    # under a long chain of a symbol that no rule matches, every redex sits
+    # hundreds of levels down, so the slice under a step and the ancestors
+    # to recheck are found along long shared chains of positions
+    t, rules = _normalize_case(case, seed)
+    for _ in range(depth):
+        t = fn("ctx", t)
+    _check_against_full_rescan(t, rules, strategy, fuel, seed)
+
+
 def _vary(rng, t, pure: bool):
     """t with some fn g nodes turned into eff g (the same name under the
     other kind), some binary f nodes cut to unary f (the same symbol at
@@ -851,3 +889,31 @@ def test_plus_800_normalizes_quickly(peano, strategy):
     assert len(trace.steps) == 801
     assert numeral_value(nf) == 1600
     assert elapsed < 0.5, f"{strategy} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+@stack_safe
+def test_plus_20000_normalizes_quickly(peano, strategy):
+    # a step that pays O(depth) in position tuples, slices or compares
+    # makes this quadratic: 20-25 s per strategy
+    t = fn("plus", peano_numeral(20_000), peano_numeral(20_000))
+    start = time.perf_counter()
+    nf, trace = normalize(t, list(peano.rules), strategy=strategy, fuel=30_000)
+    elapsed = time.perf_counter() - start
+    assert len(trace.steps) == 20_001
+    assert numeral_value(nf) == 40_000
+    assert elapsed < 2.0, f"{strategy} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+@stack_safe
+def test_deep_fuel_exhaustion_keeps_partial_term_and_positions(peano, strategy):
+    with pytest.raises(FuelExhausted) as info:
+        normalize(fn("plus", peano_numeral(5000), peano_numeral(5000)), list(peano.rules), strategy=strategy, fuel=2500)
+    partial_term = fn("plus", peano_numeral(2500), peano_numeral(5000))
+    for _ in range(2500):
+        partial_term = fn("succ", partial_term)
+    assert info.value.term == partial_term
+    steps = info.value.trace.steps
+    assert len(steps) == 2500
+    assert all(s.redex.position == (0,) * i for i, s in enumerate(steps))

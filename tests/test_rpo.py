@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from effrew.rpo import (
     Precedence,
     PrecedenceError,
     SearchBoundError,
+    _derive,
     _evaluate,
     _extensions,
     certify_ruleset,
@@ -228,6 +230,33 @@ def test_validate_all_cases_roundtrip():
         # every node is replayed, however deep
         assert not any(validate_derivation(prec, f) for f in _break_each_node(d))
         checked += 1
+
+
+def _shared_tower(k):
+    """A derivation of f(x) > h^k(x, x), where h^k(x, x) is h(h^(k-1)(x, x),
+    h^(k-1)(x, x)) and h^0(x, x) is x: proved under f > h in time linear in
+    k, since the memo hands both arguments' goals one shared node, while
+    its unfolding as a tree has about 2^k nodes."""
+    x = v("x")
+    t = x
+    for _ in range(k):
+        t = fn("h", t, t)
+    prec = Precedence([(F, H)])
+    return prec, _evaluate(partial(_derive, prec), fn("f", x), t, {})
+
+
+def test_validate_replays_each_shared_node_once():
+    prec, d = _shared_tower(60)
+    assert d.children[0] is d.children[1]
+    start = time.perf_counter()
+    assert validate_derivation(prec, d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"validation took {elapsed:.2f} s"
+    # a copy of a shared node broken on one path is a node of its own, so
+    # it is still replayed
+    prec, d = _shared_tower(4)
+    assert validate_derivation(prec, d)
+    assert not any(validate_derivation(prec, f) for f in _break_each_node(d))
 
 
 def _break_each_node(d):
