@@ -33,10 +33,11 @@ into Redex objects; reduction_graph builds each reduct straight from them.
 
 normalize lists the start term once and then keeps that listing up to
 date: a contraction at p replaces the entries under p with those of the
-contractum, and rechecks only the ancestors of p that the rules can see
-from above (every ancestor if a left side repeats a variable).  The
-redex-free record lasts for the call, so listing a contractum skips the
-parts it shares with the old term.  The current term is held as a
+contractum, and rechecks only the ancestors of p whose head's rules read
+deep enough to see p (see normalize); the others keep their entries, and
+are rebuilt only when the zipper next climbs past them.  The redex-free
+record lasts for the call, so listing a contractum skips the parts it
+shares with the old term.  The current term is held as a
 zipper, and every position as a cell linked to its parent's, so a step
 pays for the path it walks and not for its depth; a position becomes a
 tuple only where one is read (a Redex, a trace step, a graph edge).  An
@@ -120,7 +121,8 @@ class RewriteRule:
     identities: the symbol identities of both sides.
 
     _matcher and _builder, the rule's compiled left and right sides (see
-    _compile_matcher and _compile_builder), are built on first use and
+    _compile_matcher and _compile_builder), and _index_keys, what a head's
+    index files the rule by (see _Head), are built on first use and
     kept.  Copying and pickling rebuild the rule from its constructor's
     arguments, so a copy compiles its own."""
 
@@ -195,6 +197,11 @@ class RewriteRule:
     def _builder(self) -> Callable[[dict[str, Term]], Term]:
         return _compile_builder(self.rhs)
 
+    @cached_property
+    def _index_keys(self) -> tuple:
+        args = self.lhs.args
+        return _arg_key(args, 0), _arg_key(args, 1)
+
 
 # the variables of a symbolic pattern, which has no binders
 pattern_vars = free_vars
@@ -202,10 +209,16 @@ pattern_vars = free_vars
 
 def is_symbolic(t: Term, allow_pure: bool = False) -> bool:
     """Whether t is in the symbolic fragment: variables and symbol
-    applications, plus pure when allow_pure is set."""
+    applications, plus pure when allow_pure is set.  A subterm that t
+    shares is visited once, so a term with shared subterms costs its
+    distinct nodes and not its tree expansion."""
+    seen: set[int] = set()
     stack = [t]
     while stack:
         t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
         if type(t) is SymApp:
             stack += t.args
         elif allow_pure and type(t) is Pure:
@@ -404,40 +417,49 @@ def _ml_contraction(t: Term) -> tuple[str, Callable[[], Term]] | None:
 
 class _Head:
     """The user rules whose left sides share one head (kind and identity),
-    each with its position in the rule list, and below that head an index
-    on the root's arity and the first argument's symbol (Graf, Term
-    Indexing, LNAI 1053, 1996).
+    each with its position in the rule list, the largest reach among them
+    (see RewriteRule), and below that head an index on the root's arity and
+    the symbols of its first two arguments (Graf, Term Indexing, LNAI 1053,
+    1996).
 
-    For each arity the index holds the rules whose first argument is a
-    variable (or that have no argument), and a dict from the kind, name,
-    parameters and arity of a first argument to the rules whose first
-    argument is that symbol, followed, in rule order, by those whose first
-    argument is a variable.  The candidates for a subject are decided one
-    by one by their rules' compiled matchers (see _compile_matcher), which
-    check what the index has not, so retrieval is exact.  The index is
-    built on the head's first lookup, so a normalize or graph run pays
-    only for the heads its terms reach."""
+    For each arity the index is a trie of two levels.  The first is chosen
+    by the kind, name, parameters and arity of the subject's first
+    argument, the second by those of its second; a subject whose argument
+    is not a symbol the rules name takes the level's default.  A leaf lists,
+    in rule order, every rule whose first two arguments are each a variable
+    or that symbol, so the pair par-left/par-right, filed by one argument
+    each, leaves one candidate of each.  The candidates for a subject are
+    decided one by one by their rules' compiled matchers (see
+    _compile_matcher), which check what the first level has not, so
+    retrieval is exact.  The index is built on the head's first lookup, so
+    a normalize or graph run pays only for the heads its terms reach."""
 
-    __slots__ = ("rules", "_index")
+    __slots__ = ("rules", "reach", "_index")
 
     def __init__(self):
         self.rules: list[tuple[int, RewriteRule]] = []
+        self.reach: float = 0
         self._index: dict | None = None
 
     def _build(self) -> dict:
         index: dict = {}
         for idx, rule in self.rules:
-            args = rule.lhs.args
-            wild, keyed = index.setdefault(len(args), ([], {}))
+            first, second = rule._index_keys
             entry = (idx, rule.name, rule, rule._matcher)
-            first = args[0] if args else None
-            if type(first) is SymApp:
-                key = (first.kind, first.name, first.params, len(first.args))
-                keyed.setdefault(key, wild[:]).append(entry)
+            arity = len(rule.lhs.args)
+            node = index.get(arity)
+            if node is None:
+                node = index[arity] = (([], {}), {})
+            default, keyed = node
+            if first is None:
+                for leaf in (default, *keyed.values()):
+                    _file(leaf, second, entry)
             else:
-                wild.append(entry)
-                for bucket in keyed.values():
-                    bucket.append(entry)
+                leaf = keyed.get(first)
+                if leaf is None:
+                    wild, by_second = default
+                    leaf = keyed[first] = (wild[:], {key: bucket[:] for key, bucket in by_second.items()})
+                _file(leaf, second, entry)
         return index
 
     def matches(self, sub: SymApp) -> list[tuple[int, str, RewriteRule, dict[str, Term]]]:
@@ -450,11 +472,16 @@ class _Head:
         node = index.get(len(args))
         if node is None:
             return []
-        candidates, keyed = node
+        node, keyed = node
         if keyed:
             first = args[0]
             if type(first) is SymApp:
-                candidates = keyed.get((first.kind, first.name, first.params, len(first.args)), candidates)
+                node = keyed.get((first.kind, first.name, first.params, len(first.args)), node)
+        candidates, keyed = node
+        if keyed:
+            second = args[1]
+            if type(second) is SymApp:
+                candidates = keyed.get((second.kind, second.name, second.params, len(second.args)), candidates)
         out = []
         for idx, name, rule, matcher in candidates:
             bindings = matcher(sub)
@@ -463,17 +490,45 @@ class _Head:
         return out
 
 
+def _arg_key(args: tuple, i: int) -> tuple | None:
+    """What a head's index compares of args[i]: its kind, name, parameters
+    and arity if it is a symbol application, else None."""
+    if len(args) > i and type(args[i]) is SymApp:
+        a = args[i]
+        return (a.kind, a.name, a.params, len(a.args))
+    return None
+
+
+def _file(leaf: tuple, key: tuple | None, entry: tuple) -> None:
+    """Add entry, in rule order, to a leaf of a head's index: the list for
+    a subject whose second argument is not a symbol keyed here, and a dict
+    from the _arg_key of a second argument to its list.  key is that of
+    the entry's own second argument, None if it is not a symbol."""
+    wild, keyed = leaf
+    if key is None:
+        wild.append(entry)
+        for bucket in keyed.values():
+            bucket.append(entry)
+    else:
+        keyed.setdefault(key, wild[:]).append(entry)
+
+
 HeadIndex = dict[tuple[str, str, tuple], _Head]
+
+# how many levels the metalanguage rules read, at a let or an application
+ML_REACH = 2
 
 
 def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
     """The user rules by the kind, name and parameters of their left side's
-    root, each head with the index below it (see _Head).  A rule's left
-    side is always a symbol application, so a subject node whose head
-    starts no rule costs one dict lookup.
+    root, each head with the largest reach of its rules and the index below
+    it (see _Head).  A rule's left side is always a symbol application, so
+    a subject node whose head starts no rule costs one dict lookup.
 
     Retrieval (`_Head.matches`) is exact: it returns every rule that
-    matches, with its bindings, and no other, in rule order."""
+    matches, with its bindings, and no other, in rule order.  A head's
+    reach tells normalize which of a step's ancestors to recheck (see
+    _head_reach)."""
     index: HeadIndex = {}
     for idx, rule in enumerate(rules):
         lhs = rule.lhs
@@ -482,7 +537,19 @@ def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
         if head is None:
             head = index[key] = _Head()
         head.rules.append((idx, rule))
+        head.reach = max(head.reach, rule.reach)
     return index
+
+
+def _head_reach(t: Term, index: HeadIndex) -> float:
+    """How many levels of t the rules rooted at t's head read: ML_REACH at
+    a let or an application, the head's reach at a symbol application
+    whose head starts a user rule, else 0.  A contraction below t leaves
+    its head, and so this, unchanged."""
+    if type(t) is SymApp:
+        head = index.get((t.kind, t.name, t.params))
+        return 0 if head is None else head.reach
+    return ML_REACH if type(t) is Let or type(t) is App else 0
 
 
 # A position as a cell (parent cell, child index, depth).  The walk makes a
@@ -791,6 +858,16 @@ def normalize(
     seeded generator.  The entries hold their positions as cells, and a
     step finds the slice it replaces and the ancestors it rechecks by
     walking cells, so its cost does not grow with the depth of its redex.
+
+    A step rechecks an ancestor k levels above its redex only if the
+    rules rooted at the ancestor's head read more than k levels (see
+    _head_reach), and the zipper climbs, rebuilding parents, only as far
+    as the highest such ancestor.  An ancestor it passes keeps its
+    entries: the rules at its head cannot see the change, so they match
+    as before, and stale bindings are derived again if the entry fires.
+    Under peano, where no rule is rooted at succ, a step under a succ
+    climbs nowhere.  A left side that repeats a variable reads every
+    level, so with such a rule a step looks up the head of each ancestor.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
@@ -798,8 +875,7 @@ def normalize(
         raise ValueError("a seed is required exactly when the strategy is random")
     rng = Random(seed) if strategy == "random" else None
     index = head_index(rules)
-    # the metalanguage rules read two levels
-    reach = max([2, *(rule.reach for rule in rules)])
+    reach = max([ML_REACH, *(head.reach for head in index.values())])
     clean: dict[int, Term] = {}
     listing: list = []
     _list_redexes(t, _ROOT, index, clean, listing)
@@ -838,10 +914,18 @@ def normalize(
         listed: list = []
         _list_redexes(contractum, cell, index, clean, listed)
         listing[lo:hi] = listed
-        # an ancestor more than reach - 1 levels up sees none of what changed;
-        # its entries come first in its slice, which ends at or after lo
-        for _ in range(min(reach - 1, cell[2])):
-            zipper.up()
+        # an ancestor k levels up sees what changed only if a rule rooted at
+        # its head reads more than k levels.  The zipper climbs to the highest
+        # such ancestor; one in between keeps its entries, whose stale
+        # bindings are derived again if they fire.  An ancestor's entries
+        # come first in its slice, which ends at or after lo
+        parents = zipper.parents
+        depth = len(parents)
+        for k in range(1, min(reach - 1, depth) + 1):
+            if _head_reach(parents[depth - k], index) <= k:
+                continue
+            while len(parents) > depth - k:
+                zipper.up()
             above, focus = zipper.cell, zipper.focus
             lo = hi = _edge(listing, above, lo - 1, -1) + 1
             while hi < len(listing) and listing[hi][0] is above:

@@ -667,6 +667,31 @@ def test_normalize_matches_full_rescan_in_deep_context(case, strategy, fuel, see
     _check_against_full_rescan(t, rules, strategy, fuel, seed)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "name, t, fired",
+    [
+        # h's rule reads three levels; the contraction two levels under h
+        # passes g, whose head starts no rule, so the step climbs through g
+        # without rechecking it and then rechecks h
+        ("deep-lhs", fn("h", fn("g", fn("m", fn("c")))), ["m-k", "h-g-k"]),
+        # f's rule repeats a variable, so it reads every level; the
+        # contraction passes two levels whose heads start no rule
+        (
+            "nonlinear",
+            fn("f", fn("s", fn("g", fn("m", fn("c")))), fn("s", fn("g", fn("k", fn("c"))))),
+            ["m-k", "f-same"],
+        ),
+    ],
+)
+def test_normalize_rechecks_an_ancestor_above_levels_it_skips(name, t, fired, strategy):
+    rules = list(_RECHECK_RULES[name])
+    for seed in range(5 if strategy == "random" else 1):
+        _check_against_full_rescan(t, rules, strategy, 40, seed)
+        _, trace, _ = _normalized(t, rules, strategy, 40, seed)
+        assert [s.redex.rule_name for s in trace.steps] == fired
+
+
 def _vary(rng, t, pure: bool):
     """t with some fn g nodes turned into eff g (the same name under the
     other kind), some binary f nodes cut to unary f (the same symbol at
@@ -698,6 +723,7 @@ _TREE_EDGE_RULES = (
     make_rule("inner-f-binary", fn("g", fn("f", Var("u"), Var("w"))), Var("u")),
     make_rule("inner-f-unary", fn("g", fn("f", Var("u"))), Var("u")),
     make_rule("second-f-unary", fn("f", Var("u"), fn("f", Var("w"))), Var("w")),
+    make_rule("both-f-keyed", fn("f", fn("g", Var("u")), fn("f", Var("w"))), Var("w")),
     make_rule("deep-f-binary", fn("g", fn("g", fn("f", Var("u"), Var("w")))), Var("w")),
     make_rule("deep-f-unary", fn("g", fn("g", fn("f", Var("u")))), Var("u")),
 )
@@ -859,8 +885,9 @@ def test_rule_index_prunes_par_rules(monkeypatch):
         monkeypatch.setitem(rule.__dict__, "_matcher", counting)
     at_root = [r.rule_name for r in effrew.rewrite.all_redexes(t, rules) if r.position == ()]
     # the first argument's symbol leaves par-left.a1 and the 7 par-right
-    # rules, whose first argument is a variable; a flat loop tries all 14
-    assert len(tried) <= 8
+    # rules, whose first argument is a variable, and the second argument's
+    # symbol leaves par-right.b1 of those; a flat loop tries all 14
+    assert tried == ["par-left.a1", "par-right.b1"]
     assert [n for n in tried if n.startswith("par-left.")] == ["par-left.a1"]
     assert at_root == ["par-left.a1", "par-right.b1"]
 
@@ -879,6 +906,7 @@ def test_plus_200_normalizes_quickly(peano, strategy):
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+@stack_safe
 def test_plus_800_normalizes_quickly(peano, strategy):
     # a step that rescans the term from the root, rebuilds its spine, or
     # keeps every intermediate term makes this 2-3 s per strategy
@@ -903,6 +931,28 @@ def test_plus_20000_normalizes_quickly(peano, strategy):
     assert len(trace.steps) == 20_001
     assert numeral_value(nf) == 40_000
     assert elapsed < 2.0, f"{strategy} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+@stack_safe
+def test_plus_steps_climb_only_to_ancestors_they_recheck(peano, strategy, monkeypatch):
+    # no rule is rooted at succ, so a step under a succ climbs nowhere, and
+    # what is left is the way back to the root at the end; a step that
+    # climbs reach - 1 levels whatever the heads makes this 2n - 1
+    n = 300
+    climbs = 0
+    up = effrew.rewrite._Zipper.up
+
+    def counting(zipper):
+        nonlocal climbs
+        climbs += 1
+        up(zipper)
+
+    monkeypatch.setattr(effrew.rewrite._Zipper, "up", counting)
+    nf, trace = normalize(fn("plus", peano_numeral(n), peano_numeral(n)), list(peano.rules), strategy=strategy)
+    assert len(trace.steps) == n + 1
+    assert numeral_value(nf) == 2 * n
+    assert climbs <= n + 1
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])

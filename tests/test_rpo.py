@@ -259,6 +259,26 @@ def test_validate_replays_each_shared_node_once():
     assert not any(validate_derivation(prec, f) for f in _break_each_node(d))
 
 
+def test_symbolic_check_visits_each_shared_node_once():
+    # h^60(x, x) has 61 distinct nodes and about 2^60 as a tree; the check
+    # that both sides are symbolic runs before the prover
+    prec = Precedence([(F, H)])
+    t = v("x")
+    for _ in range(60):
+        t = fn("h", t, t)
+    start = time.perf_counter()
+    assert rpo_greater(prec, fn("f", v("x")), t) is not None
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"rpo_greater took {elapsed:.2f} s"
+    # a node outside the fragment is still found under shared ones (small,
+    # since the error message prints the term)
+    bad = Pure(v("x"))
+    for _ in range(8):
+        bad = fn("h", bad, bad)
+    with pytest.raises(NonSymbolicTermError):
+        rpo_greater(prec, fn("f", v("x")), bad)
+
+
 def _break_each_node(d):
     """d with one node's rule made unknown, once for each node."""
     yield dataclasses.replace(d, rule="unknown")
