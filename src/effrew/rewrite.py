@@ -207,27 +207,6 @@ class RewriteRule:
 pattern_vars = free_vars
 
 
-def is_symbolic(t: Term, allow_pure: bool = False) -> bool:
-    """Whether t is in the symbolic fragment: variables and symbol
-    applications, plus pure when allow_pure is set.  A subterm that t
-    shares is visited once, so a term with shared subterms costs its
-    distinct nodes and not its tree expansion."""
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if type(t) is SymApp:
-            stack += t.args
-        elif allow_pure and type(t) is Pure:
-            stack.append(t.body)
-        elif type(t) is not Var:
-            return False
-    return True
-
-
 def make_rule(name: str, lhs: Term, rhs: Term, extended: bool = False) -> RewriteRule:
     """Build a rule; it checks its own shape (see RewriteRule)."""
     return RewriteRule(name, lhs, rhs, extended)

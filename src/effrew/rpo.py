@@ -26,7 +26,10 @@ There are two steps: _derive finds the derivation of the first case
 that holds under a fixed precedence (certification), and _extensions
 finds the minimal consistent sets of atoms under which some case holds
 (precedence search; the constraint encoding of Codish, Lagoon & Stuckey,
-RTA 2006).
+RTA 2006).  A set of atoms is consistent when its graph has no cycle.
+One depth-first search checks that, and only for a union that adds pairs
+to both of its parts: a single atom pairs two distinct identities, and
+every other set the search holds is a union checked before.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .rewrite import is_symbolic
-from .terms import Identity, SymApp, Term, ident_str, sym_str
+from .rewrite import _ROOT, _cell_position, position_str
+from .terms import Identity, SymApp, Term, Var, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -95,11 +98,38 @@ class Precedence:
 
     @staticmethod
     def consistent(pairs) -> bool:
-        try:
-            Precedence(pairs)
+        """Whether pairs extend to a strict partial order: no pair is
+        reflexive and the pairs' graph has no cycle.  One depth-first
+        search, which builds no closure and raises nothing.  A cycle has
+        at least two identities that precede another, so pairs that all
+        start at one identity need no search."""
+        succ: dict[Identity, list] = {}
+        for a, b in pairs:
+            if a == b:
+                return False
+            succ.setdefault(a, []).append(b)
+        if len(succ) < 2:
             return True
-        except PrecedenceError:
-            return False
+        done: set = set()
+        for root in succ:
+            if root in done:
+                continue
+            # the identities on the search path, and their pairs not yet followed
+            path, stack = {root}, [(root, iter(succ[root]))]
+            while stack:
+                a, rest = stack[-1]
+                for b in rest:
+                    if b in path:
+                        return False
+                    if b in succ and b not in done:
+                        path.add(b)
+                        stack.append((b, iter(succ[b])))
+                        break
+                else:
+                    stack.pop()
+                    path.remove(a)
+                    done.add(a)
+        return True
 
     def __eq__(self, other):
         return isinstance(other, Precedence) and self._pairs == other._pairs
@@ -173,8 +203,26 @@ class RpoDerivation:
 
 
 def _check_symbolic(t: Term, side: str) -> None:
-    if not is_symbolic(t):
-        raise NonSymbolicTermError(f"{side} is not in the symbolic fragment: {sym_str(t)}")
+    """Raise NonSymbolicTermError unless t has only variables and symbol
+    applications.  The message names the first other node, in preorder,
+    by its constructor and position.  Each node is walked with its
+    position as a cell linked to its parent's, and a subterm that t
+    shares is walked once, so the check costs t's distinct nodes and only
+    the one position it reports is built."""
+    seen: set[int] = set()
+    stack = [(t, _ROOT)]
+    while stack:
+        t, cell = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if type(t) is SymApp:
+            stack += [(t.args[i], (cell, i, cell[2] + 1)) for i in range(len(t.args) - 1, -1, -1)]
+        elif type(t) is not Var:
+            where = position_str(_cell_position(cell))
+            raise NonSymbolicTermError(
+                f"{side} is not in the symbolic fragment: {type(t).__name__.lower()} at {where}"
+            )
 
 
 def _cases(s: Term, t: Term):
@@ -440,11 +488,14 @@ def rule_identities(rules) -> list[Identity]:
 DEFAULT_SYMBOL_BOUND = 8
 
 
-def _minimal(alts) -> list[frozenset]:
-    """The consistent sets in alts that contain no other, smallest first."""
+def _minimal(alts, known=None) -> list[frozenset]:
+    """The sets in alts that contain no other, smallest first.  Given the
+    sets known to be consistent, a set outside them is kept only if it is
+    consistent, and it is checked only once no smaller set in the result
+    is contained in it."""
     out: list[frozenset] = []
     for a in sorted(set(alts), key=lambda a: (len(a), sorted(a))):
-        if not any(b <= a for b in out) and Precedence.consistent(a):
+        if not any(b <= a for b in out) and (known is None or a in known or Precedence.consistent(a)):
             out.append(a)
     return out
 
@@ -457,13 +508,20 @@ def _extensions(s: Term, t: Term):
     s > t holds, smallest first.  The ordering is monotone in the
     precedence, so s > t holds under one exactly when it contains one of
     these sets.  A case that needs no pair settles the goal at once, and a
-    case with no set left is dropped."""
+    case with no set left is dropped.
+
+    Consistency is checked only for a union a | b that a conjunction
+    forms and that adds pairs to both a and b.  Every other set is
+    consistent already: a case's atom pairs two distinct identities, a
+    subgoal's sets were checked when they were formed, and a union equal
+    to a or b is that set.  So the last step, over the cases'
+    alternatives, only drops supersets."""
     alts: list[frozenset] = []
     for _case, _index, atom, goals in _cases(s, t):
         value = _TRUE if atom is None else [frozenset((atom,))]
         for goal in goals:
             sub = yield goal
-            value = sub if value == _TRUE else _minimal([a | b for a in value for b in sub])
+            value = sub if value == _TRUE else _minimal([a | b for a in value for b in sub], {*value, *sub})
             if not value:
                 break
         if value == _TRUE:
@@ -478,7 +536,9 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     Exact: each non-extended rule is oriented by one of its minimal
     precedence extensions (_extensions), and a backtracking search picks
     one per rule, fewest choices first, whose union is a strict partial
-    order.  Raises SearchBoundError beyond max_symbols symbol identities.
+    order.  A choice is checked against the pairs chosen before it only
+    when it adds pairs to them and they add pairs to it.  Raises
+    SearchBoundError beyond max_symbols symbol identities.
     """
     rules = [r for r in rules if not r.extended]
     ids = rule_identities(rules)
@@ -496,10 +556,11 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     while stack:
         pairs, alts = stack[-1]
         for alt in alts:
-            if Precedence.consistent(pairs | alt):
+            union = pairs | alt
+            if union == pairs or union == alt or Precedence.consistent(union):
                 if len(stack) == len(options):
-                    return Precedence(pairs | alt)
-                stack.append((pairs | alt, iter(options[len(stack)])))
+                    return Precedence(union)
+                stack.append((union, iter(options[len(stack)])))
                 break
         else:
             stack.pop()

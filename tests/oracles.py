@@ -27,9 +27,9 @@ from effrew.rpo import (
     CASE_SUB,
     DEFAULT_SYMBOL_BOUND,
     Precedence,
+    PrecedenceError,
     RpoDerivation,
     SearchBoundError,
-    _minimal,
 )
 from effrew.sexpr import Node, SexprError
 from effrew.terms import (
@@ -351,6 +351,26 @@ class _Prover:
         return None
 
 
+def reference_consistent(pairs) -> bool:
+    """Whether pairs extend to a strict partial order, by building their
+    transitive closure: the reference for Precedence.consistent."""
+    try:
+        Precedence(pairs)
+        return True
+    except PrecedenceError:
+        return False
+
+
+def reference_minimal(alts) -> list[frozenset]:
+    """The consistent sets in alts that contain no other, smallest first.
+    Every set is checked with reference_consistent."""
+    out: list[frozenset] = []
+    for a in sorted(set(alts), key=lambda a: (len(a), sorted(a))):
+        if reference_consistent(a) and not any(b <= a for b in out):
+            out.append(a)
+    return out
+
+
 def _orient(s: Term, t: Term, memo: dict) -> list[frozenset]:
     """Minimal consistent sets of precedence pairs under which s > t holds,
     following _Prover._compute case by case.  The ordering is monotone in
@@ -370,14 +390,15 @@ def _orient(s: Term, t: Term, memo: dict) -> list[frozenset]:
             elif s.identity != t.identity:
                 head = [frozenset({(s.identity, t.identity)})]  # RPO(2)
             for tj in t.args:
-                head = _minimal([a | b for a in head for b in _orient(s, tj, memo)])
+                head = reference_minimal([a | b for a in head for b in _orient(s, tj, memo)])
             alts += head
-    memo[s, t] = result = _minimal(alts)
+    memo[s, t] = result = reference_minimal(alts)
     return result
 
 
 def reference_search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
-    """search_precedence with _orient and a recursive backtracking pick."""
+    """search_precedence with _orient and a recursive backtracking pick,
+    which checks every choice with reference_consistent."""
     rules = [r for r in rules if not r.extended]
     ids = reference_identities(rules)
     if len(ids) > max_symbols:
@@ -392,7 +413,7 @@ def reference_search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
             yield Precedence(pairs)
         else:
             for alt in options[i]:
-                if Precedence.consistent(pairs | alt):
+                if reference_consistent(pairs | alt):
                     yield from pick(i + 1, pairs | alt)
 
     return next(pick(0, frozenset()), None)

@@ -33,6 +33,7 @@ from oracles import (
     _orient,
     _Prover,
     brute_force_precedence,
+    reference_consistent,
     reference_derivation_json,
     reference_pretty,
     reference_search_precedence,
@@ -72,6 +73,51 @@ def test_precedence_irreflexivity_enforced():
 def test_precedence_consistent_helper():
     assert Precedence.consistent([(F, G), (G, H)])
     assert not Precedence.consistent([(F, G), (G, F)])
+    assert not Precedence.consistent([(F, F)])
+    assert not Precedence.consistent([(F, G), (G, H), (H, F)])
+    assert Precedence.consistent([(F, G), (F, H), (G, H), (C, F)])
+    assert Precedence.consistent(p for p in [(F, G), (G, H)])
+    assert not Precedence.consistent(p for p in [(G, H), (F, G), (H, F)])
+
+
+@st.composite
+def _pair_sets(draw):
+    """Sets of pairs over up to 6 identities, with reflexive pairs and
+    cycles of length 2-6 among them."""
+    ids = [(name, ()) for name in "abcdef"[: draw(st.integers(1, 6))]]
+    ident = st.sampled_from(ids)
+    pairs = {(a, b) for a, b in draw(st.lists(st.tuples(ident, ident), max_size=10)) if a != b}
+    if draw(st.integers(0, 3)) == 0:
+        a = draw(ident)
+        pairs.add((a, a))
+    if len(ids) >= 2 and draw(st.booleans()):
+        cycle = draw(st.permutations(ids))[: draw(st.integers(2, len(ids)))]
+        pairs |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    return pairs
+
+
+@given(_pair_sets())
+@settings(max_examples=400)
+def test_precedence_consistent_agrees_with_closure(pairs):
+    assert Precedence.consistent(pairs) == reference_consistent(pairs)
+
+
+def test_search_checks_only_unions_that_add_pairs(monkeypatch, par, retry):
+    # a choice or a conjunct's union that equals one of its parts is
+    # consistent already; only the unions that add pairs to both are checked
+    sizes = []
+    consistent = Precedence.consistent
+
+    def counted(pairs):
+        sizes.append(len(pairs))
+        return consistent(pairs)
+
+    monkeypatch.setattr(Precedence, "consistent", staticmethod(counted))
+    prec = search_precedence(list(compose(par, retry).rules))
+    assert prec.display_lines() == [
+        "par > e1", "par > e2", "par > join", "par > request", "retry > request"
+    ]
+    assert sizes == [2, 3, 4, 5]
 
 
 def test_precedence_extended():
@@ -175,10 +221,19 @@ def test_variable_cases():
 
 
 def test_non_symbolic_rejected():
-    with pytest.raises(NonSymbolicTermError):
-        rpo_greater(EMPTY, Lam("x", v("x")), v("u"))
-    with pytest.raises(NonSymbolicTermError):
-        rpo_greater(EMPTY, fn("g", v("u")), Pure(v("u")))
+    # the message names the first node outside the fragment, in preorder,
+    # by its constructor and position
+    u = v("u")
+    cases = [
+        (Lam("x", v("x")), u, "left term is not in the symbolic fragment: lam at /"),
+        (fn("g", u), Pure(u), "right term is not in the symbolic fragment: pure at /"),
+        (fn("g", u, fn("k", Lam("x", u), Pure(u))), u,
+         "left term is not in the symbolic fragment: lam at /1/0"),
+    ]
+    for s, t, message in cases:
+        with pytest.raises(NonSymbolicTermError) as caught:
+            rpo_greater(EMPTY, s, t)
+        assert str(caught.value) == message
 
 
 def test_lex_greater():
@@ -270,13 +325,19 @@ def test_symbolic_check_visits_each_shared_node_once():
     assert rpo_greater(prec, fn("f", v("x")), t) is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"rpo_greater took {elapsed:.2f} s"
-    # a node outside the fragment is still found under shared ones (small,
-    # since the error message prints the term)
+    # a node outside the fragment is still found under shared ones, and
+    # named by its constructor and position, not by printing the term
     bad = Pure(v("x"))
-    for _ in range(8):
+    for _ in range(60):
         bad = fn("h", bad, bad)
-    with pytest.raises(NonSymbolicTermError):
+    start = time.perf_counter()
+    with pytest.raises(NonSymbolicTermError) as caught:
         rpo_greater(prec, fn("f", v("x")), bad)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"rpo_greater took {elapsed:.2f} s"
+    message = str(caught.value)
+    assert message.startswith("right term is not in the symbolic fragment")
+    assert "pure" in message and len(message) < 200, message
 
 
 def _break_each_node(d):
