@@ -29,7 +29,18 @@ finds the minimal consistent sets of atoms under which some case holds
 RTA 2006).  A set of atoms is consistent when its graph has no cycle.
 One depth-first search checks that, and only for a union that adds pairs
 to both of its parts: a single atom pairs two distinct identities, and
-every other set the search holds is a union checked before.
+every other set the search holds is a union checked before.  So a
+conjunction of one set with one set forms one union, and the
+alternatives of a goal are left as they are unless there are two or
+more.
+
+A goal s > x with a variable on the right, about half of all goals,
+needs no case analysis: it holds exactly when x occurs in s, and needs
+no atom.  Its derivation takes, at each level, RPO(3) at the first
+argument that holds x, down to x = x.  Both steps decide such a goal in
+closed form, from the variables of each subterm, which _Occurrences
+builds once per distinct node in a call; they never yield it, and the
+derivations join the other goals' in the memo.
 """
 
 from __future__ import annotations
@@ -225,14 +236,14 @@ def _check_symbolic(t: Term, side: str) -> None:
             )
 
 
-def _cases(s: Term, t: Term):
-    """The RPO cases for s > t, lazily, in the order they are tried: RPO(3)
-    per argument of s, then RPO(1) or RPO(2).  Each is (case, index, atom,
-    goals) and holds exactly when the precedence atom (a pair of
-    identities, or None) holds and so does s' > t' for every (s', t') in
-    goals.  An RPO(3) case with no goal is an argument equal to t.  A case
-    whose goal has a variable on the left is left out, since x > t never
-    holds."""
+def _cases(s: Term, t: SymApp):
+    """The RPO cases for s > t, t a symbol application, lazily, in the
+    order they are tried: RPO(3) per argument of s, then RPO(1) or RPO(2).
+    Each is (case, index, atom, goals) and holds exactly when the
+    precedence atom (a pair of identities, or None) holds and so does
+    s' > t' for every (s', t') in goals.  An RPO(3) case with no goal is an
+    argument equal to t.  A case whose goal has a variable on the left is
+    left out, since x > t never holds."""
     if type(s) is not SymApp:
         return
     for i, arg in enumerate(s.args):
@@ -240,8 +251,6 @@ def _cases(s: Term, t: Term):
             yield CASE_SUB, i, None, ()
         elif type(arg) is SymApp:
             yield CASE_SUB, i, None, ((arg, t),)
-    if type(t) is not SymApp:
-        return
     rest = tuple((s, tj) for tj in t.args)
     if s.identity != t.identity:
         yield CASE_PREC, None, (s.identity, t.identity), rest
@@ -254,15 +263,82 @@ def _cases(s: Term, t: Term):
                 return
 
 
+class _Occurrences:
+    """The variables of the left sides one call meets, subterm by subterm,
+    for goals s > x with a variable x on the right.  Such a goal holds
+    exactly when x occurs in s, a symbol application, and its derivation
+    takes, at each level, RPO(3) at the first argument that holds x, down
+    to x = x.  A symbol application's variables are a bit mask keyed by its
+    id, built once from its arguments' the first time a goal asks about
+    it; the table keeps every term it has built masks under, so no id is
+    reused while it lives.  A goal then costs one lookup, however large s
+    is."""
+
+    __slots__ = ("_masks", "_bits", "_held")
+
+    def __init__(self):
+        self._masks: dict[int, int] = {}
+        self._bits: dict[str, int] = {}
+        self._held: list[SymApp] = []
+
+    def _mask(self, s: SymApp) -> int:
+        masks, bits = self._masks, self._bits
+        mask = masks.get(id(s))
+        if mask is not None:
+            return mask
+        self._held.append(s)
+        # postorder: a node is taken off the stack once its arguments' masks
+        # are built
+        stack = [s]
+        while stack:
+            t, depth, mask = stack[-1], len(stack), 0
+            for a in t.args:
+                if type(a) is Var:
+                    mask |= bits.setdefault(a.name, 1 << len(bits))
+                elif (m := masks.get(id(a))) is None:
+                    stack.append(a)
+                else:
+                    mask |= m
+            if len(stack) == depth:
+                masks[id(t)] = mask
+                stack.pop()
+        return mask
+
+    def greater(self, s: Term, x: Var) -> bool:
+        """Whether s > x."""
+        return type(s) is SymApp and self._mask(s) & self._bits.get(x.name, 0) != 0
+
+    def derivation(self, s: Term, x: Var, memo: dict) -> RpoDerivation | None:
+        """The derivation of s > x, or None.  Its nodes are kept in memo by
+        (s', x), with the other goals' derivations, so a goal met again, on
+        the path or below it, shares its node."""
+        d = memo.get((s, x))
+        if d is not None or not self.greater(s, x):
+            return d
+        masks, name = self._masks, x.name
+        bit = self._bits[name]
+        path = []
+        while d is None:
+            for i, a in enumerate(s.args):
+                if a.name == name if type(a) is Var else masks[id(a)] & bit:
+                    break
+            path.append((s, i))
+            s = a
+            d = RpoDerivation(a, x, CASE_EQ) if type(a) is Var else memo.get((a, x))
+        for s, i in reversed(path):
+            memo[s, x] = d = RpoDerivation(s, x, CASE_SUB, index=i, children=(d,))
+        return d
+
+
 _UNKNOWN = object()
 
 
-def _evaluate(step, s: Term, t: Term, memo: dict):
+def _evaluate(step, s: Term, t: SymApp, memo: dict):
     """The value of goal s > t under step, memoized in memo by (s, t).
     step(s, t) is a generator that yields each subgoal (s', t') it needs,
-    is sent that subgoal's value, and returns the goal's value.  The
-    generators wait on one explicit stack; subgoals are strictly smaller
-    pairs, so no goal waits on itself."""
+    t' a symbol application, is sent that subgoal's value, and returns the
+    goal's value.  The generators wait on one explicit stack; subgoals are
+    strictly smaller pairs, so no goal waits on itself."""
     value = memo.get((s, t), _UNKNOWN)
     if value is not _UNKNOWN:
         return value
@@ -283,15 +359,16 @@ def _evaluate(step, s: Term, t: Term, memo: dict):
     return value
 
 
-def _derive(prec: Precedence, s: Term, t: Term):
+def _derive(prec: Precedence, occurs: _Occurrences, memo: dict, s: Term, t: SymApp):
     """Step for a derivation of s > t under prec: that of the first case
-    that holds, or None."""
+    that holds, or None.  A subgoal with a variable on the right is not
+    yielded: occurs derives it, into the same memo."""
     for case, index, atom, goals in _cases(s, t):
         if atom is not None and not prec.holds(*atom):
             continue
         kids = []
         for goal in goals:
-            d = yield goal
+            d = occurs.derivation(*goal, memo) if type(goal[1]) is Var else (yield goal)
             if d is None:
                 break
             kids.append(d)
@@ -302,12 +379,20 @@ def _derive(prec: Precedence, s: Term, t: Term):
     return None
 
 
+def _derivation(prec: Precedence, s: Term, t: Term, memo: dict, occurs: _Occurrences):
+    """The derivation of s > t under prec, or None; memo and occurs belong
+    to one call."""
+    if type(t) is Var:
+        return occurs.derivation(s, t, memo)
+    return _evaluate(partial(_derive, prec, occurs, memo), s, t, memo)
+
+
 def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
     """Derivation for s > t under prec, or None.  Both terms must be in
     the symbolic fragment."""
     _check_symbolic(s, "left term")
     _check_symbolic(t, "right term")
-    return _evaluate(partial(_derive, prec), s, t, {})
+    return _derivation(prec, s, t, {}, _Occurrences())
 
 
 def rpo_geq(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
@@ -315,7 +400,7 @@ def rpo_geq(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
     _check_symbolic(t, "right term")
     if s == t:
         return RpoDerivation(s, t, CASE_EQ)
-    return _evaluate(partial(_derive, prec), s, t, {})
+    return _derivation(prec, s, t, {}, _Occurrences())
 
 
 def lex_greater(prec: Precedence, ss, ts) -> bool:
@@ -329,7 +414,7 @@ def lex_greater(prec: Precedence, ss, ts) -> bool:
     for b in ts:
         _check_symbolic(b, "right tuple entry")
     diff = next(((a, b) for a, b in zip(ss, ts) if a != b), None)
-    return diff is not None and _evaluate(partial(_derive, prec), *diff, {}) is not None
+    return diff is not None and _derivation(prec, *diff, {}, _Occurrences()) is not None
 
 
 def validate_derivation(prec: Precedence, d: RpoDerivation) -> bool:
@@ -454,7 +539,7 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
     """Certify every rule under prec.  Overall success means the
     non-extended fragment of the rule set is terminating.  Rules check
     their own shape when built, so every non-extended side is symbolic."""
-    derive, memo = partial(_derive, prec), {}
+    memo, occurs = {}, _Occurrences()
     entries = []
     for rule in rules:
         if rule.extended:
@@ -462,7 +547,7 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
                 RuleCert(rule.name, "refused-extended", reason="rule uses pure on the right side")
             )
             continue
-        d = _evaluate(derive, rule.lhs, rule.rhs, memo)
+        d = _derivation(prec, rule.lhs, rule.rhs, memo, occurs)
         if d is None:
             entries.append(
                 RuleCert(
@@ -492,7 +577,8 @@ def _minimal(alts, known=None) -> list[frozenset]:
     """The sets in alts that contain no other, smallest first.  Given the
     sets known to be consistent, a set outside them is kept only if it is
     consistent, and it is checked only once no smaller set in the result
-    is contained in it."""
+    is contained in it.  _extensions calls it only on two sets or more:
+    it leaves fewer as they are."""
     out: list[frozenset] = []
     for a in sorted(set(alts), key=lambda a: (len(a), sorted(a))):
         if not any(b <= a for b in out) and (known is None or a in known or Precedence.consistent(a)):
@@ -503,31 +589,55 @@ def _minimal(alts, known=None) -> list[frozenset]:
 _TRUE = [frozenset()]
 
 
-def _extensions(s: Term, t: Term):
+def _extensions(occurs: _Occurrences, s: Term, t: SymApp):
     """Step for the minimal consistent sets of precedence pairs under which
     s > t holds, smallest first.  The ordering is monotone in the
     precedence, so s > t holds under one exactly when it contains one of
     these sets.  A case that needs no pair settles the goal at once, and a
-    case with no set left is dropped.
+    case with no set left is dropped.  A subgoal with a variable on the
+    right is not yielded: it needs no pair, and holds exactly when occurs
+    finds the variable in its left side.
 
     Consistency is checked only for a union a | b that a conjunction
     forms and that adds pairs to both a and b.  Every other set is
     consistent already: a case's atom pairs two distinct identities, a
     subgoal's sets were checked when they were formed, and a union equal
-    to a or b is that set.  So the last step, over the cases'
-    alternatives, only drops supersets."""
+    to a or b is that set.  So a conjunction of one set with one set forms
+    its union and checks that at most, and the last step, over the cases'
+    alternatives, only drops supersets, which two sets at least can
+    hold."""
     alts: list[frozenset] = []
     for _case, _index, atom, goals in _cases(s, t):
         value = _TRUE if atom is None else [frozenset((atom,))]
         for goal in goals:
+            if type(goal[1]) is Var:
+                if occurs.greater(*goal):
+                    continue
+                value = []
+                break
             sub = yield goal
-            value = sub if value == _TRUE else _minimal([a | b for a in value for b in sub], {*value, *sub})
+            if value == _TRUE or not sub:
+                value = sub
+            elif len(value) == len(sub) == 1:
+                a, b = value[0], sub[0]
+                union = a | b
+                value = [union] if union == a or union == b or Precedence.consistent(union) else []
+            else:
+                value = _minimal([a | b for a in value for b in sub], {*value, *sub})
             if not value:
                 break
         if value == _TRUE:
             return _TRUE
         alts += value
-    return _minimal(alts)
+    return alts if len(alts) < 2 else _minimal(alts)
+
+
+def _orientations(s: Term, t: Term, memo: dict, occurs: _Occurrences) -> list[frozenset]:
+    """The minimal consistent sets of precedence pairs under which s > t
+    holds (see _extensions); memo and occurs belong to one call."""
+    if type(t) is Var:
+        return _TRUE if occurs.greater(s, t) else []
+    return _evaluate(partial(_extensions, occurs), s, t, memo)
 
 
 def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
@@ -546,8 +656,8 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
         raise SearchBoundError(
             f"{len(ids)} symbol identities exceed the search bound of {max_symbols}"
         )
-    memo: dict = {}
-    options = sorted((_evaluate(_extensions, r.lhs, r.rhs, memo) for r in rules), key=len)
+    memo, occurs = {}, _Occurrences()
+    options = sorted((_orientations(r.lhs, r.rhs, memo, occurs) for r in rules), key=len)
     if not options:
         return Precedence()
     # one entry per rule chosen so far: the pairs before its choice, and

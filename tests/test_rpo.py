@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import time
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +16,9 @@ from effrew.rpo import (
     Precedence,
     PrecedenceError,
     SearchBoundError,
-    _derive,
-    _evaluate,
-    _extensions,
+    _derivation,
+    _Occurrences,
+    _orientations,
     certify_ruleset,
     lex_greater,
     rpo_geq,
@@ -33,6 +32,7 @@ from oracles import (
     _orient,
     _Prover,
     brute_force_precedence,
+    reference_certify,
     reference_consistent,
     reference_derivation_json,
     reference_pretty,
@@ -220,6 +220,80 @@ def test_variable_cases():
     assert rpo_greater(EMPTY, fn("g", v("u")), v("u")) is not None
 
 
+def _cases_down(d):
+    """The (case, index) of each node of a derivation with one child per
+    node, from the root down."""
+    out = []
+    while True:
+        out.append((d.rule, d.index))
+        if not d.children:
+            return out
+        (d,) = d.children
+
+
+def test_variable_goal_takes_the_leftmost_occurrence():
+    x, y = v("x"), v("y")
+    s = fn("f", fn("g", y, x), x)
+    d = rpo_greater(EMPTY, s, x)
+    assert d == _Prover(EMPTY).greater(s, x)
+    # x sits at /0/1 and at /1; the path goes to the first
+    assert _cases_down(d) == [(CASE_SUB, 0), (CASE_SUB, 1), (CASE_EQ, None)]
+    assert d.children[0].lhs == fn("g", y, x) and d.children[0].children[0].lhs == x
+    assert validate_derivation(EMPTY, d)
+
+
+def test_variable_goal_without_occurrence_fails():
+    s, z = fn("f", fn("g", v("y"), v("x")), v("x")), v("z")
+    assert rpo_greater(EMPTY, s, z) is None
+    assert _Prover(EMPTY).greater(s, z) is None
+    assert _orient(s, z, {}) == []
+    assert _orientations(s, z, {}, _Occurrences()) == []
+    # a variable is not greater than itself, nor than another variable
+    assert _orientations(v("x"), v("x"), {}, _Occurrences()) == []
+    assert _orientations(s, v("y"), {}, _Occurrences()) == [frozenset()]
+
+
+def test_repeated_right_variable_shares_one_node():
+    x, y = v("x"), v("y")
+    s = fn("f", fn("g", x), y)
+    t = fn("h", x, x, fn("h", y, x, x))
+    prec = Precedence([(F, H)])
+    d = rpo_greater(prec, s, t)
+    assert d == _Prover(prec).greater(s, t)
+    assert d.rule == CASE_PREC and validate_derivation(prec, d)
+    # one memo entry for f(g(x), y) > x, however often the right side has x
+    assert d.children[0] is d.children[1] is d.children[2].children[1]
+    assert _cases_down(d.children[0]) == [(CASE_SUB, 0), (CASE_SUB, 0), (CASE_EQ, None)]
+    assert _orientations(s, t, {}, _Occurrences()) == _orient(s, t, {}) == [frozenset({(F, H)})]
+
+
+def test_search_agrees_with_reference_on_variable_right_sides():
+    x, y = v("x"), v("y")
+    drops = [
+        make_rule("drop-left", fn("plus", fn("zero"), y), y),
+        make_rule("drop-deep", fn("f", fn("g", fn("h", x, y)), x), y),
+    ]
+    assert search_precedence(drops) == reference_search_precedence(drops) == EMPTY
+    rng = random.Random(29)
+    checked = 0
+    while checked < 200:
+        rules = []
+        for rule in _random_rules(rng):
+            names = sorted({t.name for _, t in iter_subterms(rule.lhs) if isinstance(t, Var)})
+            if names and rng.random() < 0.5:  # the same left side, dropping to a variable
+                rule = make_rule(rule.name, rule.lhs, Var(rng.choice(names)))
+            rules.append(rule)
+        if not any(isinstance(rule.rhs, Var) for rule in rules):
+            continue
+        prec = search_precedence(rules)
+        assert prec == reference_search_precedence(rules)
+        if prec is not None:
+            text, blob = reference_certify(prec, rules)
+            report = certify_ruleset(prec, rules)
+            assert report.text() == text and report.to_json() == blob
+        checked += 1
+
+
 def test_non_symbolic_rejected():
     # the message names the first node outside the fragment, in preorder,
     # by its constructor and position
@@ -297,7 +371,7 @@ def _shared_tower(k):
     for _ in range(k):
         t = fn("h", t, t)
     prec = Precedence([(F, H)])
-    return prec, _evaluate(partial(_derive, prec), fn("f", x), t, {})
+    return prec, _derivation(prec, fn("f", x), t, {}, _Occurrences())
 
 
 def test_validate_replays_each_shared_node_once():
@@ -515,7 +589,7 @@ def test_evaluator_agrees_with_recursive_references(seed):
     assert rpo_geq(prec, s, t) == prover.geq(s, t)
     if isinstance(s, SymApp) and isinstance(t, SymApp) and len(s.args) == len(t.args):
         assert lex_greater(prec, s.args, t.args) == (prover._lex(s.args, t.args) is not None)
-    assert _evaluate(_extensions, s, t, {}) == _orient(s, t, {})
+    assert _orientations(s, t, {}, _Occurrences()) == _orient(s, t, {})
     rules = _random_rules(rng)
     assert search_precedence(rules) == reference_search_precedence(rules)
 
@@ -545,6 +619,30 @@ def test_deep_goal_proves_and_validates(peano):
             break
         d = d.children[0]
     assert cases == [CASE_SUB] * n + [CASE_PREC] * n + [CASE_SUB, CASE_EQ]
+
+
+@stack_safe
+def test_variable_goals_cost_linear_time():
+    # goals s > x are decided from variable sets built once per node: the
+    # search meets f^k(x) > x for every k, and the drop's derivation passes
+    # n + 1 levels, so a walk of s per goal or per level would be quadratic
+    n = 10_000
+    x = v("x")
+    climb = make_rule("climb", _tower("f", n, x), fn("h", x))
+    drop = make_rule("drop", fn("g", _tower("f", n, x)), x)
+    start = time.perf_counter()
+    prec = search_precedence([climb])
+    elapsed = time.perf_counter() - start
+    assert prec == Precedence([(F, H)])
+    assert elapsed < 2.0, f"search took {elapsed:.2f} s"
+    for prec, rule in ((prec, climb), (EMPTY, drop)):
+        start = time.perf_counter()
+        report = certify_ruleset(prec, [rule])
+        elapsed = time.perf_counter() - start
+        assert report.overall
+        assert elapsed < 2.0, f"certify {rule.name} took {elapsed:.2f} s"
+    # g(..) > x and then every f(..) > x by RPO(3) at argument 0, then x = x
+    assert _cases_down(report.entry("drop").derivation) == [(CASE_SUB, 0)] * (n + 1) + [(CASE_EQ, None)]
 
 
 @stack_safe
