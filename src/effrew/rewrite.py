@@ -20,10 +20,11 @@ let subjects, inside effect arguments.
 
 Redexes are listed by one explicit-stack preorder walk, _list_redexes,
 which every caller shares.  It tries the metalanguage rules at every node
-and, at a symbol application, the user rules that an index over the left
-sides (see head_index and _Head), built once per normalize or graph
-exploration, retrieves for it.  Retrieval is exact and hands back each
-match's bindings, read by a matcher compiled for its rule.  Each entry of
+and, at a symbol application, the user rules rooted at its head (see
+head_index) that its shape admits: its arity and the names of its first
+two arguments, whose candidates a memo per head keeps (see _Head).  Each
+candidate is decided alone by a matcher compiled for its rule, which
+hands back the match's bindings, so retrieval is exact.  Each entry of
 a listing holds what builds its contractum (the bindings, or the
 metalanguage rule's thunk), so no redex is matched twice, and a user
 rule's contractum is built by a builder compiled from its right side (see
@@ -121,17 +122,17 @@ class RewriteRule:
     identities: the symbol identities of both sides.
 
     _matcher and _builder, the rule's compiled left and right sides (see
-    _compile_matcher and _compile_builder), and _index_keys, what a head's
-    index files the rule by (see _Head), are built on first use and
-    kept.  Copying and pickling rebuild the rule from its constructor's
-    arguments, so a copy compiles its own."""
+    _compile_matcher and _compile_builder), and _index_keys, the left
+    side's arity and the names of its first two arguments, None where one
+    is a variable (see _Head), are built on first use and kept.  Copying
+    and pickling rebuild the rule from its constructor's arguments, so a
+    copy compiles its own."""
 
     name: str
     lhs: Term
     rhs: Term
     extended: bool = False
     value_vars: frozenset[str] = field(init=False)
-    certified: bool = False
     exact_vars: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
     reach: float = field(init=False, compare=False, repr=False)
     identities: frozenset[Identity] = field(init=False, compare=False, repr=False)
@@ -187,7 +188,7 @@ class RewriteRule:
         setattr_(self, "identities", frozenset(ids))
 
     def __reduce__(self):
-        return (RewriteRule, (self.name, self.lhs, self.rhs, self.extended, self.certified))
+        return (RewriteRule, (self.name, self.lhs, self.rhs, self.extended))
 
     @cached_property
     def _matcher(self) -> Callable[[SymApp], dict[str, Term] | None]:
@@ -200,7 +201,7 @@ class RewriteRule:
     @cached_property
     def _index_keys(self) -> tuple:
         args = self.lhs.args
-        return _arg_key(args, 0), _arg_key(args, 1)
+        return len(args), _arg_key(args, 0), _arg_key(args, 1)
 
 
 # the variables of a symbolic pattern, which has no binders
@@ -260,13 +261,13 @@ def match_pattern(
 
 
 def _compile_matcher(rule: RewriteRule) -> Callable[[SymApp], dict[str, Term] | None]:
-    """The rule's left side as a function from a subject, whose root and
-    first argument's symbol the head's index has already checked (see
-    _Head), to the match's bindings or None.  For a rule with exact_vars
-    it checks kind, name, parameters and arity of every other symbol
-    application at its fixed path, in preorder so that each path's
-    parents are checked first, and then reads each variable's binding at
-    its path.  Any other rule is decided by match_pattern."""
+    """The rule's left side as a function from a subject with the same
+    head and arity to the match's bindings, or None.  It decides the match
+    alone, trusting nothing else about the subject.  For a rule with
+    exact_vars it checks kind, name, parameters and arity of every symbol
+    application below the root at its fixed path, in preorder so that each
+    path's parents are checked first, and then reads each variable's
+    binding at its path.  Any other rule is decided by match_pattern."""
     lhs, value_vars = rule.lhs, rule.value_vars
     if rule.exact_vars is None:
         return lambda sub: match_pattern(lhs, sub, value_vars)
@@ -278,8 +279,7 @@ def _compile_matcher(rule: RewriteRule) -> Callable[[SymApp], dict[str, Term] | 
         if type(p) is Var:
             reads.append((p.name, path))
             continue
-        if path != (0,):
-            checks.append((path, p.name, p.kind, p.params, len(p.args)))
+        checks.append((path, p.name, p.kind, p.params, len(p.args)))
         stack += [(a, path + (i,)) for i, a in enumerate(p.args)][::-1]
 
     def match(sub: SymApp) -> dict[str, Term] | None:
@@ -397,70 +397,40 @@ def _ml_contraction(t: Term) -> tuple[str, Callable[[], Term]] | None:
 class _Head:
     """The user rules whose left sides share one head (kind and identity),
     each with its position in the rule list, the largest reach among them
-    (see RewriteRule), and below that head an index on the root's arity and
-    the symbols of its first two arguments (Graf, Term Indexing, LNAI 1053,
-    1996).
+    (see RewriteRule), and a memo from a subject's shape to the rules that
+    shape admits.
 
-    For each arity the index is a trie of two levels.  The first is chosen
-    by the kind, name, parameters and arity of the subject's first
-    argument, the second by those of its second; a subject whose argument
-    is not a symbol the rules name takes the level's default.  A leaf lists,
-    in rule order, every rule whose first two arguments are each a variable
-    or that symbol, so the pair par-left/par-right, filed by one argument
-    each, leaves one candidate of each.  The candidates for a subject are
-    decided one by one by their rules' compiled matchers (see
-    _compile_matcher), which check what the first level has not, so
-    retrieval is exact.  The index is built on the head's first lookup, so
-    a normalize or graph run pays only for the heads its terms reach."""
+    A shape is the subject's arity and the names of its first two
+    arguments, None where an argument is not a symbol application.  A rule
+    admits it if its left side has that arity and each of its first two
+    arguments is a variable or a symbol of that name (see _index_keys), so
+    the pair par-left/par-right, which name one argument each, leaves one
+    candidate of each.  The list for a shape is filtered from the rules, in
+    rule order, when the shape is first looked up, so a normalize or graph
+    run pays only for the shapes its terms reach.  The filter only prunes:
+    each candidate's compiled matcher decides it alone (see
+    _compile_matcher), so retrieval is exact."""
 
-    __slots__ = ("rules", "reach", "_index")
+    __slots__ = ("rules", "reach", "_shapes")
 
     def __init__(self):
         self.rules: list[tuple[int, RewriteRule]] = []
         self.reach: float = 0
-        self._index: dict | None = None
-
-    def _build(self) -> dict:
-        index: dict = {}
-        for idx, rule in self.rules:
-            first, second = rule._index_keys
-            entry = (idx, rule.name, rule, rule._matcher)
-            arity = len(rule.lhs.args)
-            node = index.get(arity)
-            if node is None:
-                node = index[arity] = (([], {}), {})
-            default, keyed = node
-            if first is None:
-                for leaf in (default, *keyed.values()):
-                    _file(leaf, second, entry)
-            else:
-                leaf = keyed.get(first)
-                if leaf is None:
-                    wild, by_second = default
-                    leaf = keyed[first] = (wild[:], {key: bucket[:] for key, bucket in by_second.items()})
-                _file(leaf, second, entry)
-        return index
+        self._shapes: dict[tuple, list] = {}
 
     def matches(self, sub: SymApp) -> list[tuple[int, str, RewriteRule, dict[str, Term]]]:
         """(rule index, rule name, rule, bindings) for every rule of this
         head that matches sub, in rule order."""
-        index = self._index
-        if index is None:
-            index = self._index = self._build()
         args = sub.args
-        node = index.get(len(args))
-        if node is None:
-            return []
-        node, keyed = node
-        if keyed:
-            first = args[0]
-            if type(first) is SymApp:
-                node = keyed.get((first.kind, first.name, first.params, len(first.args)), node)
-        candidates, keyed = node
-        if keyed:
-            second = args[1]
-            if type(second) is SymApp:
-                candidates = keyed.get((second.kind, second.name, second.params, len(second.args)), candidates)
+        shape = (len(args), _arg_key(args, 0), _arg_key(args, 1))
+        candidates = self._shapes.get(shape)
+        if candidates is None:
+            # a variable in the left side admits any argument
+            n, first, second = shape
+            admitted = {shape, (n, None, second), (n, first, None), (n, None, None)}
+            candidates = self._shapes[shape] = [
+                (idx, rule.name, rule, rule._matcher) for idx, rule in self.rules if rule._index_keys in admitted
+            ]
         out = []
         for idx, name, rule, matcher in candidates:
             bindings = matcher(sub)
@@ -469,27 +439,10 @@ class _Head:
         return out
 
 
-def _arg_key(args: tuple, i: int) -> tuple | None:
-    """What a head's index compares of args[i]: its kind, name, parameters
-    and arity if it is a symbol application, else None."""
-    if len(args) > i and type(args[i]) is SymApp:
-        a = args[i]
-        return (a.kind, a.name, a.params, len(a.args))
-    return None
-
-
-def _file(leaf: tuple, key: tuple | None, entry: tuple) -> None:
-    """Add entry, in rule order, to a leaf of a head's index: the list for
-    a subject whose second argument is not a symbol keyed here, and a dict
-    from the _arg_key of a second argument to its list.  key is that of
-    the entry's own second argument, None if it is not a symbol."""
-    wild, keyed = leaf
-    if key is None:
-        wild.append(entry)
-        for bucket in keyed.values():
-            bucket.append(entry)
-    else:
-        keyed.setdefault(key, wild[:]).append(entry)
+def _arg_key(args: tuple, i: int) -> str | None:
+    """What a head's memo compares of args[i]: its name if it is a symbol
+    application, else None."""
+    return args[i].name if len(args) > i and type(args[i]) is SymApp else None
 
 
 HeadIndex = dict[tuple[str, str, tuple], _Head]
@@ -499,10 +452,10 @@ ML_REACH = 2
 
 
 def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
-    """The user rules by the kind, name and parameters of their left side's
-    root, each head with the largest reach of its rules and the index below
-    it (see _Head).  A rule's left side is always a symbol application, so
-    a subject node whose head starts no rule costs one dict lookup.
+    """The user rules grouped by the kind, name and parameters of their
+    left side's root, each head with the largest reach of its rules (see
+    _Head).  A rule's left side is always a symbol application, so a
+    subject node whose head starts no rule costs one dict lookup.
 
     Retrieval (`_Head.matches`) is exact: it returns every rule that
     matches, with its bindings, and no other, in rule order.  A head's

@@ -496,7 +496,8 @@ def print_term(t: Term) -> str:
 
 def canonical_key(t: Term) -> str:
     """Alpha-invariant rendering: binder names dropped, bound vars as de
-    Bruijn indices (the innermost binding wins), free vars by name.  Equal
+    Bruijn indices #k (the innermost binding wins), free vars by name, with
+    a leading # doubled so that a free #0 cannot read as a bound one.  Equal
     keys mean alpha-equal terms.  Iterative: one explicit stack of pending
     (subterm, binders) items and literal tokens, joined once, so a deep
     term costs no Python stack."""
@@ -520,7 +521,10 @@ def canonical_key(t: Term) -> str:
                 push(" ")
         elif tt is Var:
             name = t.name
-            out.append(f"#{binders.index(name)}" if name in binders else name)
+            if name in binders:
+                out.append(f"#{binders.index(name)}")
+            else:
+                out.append("#" + name if name[:1] == "#" else name)
         elif tt is Lam:
             out.append("(lam ")
             push(")")

@@ -129,14 +129,14 @@ def count_symbol(t: Term, name: str) -> int:
 def reference_canonical_key(t: Term) -> str:
     """The alpha-invariant rendering by plain recursion: binder names
     dropped, bound vars as de Bruijn indices with the innermost binding
-    winning, free vars by name."""
+    winning, free vars by name with a leading # doubled."""
 
     def go(t: Term, env: tuple[str, ...]) -> str:
         if isinstance(t, Var):
             for depth in range(len(env) - 1, -1, -1):
                 if env[depth] == t.name:
                     return f"#{len(env) - 1 - depth}"
-            return t.name
+            return "#" + t.name if t.name.startswith("#") else t.name
         if isinstance(t, Lam):
             return f"(lam {go(t.body, env + (t.binder,))})"
         if isinstance(t, App):

@@ -778,6 +778,12 @@ def test_rule_retrieval_matches_brute_force(seed):
             assert [_contractum(rule, bindings) for _, _, rule, bindings in hits] == [
                 instantiate(rules[i].rhs, bindings) for i, bindings in expected
             ]
+            # each compiled matcher decides alone: given only the head and
+            # arity, it agrees with match_pattern on every subterm
+            if isinstance(sub, SymApp):
+                key = (sub.kind, sub.identity, len(sub.args))
+                same = [r for r in rules if (r.lhs.kind, r.lhs.identity, len(r.lhs.args)) == key]
+                assert [r._matcher(sub) for r in same] == [match_pattern(r.lhs, sub, r.value_vars) for r in same]
 
 
 def _check_rule_facts(rules):

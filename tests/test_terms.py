@@ -96,6 +96,9 @@ def test_alpha_eq():
 
 def test_canonical_key_distinguishes_free_vars():
     assert canonical_key(Var("x")) != canonical_key(Var("y"))
+    # a free variable named like a de Bruijn index is not the bound one
+    assert not alpha_eq(Lam("x", Var("#0")), Lam("x", Var("x")))
+    assert canonical_key(Lam("x", Var("#0"))) == reference_canonical_key(Lam("x", Var("#0")))
 
 
 def test_params_part_of_identity():
