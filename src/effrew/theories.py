@@ -18,19 +18,30 @@ anything else with the same name is a clash.  Schemas are re-instantiated
 over the composed signature, so par picks up commuting rules for effects
 it has never seen.
 
-Each rule is checked once, where it enters the program.  A builtin's
+Each rule is typed once, where it enters the program.  A builtin's
 rules are constants built from its signature, and options only choose
 symbol names, arities and domain values, so the test suite checks the
 builtins under a grid of options and `builtin` does not.  Theory files
-are checked when parsed.  A composition of any number of parts is
-checked once, as a whole, when it is built: every check that would fail
-on a union of some of the parts also fails on the union of all of them.
+are checked when parsed.  A theory records in `checked` that its base
+rules are known to type under its own signature: `builtin`,
+`parse_theory` and `compose` set it on what they return.
+
+A composition of any number of parts is checked once, as a whole, when it
+is built: rule names are unique across the union and its precedence is
+consistent.  It types only the base rules of parts that are not
+`checked`.  The others are trusted, since typing a rule reads only the
+declarations of its symbols and `Signature.merge` refuses any
+conflicting declaration, so a rule that types under its part's signature
+types the same under the union.  Schema expansions are not typed either:
+like the builtin constants, they are built from declarations of the
+union's signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .parser import ParseError, build_term, build_type
 from .rewrite import RewriteRule, RuleError, make_rule, pattern_vars
@@ -83,6 +94,11 @@ class Theory:
     schemas: tuple[CommuteSchema, ...] = ()
     base_precedence: tuple = ()
     description: str = field(default="", compare=False)
+    # set only by builtin, whose rules are constants that type, and by
+    # _validate, so by parse_theory and compose; not a constructor
+    # argument, so a hand-built theory or a dataclasses.replace copy
+    # starts unchecked
+    checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     # computed on first access and kept in the instance dict; they are not
     # fields, so equality and hashing are unchanged
@@ -129,12 +145,19 @@ def _expand_commute(schema: CommuteSchema, sig: Signature):
     return rules, pairs
 
 
-def _validate(theory: Theory) -> Theory:
+def _validate(theory: Theory, unchecked: Sequence[RewriteRule] | None = None) -> Theory:
+    """Check that rule names are unique, that the rules type under the
+    theory's signature (an extended rule, which is not typed, that its
+    symbols are declared) and that the precedence is consistent.  Every
+    rule is typed, unless `unchecked` lists the only rules that need it.
+    Marks the theory `checked`."""
     seen: set[str] = set()
     for rule in theory.rules:
         if rule.name in seen:
             raise TheoryError(f"duplicate rule name: {rule.name}")
         seen.add(rule.name)
+        if unchecked is not None and rule not in unchecked:
+            continue
         if not rule.extended:
             # typing checks every symbol node against the signature
             try:
@@ -153,6 +176,11 @@ def _validate(theory: Theory) -> Theory:
         theory.precedence
     except PrecedenceError as e:
         raise TheoryError(f"declared precedence is inconsistent: {e}") from e
+    return _checked(theory)
+
+
+def _checked(theory: Theory) -> Theory:
+    object.__setattr__(theory, "checked", True)
     return theory
 
 
@@ -328,9 +356,10 @@ def builtin(name: str, **options) -> Theory:
     if name not in _BUILTINS:
         raise TheoryError(f"unknown builtin theory {name!r}; available: {', '.join(builtin_names())}")
     try:
-        return _BUILTINS[name](**options)
+        theory = _BUILTINS[name](**options)
     except (TypeError, SignatureError) as e:
         raise TheoryError(f"bad options for builtin {name}: {e}") from e
+    return _checked(theory)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +517,15 @@ def compose(*theories: Theory) -> Theory:
     declarations merge; conflicting declarations, duplicate rule names, and
     inconsistent precedences are errors.  Schemas re-instantiate over the
     union, which is validated once; a single part is validated like
-    several."""
+    several.  Only the base rules of parts that are not `checked` are
+    typed: a checked part's rules type under its own signature, so under
+    the union too, and schema expansions are built from the union's
+    declarations (see the module docstring)."""
     if not theories:
         raise TheoryError("compose needs at least one theory")
     sig = Signature()
     domains: dict[str, tuple[Param, ...]] = {}
-    bases, rules, schemas, pairs = [], [], [], []
+    bases, rules, unchecked, schemas, pairs = [], [], [], [], []
     for part in theories:
         try:
             sig = sig.merge(part.signature)
@@ -504,6 +536,8 @@ def compose(*theories: Theory) -> Theory:
                 raise TheoryError(f"conflicting domain {dname}")
         bases += part.bases
         rules += part.base_rules
+        if not part.checked:
+            unchecked += part.base_rules
         schemas += part.schemas
         pairs += part.base_precedence
     return _validate(
@@ -515,7 +549,8 @@ def compose(*theories: Theory) -> Theory:
             base_rules=tuple(rules),
             schemas=tuple(dict.fromkeys(schemas)),
             base_precedence=tuple(dict.fromkeys(pairs)),
-        )
+        ),
+        unchecked,
     )
 
 

@@ -480,6 +480,23 @@ def test_multiple_builtins_compose(capsys):
     assert out.strip() == "(eff request () (eff request () t s1 s2) s1 s2)"
 
 
+def test_composition_checks_trusted_parts(capsys, tmp_path):
+    # a theory file is typed when it is read; composing trusts it and the
+    # builtins, but still checks rule names across every part
+    bad = tmp_path / "bad.thy"
+    bad.write_text(
+        "(theory bad (base nat) (function half (nat -> val)) (rule bad (fn half (fn half x)) (fn half x)))",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", "--builtin", "peano", "--theory", str(bad))
+    assert (code, out) == (1, "") and "rule bad is ill-typed" in err
+    assert run(capsys, "check", "--builtin", "peano", "--builtin", "peano") == (
+        1,
+        "",
+        "error: duplicate rule name: plus-zero\n",
+    )
+
+
 def test_missing_theory_file(capsys):
     code, _, err = run(capsys, "certify", "--theory", "/nonexistent/x.theory")
     assert code == 1

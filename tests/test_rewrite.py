@@ -850,7 +850,7 @@ def test_rules_and_theories_survive_copy_and_pickle(name):
     def check_copies():
         for dup in duplicates:
             again = dup(theory)
-            assert again == theory and again.rules == theory.rules
+            assert again == theory and again.rules == theory.rules and again.checked
             for rule in rules:
                 again = dup(rule)
                 assert (again, hash(again), repr(again)) == (rule, hash(rule), repr(rule))

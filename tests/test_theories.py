@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -222,9 +224,47 @@ BUILTIN_OPTIONS = [
 ]
 
 
+def record_typing(monkeypatch):
+    """The left sides of the rules effrew.theories types, in order."""
+    typed = []
+    infer = effrew.theories.infer_rule_types
+
+    def counted(sig, lhs, *rest):
+        typed.append(lhs)
+        return infer(sig, lhs, *rest)
+
+    monkeypatch.setattr(effrew.theories, "infer_rule_types", counted)
+    return typed
+
+
 @pytest.mark.parametrize("name, options", BUILTIN_OPTIONS)
-def test_builtins_validate_under_options(name, options):
-    effrew.theories._validate(builtin(name, **options))
+def test_builtins_validate_under_options(monkeypatch, name, options):
+    # _validate called directly types every rule, whatever the theory's
+    # checked flag says; one that trusted the flag would type none here
+    theory = builtin(name, **options)
+    assert theory.checked
+    typed = record_typing(monkeypatch)
+    effrew.theories._validate(theory)
+    assert typed == [rule.lhs for rule in theory.rules if not rule.extended]
+
+
+# compose types no schema expansion: each is built from the union's
+# declarations.  This grid types them all under the union's signature.
+@pytest.mark.parametrize(
+    "parts",
+    [
+        *[pytest.param((("par", {}), (name, {})), id=f"par+{name}") for name in builtin_names() if name != "par"],
+        pytest.param((("par", {"effects": PAR6_EFFECTS}), ("global-state", {})), id="par6+global-state"),
+        pytest.param(tuple((name, {}) for name in builtin_names()), id="all-five"),
+    ],
+)
+def test_schema_expansions_type_under_the_union(parts):
+    union = compose(*(builtin(name, **options) for name, options in parts))
+    expansions = union.rules[len(union.base_rules) :]
+    assert expansions
+    for rule in expansions:
+        assert not rule.extended
+        infer_rule_types(union.signature, rule.lhs, rule.rhs, pattern_vars(rule.lhs))
 
 
 @pytest.mark.parametrize(
@@ -430,13 +470,14 @@ def test_compose_precedences_must_agree(peano, nondet):
 
 
 def test_compose_validates_once(monkeypatch, gs, nondet, peano, retry):
-    # a composition is validated as a whole, so each of its rules is typed once
+    # a composition is validated as a whole, once; the builtin parts are
+    # checked, so none of their rules is typed again
     calls = {"validate": 0, "infer": 0}
     validate, infer = effrew.theories._validate, effrew.theories.infer_rule_types
 
-    def counted_validate(theory):
+    def counted_validate(*args):
         calls["validate"] += 1
-        return validate(theory)
+        return validate(*args)
 
     def counted_infer(*args):
         calls["infer"] += 1
@@ -446,12 +487,50 @@ def test_compose_validates_once(monkeypatch, gs, nondet, peano, retry):
     monkeypatch.setattr(effrew.theories, "infer_rule_types", counted_infer)
     all_four = compose(gs, nondet, peano, retry)
     assert len(all_four.rules) == 13
-    assert calls == {"validate": 1, "infer": 13}
+    assert all_four.checked
+    assert calls == {"validate": 1, "infer": 0}
+
+
+def test_compose_types_the_rules_of_unchecked_parts_once(monkeypatch, par):
+    sig = Signature((EffectDecl("e", 1),))
+    rules = (
+        make_rule("e-e", eff("e", eff("e", Var("t"))), eff("e", Var("t"))),
+        make_rule("e-e-e", eff("e", eff("e", eff("e", Var("t")))), eff("e", Var("t"))),
+    )
+    hand = Theory("hand", ("val",), (), sig, rules)
+    parsed = parse_theory(
+        "(theory f (base val) (effect f 1) (rule f-f (eff f () (eff f () t)) (eff f () t)))"
+    )
+    assert not hand.checked and parsed.checked
+    typed = record_typing(monkeypatch)
+    union = compose(hand, par, parsed)
+    # neither the checked parts' rules nor par's expansions over e and f
+    assert {"par-left.e", "par-right.f", "f-f"} <= {rule.name for rule in union.rules}
+    assert typed == [rule.lhs for rule in rules]
+    assert union.checked
+
+
+def test_checked_flag_is_not_forged_and_does_not_leak(nondet):
+    bad = make_rule("bad", eff("or", Var("s"), Var("t")), eff("or", eff("or", Var("s"))))
+    forged = dataclasses.replace(nondet, base_rules=(bad,))
+    assert not forged.checked
+    for parts in ((forged,), (forged, builtin("peano"))):
+        with pytest.raises(TheoryError, match="rule bad is ill-typed"):
+            compose(*parts)
+    with pytest.raises(TypeError):
+        Theory("t", ("val",), (), Signature(), (), checked=True)
+    # the flag takes no part in equality, hashing or repr
+    unchecked = dataclasses.replace(nondet)
+    assert nondet.checked and not unchecked.checked
+    assert nondet == unchecked and hash(nondet) == hash(unchecked)
+    assert repr(nondet) == repr(unchecked)
+    for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert dup(nondet).checked and not dup(unchecked).checked
 
 
 def test_cli_check_validates_each_rule_once(monkeypatch, capsys):
-    # the builtin parts are not validated on their own, and a typed rule's
-    # symbols are checked by typing alone
+    # the builtin parts are not validated on their own, and the composition
+    # trusts them, so no rule is typed
     calls = {"_validate": 0, "infer_rule_types": 0, "check_symapp": 0}
     for attr in calls:
         def counted(*args, _attr=attr, _orig=getattr(effrew.theories, attr)):
@@ -462,7 +541,7 @@ def test_cli_check_validates_each_rule_once(monkeypatch, capsys):
     flags = ["--builtin", "global-state", "--builtin", "nondet", "--builtin", "peano", "--builtin", "retry"]
     assert effrew.cli.main(["check", *flags, "--var", "v:val", "--term", "(pure v)"]) == 0
     assert capsys.readouterr().out == "(E val)\n"
-    assert calls == {"_validate": 1, "infer_rule_types": 13, "check_symapp": 0}
+    assert calls == {"_validate": 1, "infer_rule_types": 0, "check_symapp": 0}
 
 
 def test_compose_is_associative(par, nondet, gs):
