@@ -121,6 +121,39 @@ def _context(args) -> dict:
     return ctx
 
 
+def json_text(value) -> str:
+    """json.dumps(value), byte for byte under its default settings, for
+    dicts with str keys, lists, tuples and scalars, written from an
+    explicit stack, so the depth of value costs no Python stack: a certify
+    report nests a dict and a list per derivation step.  Scalars and keys
+    are rendered by json.dumps itself.  value must hold no cycle, as
+    to_json's results never do."""
+    out: list[str] = []
+    # each item: (True, text to write) or (False, a value to render)
+    stack: list = [(False, value)]
+    while stack:
+        literal, v = stack.pop()
+        if literal:
+            out.append(v)
+        elif isinstance(v, dict):
+            parts: list = []
+            for k, x in v.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                parts += ((True, (", " if parts else "{") + json.dumps(k) + ": "), (False, x))
+            parts.append((True, "}" if parts else "{}"))
+            stack += reversed(parts)
+        elif isinstance(v, (list, tuple)):
+            parts = []
+            for x in v:
+                parts += ((True, ", " if parts else "["), (False, x))
+            parts.append((True, "]" if parts else "[]"))
+            stack += reversed(parts)
+        else:
+            out.append(json.dumps(v))
+    return "".join(out)
+
+
 def _cmd_theories(args) -> int:
     for name in builtin_names():
         thy = builtin(name)
@@ -185,7 +218,7 @@ def _cmd_certify(args) -> int:
     theory = _load_theory_stack(args)
     report = certify_ruleset(theory.precedence, theory.rules)
     if args.format == "json":
-        print(json.dumps(report.to_json()))
+        print(json_text(report.to_json()))
     else:
         print(report.text())
     return EXIT_OK if report.overall else EXIT_CERT

@@ -20,11 +20,12 @@ definition.
 The cases are spelt out once, by _cases, as conjunctions of one optional
 precedence atom f > g and subgoals s' > t'.  _evaluate runs one step per
 goal on an explicit stack, memoized on (s, t).  Replay, the reports and
-the search's backtracking walk explicit stacks too, so neither the depth
-of a term or derivation nor the number of rules costs Python stack.
-There are two steps: _derive finds the derivation of the first case
-that holds under a fixed precedence (certification), and _extensions
-finds the minimal consistent sets of atoms under which some case holds
+the search's backtracking walk explicit stacks too, and so do a
+derivation's equality, hash and repr, so neither the depth of a term or
+derivation nor the number of rules costs Python stack.  There are two
+steps: _derive finds the derivation of the first case that holds under
+a fixed precedence (certification), and _extensions finds the minimal
+consistent sets of atoms under which some case holds
 (precedence search; the constraint encoding of Codish, Lagoon & Stuckey,
 RTA 2006).  A set of atoms is consistent when its graph has no cycle.
 One depth-first search checks that, and only for a union that adds pairs
@@ -41,6 +42,12 @@ argument that holds x, down to x = x.  Both steps decide such a goal in
 closed form, from the variables of each subterm, which _Occurrences
 builds once per distinct node in a call; they never yield it, and the
 derivations join the other goals' in the memo.
+
+A derivation is a DAG: the memo shares a node among every parent whose
+goal it proves.  Certification builds one node per goal it proves, so
+RpoDerivation is a frozen dataclass on __slots__ whose own constructor
+writes each slot through its descriptor, as the term nodes do, rather
+than through the frozen __setattr__.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .rewrite import _ROOT, _cell_position, position_str
-from .terms import Identity, SymApp, Term, Var, ident_str, sym_str
+from .terms import Identity, SymApp, Term, Var, _scalars, _Term, ident_str, sym_str
+from .terms import children as term_children
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -159,7 +167,7 @@ class Precedence:
 # derivations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RpoDerivation:
     """Evidence for lhs > rhs (or lhs >= rhs when rule is refl-eq).
 
@@ -168,6 +176,13 @@ class RpoDerivation:
       case-2-precedence one lhs > rhs.args[j] per j
       case-3-subterm    exactly one lhs.args[index] >= rhs derivation
       refl-eq           none
+
+    The prover shares a node among every parent whose goal it proves, so
+    a derivation is a DAG.  Equality, the hash and repr walk an explicit
+    stack and handle each distinct node once; equality walks the nodes'
+    terms on the same stack, each distinct pair of terms once.  repr
+    still spells a shared node out wherever it occurs, as the dataclass
+    repr did, so its length is that of the unfolded tree.
     """
 
     lhs: Term
@@ -175,6 +190,88 @@ class RpoDerivation:
     rule: str
     index: int | None = None
     children: tuple["RpoDerivation", ...] = ()
+
+    def __init__(
+        self, lhs: Term, rhs: Term, rule: str, index: int | None = None, children: tuple = ()
+    ):
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_rule(self, rule)
+        _set_index(self, index)
+        _set_children(self, children)
+
+    def __reduce__(self):
+        return RpoDerivation, (self.lhs, self.rhs, self.rule, self.index, self.children)
+
+    def __eq__(self, other):
+        if type(other) is not RpoDerivation:
+            return NotImplemented
+        # derivation pairs and term pairs wait on one stack; a pair met
+        # again, through a shared node or subterm, was checked already
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is RpoDerivation:
+                if (
+                    type(b) is not RpoDerivation
+                    or a.rule != b.rule
+                    or a.index != b.index
+                    or len(a.children) != len(b.children)
+                ):
+                    return False
+                stack += ((a.lhs, b.lhs), (a.rhs, b.rhs), *zip(a.children, b.children))
+            elif isinstance(a, _Term):
+                if type(b) is not type(a) or _scalars(a) != _scalars(b):
+                    return False
+                ka, kb = term_children(a), term_children(b)
+                if len(ka) != len(kb):
+                    return False
+                stack += zip(ka, kb)
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        # postorder, so that every child's hash is known when its parent's
+        # is taken
+        hashes: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            d = stack[-1]
+            todo = [c for c in d.children if id(c) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            kids = tuple(hashes[id(c)] for c in d.children)
+            hashes[id(d)] = hash((d.lhs, d.rhs, d.rule, d.index, kids))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        # each distinct node's fields are rendered once, up to its children
+        heads: dict[int, str] = {}
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            d = stack.pop()
+            if type(d) is str:
+                out.append(d)
+                continue
+            head = heads.get(id(d))
+            if head is None:
+                heads[id(d)] = head = (
+                    f"RpoDerivation(lhs={d.lhs!r}, rhs={d.rhs!r}, rule={d.rule!r}, "
+                    f"index={d.index!r}, children=("
+                )
+            out.append(head)
+            parts = [x for c in d.children for x in (c, ", ")]
+            # the last separator, if any, gives way to the closing brackets
+            parts[-1:] = (",))" if len(d.children) == 1 else "))",)
+            stack += reversed(parts)
+        return "".join(out)
 
     def pretty(self, indent: int = 0) -> str:
         lines = []
@@ -213,6 +310,16 @@ class RpoDerivation:
         return root[0]
 
 
+# the slots' own setters, which the constructor calls past the frozen __setattr__
+_set_lhs, _set_rhs, _set_rule, _set_index, _set_children = (
+    RpoDerivation.lhs.__set__,
+    RpoDerivation.rhs.__set__,
+    RpoDerivation.rule.__set__,
+    RpoDerivation.index.__set__,
+    RpoDerivation.children.__set__,
+)
+
+
 def _check_symbolic(t: Term, side: str) -> None:
     """Raise NonSymbolicTermError unless t has only variables and symbol
     applications.  The message names the first other node, in preorder,
@@ -242,18 +349,20 @@ def _cases(s: Term, t: SymApp):
     Each is (case, index, atom, goals) and holds exactly when the
     precedence atom (a pair of identities, or None) holds and so does
     s' > t' for every (s', t') in goals.  An RPO(3) case with no goal is an
-    argument equal to t.  A case whose goal has a variable on the left is
-    left out, since x > t never holds."""
+    argument equal to t.  Only an argument that is a symbol application
+    gives an RPO(3) case: a variable never equals t, and x > t never
+    holds."""
     if type(s) is not SymApp:
         return
     for i, arg in enumerate(s.args):
-        if arg == t:
-            yield CASE_SUB, i, None, ()
-        elif type(arg) is SymApp:
-            yield CASE_SUB, i, None, ((arg, t),)
-    rest = tuple((s, tj) for tj in t.args)
-    if s.identity != t.identity:
-        yield CASE_PREC, None, (s.identity, t.identity), rest
+        if type(arg) is SymApp:
+            if arg is t or arg == t:
+                yield CASE_SUB, i, None, ()
+            else:
+                yield CASE_SUB, i, None, ((arg, t),)
+    rest = [(s, tj) for tj in t.args]
+    if s.name != t.name or s.params != t.params:
+        yield CASE_PREC, None, ((s.name, s.params), (t.name, t.params)), rest
     elif len(s.args) == len(t.args):
         # the first argument pair that is not syntactically equal decides
         for i, (a, b) in enumerate(zip(s.args, t.args)):
@@ -306,7 +415,12 @@ class _Occurrences:
 
     def greater(self, s: Term, x: Var) -> bool:
         """Whether s > x."""
-        return type(s) is SymApp and self._mask(s) & self._bits.get(x.name, 0) != 0
+        if type(s) is not SymApp:
+            return False
+        mask = self._masks.get(id(s))
+        if mask is None:
+            mask = self._mask(s)
+        return mask & self._bits.get(x.name, 0) != 0
 
     def derivation(self, s: Term, x: Var, memo: dict) -> RpoDerivation | None:
         """The derivation of s > x, or None.  Its nodes are kept in memo by
@@ -326,7 +440,7 @@ class _Occurrences:
             s = a
             d = RpoDerivation(a, x, CASE_EQ) if type(a) is Var else memo.get((a, x))
         for s, i in reversed(path):
-            memo[s, x] = d = RpoDerivation(s, x, CASE_SUB, index=i, children=(d,))
+            memo[s, x] = d = RpoDerivation(s, x, CASE_SUB, i, (d,))
         return d
 
 
@@ -375,7 +489,7 @@ def _derive(prec: Precedence, occurs: _Occurrences, memo: dict, s: Term, t: SymA
         else:
             if not goals and case == CASE_SUB:
                 kids.append(RpoDerivation(s.args[index], t, CASE_EQ))
-            return RpoDerivation(s, t, case, index=index, children=tuple(kids))
+            return RpoDerivation(s, t, case, index, tuple(kids))
     return None
 
 
@@ -421,8 +535,8 @@ def validate_derivation(prec: Precedence, d: RpoDerivation) -> bool:
     """Replay a derivation against the definition, node by node, over an
     explicit stack.  A node's check reads only the node and its children,
     so a node that the memo shares among several parents is replayed once;
-    replayed nodes are kept by id, since the dataclass hash walks the whole
-    tree."""
+    replayed nodes are kept by id, which costs nothing, where a node's hash
+    walks every distinct node below it."""
     stack = [d]
     replayed: set[int] = set()
     while stack:

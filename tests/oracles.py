@@ -445,6 +445,18 @@ def reference_derivation_json(d: RpoDerivation) -> dict:
     }
 
 
+def reference_derivation_repr(d: RpoDerivation) -> str:
+    """repr of a derivation as the generated dataclass repr spells it, by
+    plain recursion."""
+    kids = ", ".join(reference_derivation_repr(c) for c in d.children)
+    if len(d.children) == 1:
+        kids += ","
+    return (
+        f"RpoDerivation(lhs={d.lhs!r}, rhs={d.rhs!r}, rule={d.rule!r}, "
+        f"index={d.index!r}, children=({kids}))"
+    )
+
+
 def reference_sym_str(t: Term) -> str:
     """sym_str of a symbolic term by plain recursion."""
     if isinstance(t, Var):

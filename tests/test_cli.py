@@ -5,14 +5,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effrew
-from effrew.cli import main
+from effrew.cli import json_text, main
 from effrew.graph import reduction_graph
 from effrew.parser import parse_term
 from effrew.rewrite import normalize
-from effrew.rpo import certify_ruleset
-from effrew.terms import print_term
+from effrew.rewrite import make_rule
+from effrew.rpo import Precedence, certify_ruleset
+from effrew.terms import Var, fn, print_term
 from effrew.theories import builtin, builtin_names, compose
 from oracles import reference_certify, reference_search_precedence
 from stack_safe import stack_safe
@@ -388,11 +391,79 @@ def test_certify_and_search_match_references(capsys, names):
     code, out, _ = run(capsys, "certify", *flags)
     assert (code, out) == (0 if blob["overall"] else 2, text + "\n")
     code, out, _ = run(capsys, "certify", *flags, "--format", "json")
-    assert json.loads(out) == blob
+    assert out == json.dumps(blob) + "\n"
     prec = reference_search_precedence(list(theory.rules), max_symbols=16)
     code, out, _ = run(capsys, "search", *flags, "--max-symbols", "16")
     expected = ["none"] if prec is None else prec.display_lines()
     assert (code, out.splitlines()) == (0 if prec is not None else 2, expected)
+
+
+_EXPECTED = Path(__file__).parent / "expected"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--builtin", "peano", "--format", "json"], "certify-peano.json"),
+        (["--builtin", "par", "--builtin", "retry"], "certify-par-retry.txt"),
+    ],
+)
+def test_certify_output_matches_recorded_text(capsys, argv, name):
+    # the same files are diffed against the installed command in CI
+    code, out, err = run(capsys, "certify", *argv)
+    assert (code, err) == (0, "")
+    assert out == (_EXPECTED / name).read_text(encoding="utf-8")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+@settings(max_examples=200)
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value)
+
+
+def test_json_text_matches_json_dumps_on_certify_reports():
+    names = builtin_names()
+    for combo in [(n,) for n in names] + list(itertools.combinations(names, 2)) + [tuple(names)]:
+        theory = compose(*(builtin(n) for n in combo))
+        blob = certify_ruleset(theory.precedence, list(theory.rules)).to_json()
+        assert json_text(blob) == json.dumps(blob), combo
+    with pytest.raises(TypeError):
+        json_text({1: 2})
+    with pytest.raises(TypeError):
+        json_text([{1, 2}])
+
+
+@stack_safe
+def test_json_text_writes_a_deep_certify_report():
+    # g(f^n(x)) > x is n + 1 RPO(3) steps and then x = x, each step a dict
+    # and a list deeper; json.dumps raises RecursionError here
+    n = 2000
+    x = Var("x")
+    s = x
+    for _ in range(n):
+        s = fn("f", s)
+    report = certify_ruleset(Precedence(), [make_rule("drop", fn("g", s), x)])
+    text = json_text(report.to_json())
+    steps = [
+        '{"lhs": "' + "g(" * (k == 0) + "f(" * (n - k + (k > 0)) + "x" + ")" * (n + 1 - k)
+        + '", "rhs": "x", "case": "RPO(3)", "rule": "case-3-subterm", "index": 0, "children": ['
+        for k in range(n + 1)
+    ]
+    leaf = '{"lhs": "x", "rhs": "x", "case": "=", "rule": "refl-eq", "index": null, "children": []}'
+    derivation = "".join(steps) + leaf + "]}" * (n + 1)
+    assert text == (
+        '{"overall": true, "precedence": [], "rules": [{"name": "drop", "status": "certified", '
+        f'"derivation": {derivation}, "reason": null}}]}}'
+    )
 
 
 @stack_safe

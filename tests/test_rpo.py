@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import itertools
+import pickle
 import random
 import time
 
@@ -15,6 +18,7 @@ from effrew.rpo import (
     NonSymbolicTermError,
     Precedence,
     PrecedenceError,
+    RpoDerivation,
     SearchBoundError,
     _derivation,
     _Occurrences,
@@ -35,6 +39,7 @@ from oracles import (
     reference_certify,
     reference_consistent,
     reference_derivation_json,
+    reference_derivation_repr,
     reference_pretty,
     reference_search_precedence,
 )
@@ -337,6 +342,132 @@ def test_derivation_pretty_labels():
     text = d.pretty()
     assert "RPO(2)" in text
     assert ">" in text
+
+
+def test_derivation_node_contract():
+    fields = dataclasses.fields(RpoDerivation)
+    assert [f.name for f in fields] == ["lhs", "rhs", "rule", "index", "children"]
+    assert [f.default for f in fields[3:]] == [None, ()]
+    assert all(f.default is dataclasses.MISSING for f in fields[:3])
+    d = rpo_greater(Precedence([(F, G)]), fn("f", v("u"), v("u")), fn("g", v("u")))
+    assert (d.rule, d.index, len(d.children)) == (CASE_PREC, None, 1)
+    leaf = RpoDerivation(v("u"), v("u"), CASE_EQ)
+    assert (leaf.index, leaf.children) == (None, ())
+    assert RpoDerivation(lhs=v("u"), rhs=v("u"), rule=CASE_EQ) == leaf
+    changed = dataclasses.replace(d, rule="unknown")
+    assert changed.rule == "unknown" and changed.children is d.children and changed != d
+    for name in ("lhs", "rule", "index", "children"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, None)
+    for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert copied == d and hash(copied) == hash(d) and repr(copied) == repr(d)
+    assert copy.copy(d).children is d.children
+
+
+def test_derivation_eq_hash_repr_follow_the_fields(gs, nondet, par, retry, peano):
+    for theory in (gs, nondet, par, retry, peano):
+        again = certify_ruleset(theory.precedence, list(theory.rules))
+        for e, f in zip(certify_ruleset(theory.precedence, list(theory.rules)).entries, again.entries):
+            if e.derivation is None:
+                continue
+            d = e.derivation
+            assert d is not f.derivation and d == f.derivation and hash(d) == hash(f.derivation)
+            assert repr(d) == reference_derivation_repr(d)
+    x, y = v("x"), v("y")
+    d = RpoDerivation(fn("f", x), x, CASE_SUB, 0, (RpoDerivation(x, x, CASE_EQ),))
+    for other in (
+        RpoDerivation(fn("f", x), x, CASE_SUB, 1, d.children),
+        RpoDerivation(fn("f", x), x, CASE_LEX, 0, d.children),
+        RpoDerivation(fn("g", x), x, CASE_SUB, 0, d.children),
+        RpoDerivation(fn("f", x), x, CASE_SUB, 0, (RpoDerivation(x, y, CASE_EQ),)),
+        RpoDerivation(fn("f", x), x, CASE_SUB, 0, d.children * 2),
+        RpoDerivation(fn("f", x), x, CASE_SUB, 0),
+    ):
+        assert d != other and other != d
+    assert d != (d.lhs, d.rhs, d.rule, d.index, d.children)
+
+
+def test_equality_and_hash_walk_each_shared_node_once():
+    # two towers of 61 shared nodes each, about 2^60 nodes unfolded, built
+    # apart from each other down to their terms
+    _, d = _shared_tower(60)
+    _, e = _shared_tower(60)
+    assert d is not e and d.lhs is not e.lhs
+    start = time.perf_counter()
+    assert d == e and hash(d) == hash(e)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"equality and hash took {elapsed:.2f} s"
+    # a node broken below shared ones is still found, on either side
+    _, small = _shared_tower(4)
+    assert all(small != broken and broken != small for broken in _break_each_node(small))
+
+
+# distinct derivation nodes (by id) in the certify report of each builtin,
+# each pair and the five-way composition, recorded before the node type
+# was slotted; fewer would mean lost sharing, more a node built twice
+_CERTIFY_NODES = {
+    ("global-state",): 28, ("nondet",): 10, ("par",): 36, ("peano",): 9, ("retry",): 16,
+    ("global-state", "nondet"): 38, ("global-state", "par"): 102,
+    ("global-state", "peano"): 37, ("global-state", "retry"): 44,
+    ("nondet", "par"): 60, ("nondet", "peano"): 19, ("nondet", "retry"): 26,
+    ("par", "peano"): 45, ("par", "retry"): 76, ("peano", "retry"): 25,
+    ("global-state", "nondet", "par", "peano", "retry"): 175,
+}
+
+
+def test_certify_node_sharing_is_pinned():
+    assert set(_CERTIFY_NODES) == {(n,) for n in builtin_names()} | {
+        tuple(c) for c in itertools.combinations(builtin_names(), 2)
+    } | {tuple(builtin_names())}
+    for names, expected in _CERTIFY_NODES.items():
+        theory = compose(*(builtin(n) for n in names))
+        report = certify_ruleset(theory.precedence, list(theory.rules))
+        seen, stack = set(), [e.derivation for e in report.entries if e.derivation is not None]
+        while stack:
+            d = stack.pop()
+            if id(d) not in seen:
+                seen.add(id(d))
+                stack += d.children
+        assert len(seen) == expected, names
+
+
+@stack_safe
+def test_derivation_eq_hash_repr_are_stack_safe():
+    n = 10_000
+    x = v("x")
+    # two certify reports of g(f^n(x)) -> x, from rules built apart
+    reports = [
+        certify_ruleset(EMPTY, [make_rule("drop", fn("g", _tower("f", n, v("x"))), v("x"))])
+        for _ in range(2)
+    ]
+    (e,), (f,) = (r.entries for r in reports)
+    d, g = e.derivation, f.derivation
+    assert d.lhs is not g.lhs
+    start = time.perf_counter()
+    assert d == g and hash(d) == hash(g)
+    assert e == f and hash(e) == hash(f) and reports[0] == reports[1]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"equality and hash took {elapsed:.2f} s"
+    # a difference at the leaf, n + 1 levels down, is found
+    path, node = [], d
+    while node.children:
+        path.append(node)
+        (node,) = node.children
+    changed = dataclasses.replace(node, rhs=v("y"))
+    for node in reversed(path):
+        changed = dataclasses.replace(node, children=(changed,))
+    assert d != changed and changed != d
+    # repr spells each node's terms out, so its length grows with the
+    # square of a real derivation's depth; a chain of small nodes as deep
+    # shows the walk is stack-safe
+    chain = RpoDerivation(x, x, CASE_EQ)
+    for _ in range(n):
+        chain = RpoDerivation(x, x, CASE_SUB, 0, (chain,))
+    text = repr(chain)
+    head = "RpoDerivation(lhs=Var(name='x'), rhs=Var(name='x'), rule='case-3-subterm', index=0, children=("
+    leaf = "RpoDerivation(lhs=Var(name='x'), rhs=Var(name='x'), rule='refl-eq', index=None, children=())"
+    assert text == head * n + leaf + ",))" * n
+    assert chain == copy.copy(chain) and hash(chain) == hash(copy.copy(chain))
 
 
 def test_validate_rejects_forged_derivation():
