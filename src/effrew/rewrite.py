@@ -23,8 +23,11 @@ which every caller shares.  It tries the metalanguage rules at every node
 and, at a symbol application, the user rules rooted at its head (see
 head_index) that its shape admits: its arity and the names of its first
 two arguments, whose candidates a memo per head keeps (see _Head).  Each
-candidate is decided alone by a matcher compiled for its rule, which
-hands back the match's bindings, so retrieval is exact.  Each entry of
+candidate, whatever its left side, is decided alone by the matcher
+compiled for its rule (see _compile_matcher), which hands back the match's
+bindings, so retrieval is exact.  match_pattern, the recursive matcher,
+is the public reference those matchers agree with; the engine does not
+call it.  Each entry of
 a listing holds what builds its contractum (the bindings, or the
 metalanguage rule's thunk), so no redex is matched twice, and a user
 rule's contractum is built by a builder compiled from its right side (see
@@ -114,12 +117,11 @@ class RewriteRule:
     The check, one explicit-stack pass per side, also derives the fields
     the engine reads; of these only value_vars takes part in ==, hash and
     repr.  value_vars: an extended rule's right-side variables under a pure.
-    exact_vars: the left side's variables in preorder if it is linear and
-    has no value metavariable, else None.  reach: how many levels of a
-    subterm, its root at level 1, can decide whether the rule applies: the
-    deepest level holding a symbol or a value metavariable, or infinite if
-    a variable repeats, since match_pattern then compares whole subterms.
-    identities: the symbol identities of both sides.
+    reach: how many levels of a subterm, its root at level 1, can decide
+    whether the rule applies: the deepest level holding a symbol or a value
+    metavariable, or infinite if a variable repeats, since the matcher then
+    compares whole subterms.  identities: the symbol identities of both
+    sides.
 
     _matcher and _builder, the rule's compiled left and right sides (see
     _compile_matcher and _compile_builder), and _index_keys, the left
@@ -133,7 +135,6 @@ class RewriteRule:
     rhs: Term
     extended: bool = False
     value_vars: frozenset[str] = field(init=False)
-    exact_vars: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
     reach: float = field(init=False, compare=False, repr=False)
     identities: frozenset[Identity] = field(init=False, compare=False, repr=False)
 
@@ -183,7 +184,6 @@ class RewriteRule:
         linear = occurrences == len(levels)
         setattr_ = object.__setattr__
         setattr_(self, "value_vars", frozenset(under_pure))
-        setattr_(self, "exact_vars", tuple(levels) if linear and not under_pure else None)
         setattr_(self, "reach", max([reach, *(levels[v] for v in under_pure)]) if linear else math.inf)
         setattr_(self, "identities", frozenset(ids))
 
@@ -262,22 +262,27 @@ def match_pattern(
 
 def _compile_matcher(rule: RewriteRule) -> Callable[[SymApp], dict[str, Term] | None]:
     """The rule's left side as a function from a subject with the same
-    head and arity to the match's bindings, or None.  It decides the match
-    alone, trusting nothing else about the subject.  For a rule with
-    exact_vars it checks kind, name, parameters and arity of every symbol
-    application below the root at its fixed path, in preorder so that each
-    path's parents are checked first, and then reads each variable's
-    binding at its path.  Any other rule is decided by match_pattern."""
+    head and arity to the match's bindings, or None, as match_pattern
+    gives them.  It decides the match alone, trusting nothing else about
+    the subject.  It checks kind, name, parameters and arity of every
+    symbol application below the root at its fixed path, in preorder so
+    that each path's parents are checked first, and then reads each
+    variable's binding at its path.  Last come the guarded reads, in
+    preorder: every occurrence of a value metavariable, which binds the
+    payload of a pure, or a plain variable, and fails on anything else,
+    and every later occurrence of a repeated variable, which must read a
+    subterm alpha-equal to the first.  A linear left side with no value
+    metavariable has none."""
     lhs, value_vars = rule.lhs, rule.value_vars
-    if rule.exact_vars is None:
-        return lambda sub: match_pattern(lhs, sub, value_vars)
-    checks: list = []
-    reads: list = []
+    checks, reads, guarded = [], [], []
     stack = [(a, (i,)) for i, a in enumerate(lhs.args)][::-1]
     while stack:
         p, path = stack.pop()
         if type(p) is Var:
-            reads.append((p.name, path))
+            if p.name in value_vars or any(p.name == var for var, _ in reads):
+                guarded.append((p.name, path, p.name in value_vars))
+            else:
+                reads.append((p.name, path))
             continue
         checks.append((path, p.name, p.kind, p.params, len(p.args)))
         stack += [(a, path + (i,)) for i, a in enumerate(p.args)][::-1]
@@ -295,6 +300,16 @@ def _compile_matcher(rule: RewriteRule) -> Callable[[SymApp], dict[str, Term] | 
             for i in path:
                 s = s.args[i]
             out[var] = s
+        for var, path, value in guarded:
+            s = sub
+            for i in path:
+                s = s.args[i]
+            if value and type(s) is not Var:
+                if type(s) is not Pure:
+                    return None
+                s = s.body
+            if out.setdefault(var, s) is not s and not alpha_eq(out[var], s):
+                return None
         return out
 
     return match

@@ -45,14 +45,15 @@ derivations join the other goals' in the memo.
 
 A derivation is a DAG: the memo shares a node among every parent whose
 goal it proves.  Certification builds one node per goal it proves, so
-RpoDerivation is a frozen dataclass on __slots__ whose own constructor
-writes each slot through its descriptor, as the term nodes do, rather
-than through the frozen __setattr__.
+RpoDerivation is a dataclass on __slots__ whose own constructor writes
+each slot through its descriptor, as the term nodes do.  It is
+read-only: its __setattr__ and __delattr__ raise FrozenInstanceError for
+every name, as a frozen dataclass's do for its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
 
 from .rewrite import _ROOT, _cell_position, position_str
@@ -167,7 +168,7 @@ class Precedence:
 # derivations
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False)
 class RpoDerivation:
     """Evidence for lhs > rhs (or lhs >= rhs when rule is refl-eq).
 
@@ -202,6 +203,12 @@ class RpoDerivation:
 
     def __reduce__(self):
         return RpoDerivation, (self.lhs, self.rhs, self.rule, self.index, self.children)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not RpoDerivation:
@@ -310,7 +317,7 @@ class RpoDerivation:
         return root[0]
 
 
-# the slots' own setters, which the constructor calls past the frozen __setattr__
+# the slots' own setters, which the constructor calls past the read-only __setattr__
 _set_lhs, _set_rhs, _set_rule, _set_index, _set_children = (
     RpoDerivation.lhs.__set__,
     RpoDerivation.rhs.__set__,

@@ -8,7 +8,8 @@ Five built-in theories ship with the engine:
   par           interleaving parallel composition; its two commuting rules
                 are a schema instantiated once per other effect in the
                 signature, plus an extended join rule that zips two
-                finished branches into a pure pair
+                finished branches into a pure pair (join is not an
+                algebraic operation; see _par)
   retry         bounded retry of a request with a failure continuation
   peano         unary naturals with plus, for numeral arguments
 
@@ -255,6 +256,17 @@ def _nondet() -> Theory:
 
 
 def _par(effects: tuple[tuple[str, int], ...] = (("e1", 1), ("e2", 1)), join: bool = True) -> Theory:
+    """Interleaving parallel composition over `effects`, with the join
+    rule `join-par` unless `join` is false.
+
+    join is not an algebraic operation: join-par does not commute with
+    eff-assoc.  eff-assoc moves a let's body under the join, into its
+    argument, where join-par no longer sees two finished branches.  Under
+    par, (let x (eff join () (eff par () (pure a) (pure b))) (eff e1 ()
+    (pure x))) has two normal forms, (eff e1 () (pure (fn pair a b))) and
+    (eff join () (eff e1 () (eff e1 () (eff par () (pure a) (pure b))))).
+    This is nondeterminism beyond the left/right interleaving of the
+    commuting rules; the rules are kept as they are."""
     decls: list = [EffectDecl("par", 2)]
     for name, arity in effects:
         decls.append(EffectDecl(name, arity))

@@ -522,21 +522,6 @@ def reference_reach(rules) -> float:
     return reach
 
 
-def reference_exact_vars(rule) -> tuple | None:
-    """The variable names of a left side in preorder, by plain recursion,
-    if the left side is linear and the rule has no value metavariable,
-    else None."""
-
-    def names(p) -> list[str]:
-        if isinstance(p, Var):
-            return [p.name]
-        return [n for a in p.args for n in names(a)]
-
-    found = names(rule.lhs)
-    exact = len(set(found)) == len(found) and not rule.value_vars
-    return tuple(found) if exact else None
-
-
 def reference_value_vars(t: Term, inside: bool = False) -> frozenset[str]:
     """The variables of t that occur under a pure, by plain recursion."""
     if isinstance(t, Var):

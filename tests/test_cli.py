@@ -60,6 +60,18 @@ def test_check_infers_type(capsys):
     assert out.strip() == "(E val)"
 
 
+def test_check_let_binder_scopes_over_its_body_only(capsys):
+    code, out, _ = run(
+        capsys,
+        "check",
+        "--builtin", "peano",
+        "--var", "x:nat",
+        "--term", "(let x (pure x) (pure x))",
+    )
+    assert code == 0
+    assert out == "(E nat)\n"
+
+
 def test_check_json(capsys):
     code, out, _ = run(
         capsys,

@@ -2,7 +2,7 @@ import random
 
 from effrew.graph import Edge, ReductionGraph, graph_summary, reduction_graph
 from effrew.rewrite import make_rule
-from effrew.terms import Pure, Var, alpha_eq, canonical_key, eff, fn, print_term
+from effrew.terms import Let, Pure, Var, alpha_eq, canonical_key, eff, fn, print_term
 from oracles import naive_normal_forms
 from termgen import or_tree
 
@@ -132,3 +132,20 @@ def test_longest_path_survives_deep_chains():
     g = ReductionGraph(keys[0], nodes, edges, (keys[-1],), False)
     assert g.longest_path() == n
     assert g.acyclic is True
+
+
+def test_join_does_not_commute_with_eff_assoc(par):
+    # eff-assoc moves the let's body under join, where join-par no longer
+    # sees two finished branches: join is not an algebraic operation
+    joined = eff("join", eff("par", Pure(Var("a")), Pure(Var("b"))))
+    t = Let("x", joined, eff("e1", Pure(Var("x"))))
+    assert graph_summary(reduction_graph(t, list(par.rules))).splitlines() == [
+        "nodes: 13",
+        "edges: 16",
+        "normal forms: 2",
+        "acyclic: yes",
+        "longest path: 6",
+        "truncated: no",
+        "  nf: (eff e1 () (pure (fn pair a b)))",
+        "  nf: (eff join () (eff e1 () (eff e1 () (eff par () (pure a) (pure b)))))",
+    ]

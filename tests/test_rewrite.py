@@ -36,6 +36,7 @@ from effrew.terms import (
     SymApp,
     Var,
     alpha_eq,
+    canonical_key,
     eff,
     fn,
     free_vars,
@@ -51,7 +52,6 @@ from oracles import (
     instantiate,
     naive_normal_forms,
     nesting_count_by_positions,
-    reference_exact_vars,
     reference_graph,
     reference_identities,
     reference_normalize,
@@ -762,10 +762,9 @@ def test_rule_retrieval_matches_brute_force(seed):
         found = symbolic_redexes(s, rules)
         assert [(r.position, r.rule_index) for r in found] == expected
         assert [r.rule_name for r in found] == [rules[i].name for _, i in expected]
-        # the index hands back each hit's bindings: read at fixed paths for
-        # a linear left side with no value metavariable, else from
-        # match_pattern; and each hit's contractum is what instantiate
-        # builds from them
+        # the index hands back each hit's bindings, read by the rule's
+        # compiled matcher; they are match_pattern's, and each hit's
+        # contractum is what instantiate builds from them
         for _, sub in iter_subterms(s):
             head = index.get((sub.kind, sub.name, sub.params)) if isinstance(sub, SymApp) else None
             hits = head.matches(sub) if head is not None else []
@@ -788,10 +787,9 @@ def test_rule_retrieval_matches_brute_force(seed):
 
 def _check_rule_facts(rules):
     """The facts a rule derives when built, against the walks that derived
-    them before: the exact variables, the reach, the value metavariables,
-    the pattern variables and the symbol identities."""
+    them before: the reach, the value metavariables, the pattern variables
+    and the symbol identities."""
     for rule in rules:
-        assert rule.exact_vars == reference_exact_vars(rule)
         assert max(2, rule.reach) == reference_reach([rule])
         assert rule.value_vars == (reference_value_vars(rule.rhs) if rule.extended else frozenset())
         assert pattern_vars(rule.lhs) == {v.name for _, v in iter_subterms(rule.lhs) if isinstance(v, Var)}
@@ -854,11 +852,7 @@ def test_rules_and_theories_survive_copy_and_pickle(name):
             for rule in rules:
                 again = dup(rule)
                 assert (again, hash(again), repr(again)) == (rule, hash(rule), repr(rule))
-                assert (again.exact_vars, again.reach, again.identities) == (
-                    rule.exact_vars,
-                    rule.reach,
-                    rule.identities,
-                )
+                assert (again.reach, again.identities) == (rule.reach, rule.identities)
 
     check_copies()
     assert compiled() == []
@@ -896,6 +890,62 @@ def test_rule_index_prunes_par_rules(monkeypatch):
     assert tried == ["par-left.a1", "par-right.b1"]
     assert [n for n in tried if n.startswith("par-left.")] == ["par-left.a1"]
     assert at_root == ["par-left.a1", "par-right.b1"]
+
+
+_LAM_X, _LAM_Y, _LAM_YX = Lam("x", Var("x")), Lam("y", Var("y")), Lam("y", Var("x"))
+_DUP = make_rule("dup", eff("or", Var("s"), Var("s")), Var("s"))
+
+
+def test_compiled_matcher_reads_repeats_and_value_metavariables():
+    # subjects that hold binders: a repeated variable must see alpha-equal
+    # subterms, and a value metavariable reads the payload of a pure or
+    # takes a plain variable; each matcher gives match_pattern's bindings
+    [join] = [r for r in builtin("par").rules if r.name == "join-par"]
+    same = make_rule("same", eff("join", eff("par", Var("v"), Var("v"))), Pure(Var("v")), extended=True)
+    bound = Let("z", Pure(Var("a")), Pure(Var("z")))
+    cases = [
+        (_DUP, eff("or", Pure(_LAM_X), Pure(_LAM_Y)), {"s": Pure(_LAM_X)}),
+        (_DUP, eff("or", Pure(_LAM_X), Pure(_LAM_YX)), None),
+        (_DUP, eff("or", bound, Let("y", Pure(Var("a")), Pure(Var("y")))), {"s": bound}),
+        (_DUP, eff("or", bound, Let("y", Pure(Var("a")), Pure(Var("z")))), None),
+        (_DUP, eff("or", Var("a"), Var("b")), None),
+        (join, eff("join", eff("par", Pure(_LAM_X), Var("w"))), {"v": _LAM_X, "w": Var("w")}),
+        (join, eff("join", eff("par", Var("u"), Pure(_LAM_YX))), {"v": Var("u"), "w": _LAM_YX}),
+        (join, eff("join", eff("par", Pure(_LAM_X), eff("e1", Pure(_LAM_Y)))), None),
+        (join, eff("join", eff("par", eff("e1", Pure(_LAM_X)), Var("w"))), None),
+        (join, eff("join", eff("par", fn("c"), Var("w"))), None),
+        (same, eff("join", eff("par", Pure(_LAM_X), Pure(_LAM_Y))), {"v": _LAM_X}),
+        (same, eff("join", eff("par", Var("u"), Pure(Var("u")))), {"v": Var("u")}),
+        (same, eff("join", eff("par", Pure(_LAM_X), Pure(_LAM_YX))), None),
+        (same, eff("join", eff("par", Pure(_LAM_X), eff("e1", Pure(_LAM_X)))), None),
+    ]
+    for rule, sub, expected in cases:
+        got, reference = rule._matcher(sub), match_pattern(rule.lhs, sub, rule.value_vars)
+        assert got == reference == expected
+        # both bind a repeated variable to its first occurrence, in preorder
+        assert got is None or all(got[v] is reference[v] for v in got)
+
+
+def test_engine_runs_without_match_pattern(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called match_pattern")
+
+    monkeypatch.setattr(effrew.rewrite, "match_pattern", refuse)
+    par = list(builtin("par").rules)
+    joined, pair = eff("join", eff("par", Pure(Var("a")), Pure(Var("b")))), Pure(fn("pair", Var("a"), Var("b")))
+    cases = [
+        (par, joined, ["join-par"], pair),
+        (par, Let("x", joined, eff("e1", Pure(Var("x")))), ["eff-assoc", "join-par"], eff("e1", pair)),
+        ([_DUP], eff("or", Pure(_LAM_X), Pure(_LAM_Y)), ["dup"], Pure(_LAM_X)),
+        ([_DUP], eff("or", Pure(_LAM_X), Pure(_LAM_YX)), [], eff("or", Pure(_LAM_X), Pure(_LAM_YX))),
+    ]
+    for rules, t, redexes, nf in cases:
+        assert [r.rule_name for r in all_redexes(t, rules)] == redexes
+        assert normalize(t, rules, strategy="rightmost-innermost")[0] == nf
+        for strategy, seed in (("leftmost-outermost", None), ("random", 5)):
+            normalize(t, rules, strategy=strategy, seed=seed)
+        g = reduction_graph(t, rules)
+        assert canonical_key(nf) in g.normal_forms and not g.truncated
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])

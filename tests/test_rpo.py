@@ -359,6 +359,12 @@ def test_derivation_node_contract():
     for name in ("lhs", "rule", "index", "children"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(d, name, None)
+    # a name that is no field, and deleting a field, are refused the same way
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del d.rule
+    assert d.rule == CASE_PREC and not hasattr(d, "extra")
     for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
         assert copied == d and hash(copied) == hash(d) and repr(copied) == repr(d)
     assert copy.copy(d).children is d.children

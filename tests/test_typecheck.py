@@ -52,6 +52,16 @@ def test_let_links_subject_and_binder():
     assert infer_type({"v": VAL}, t, GS.signature) == Eff(VAL)
 
 
+def test_let_binder_scopes_over_its_body_only():
+    # the subject's x is the context's; only the body sees the binder
+    t = Let("x", Pure(Var("x")), Pure(Var("x")))
+    assert infer_type({"x": NAT}, t, PEANO.signature) == Eff(NAT)
+    t = Let("x", Pure(Lam("y", Var("x"))), Pure(Var("x")))
+    assert type_str(canonical_type(infer_type({"x": NAT}, t, PEANO.signature))) == "(E (-> 'a nat))"
+    with pytest.raises(TypingError):
+        infer_type({}, Let("x", Pure(Var("x")), Pure(Var("x"))), PEANO.signature)
+
+
 def test_let_body_must_be_effectful():
     t = Let("x", Pure(Var("v")), Var("x"))
     with pytest.raises(TypingError):
