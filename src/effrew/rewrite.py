@@ -19,10 +19,11 @@ All rules apply at any position (compatible closure): under binders, in
 let subjects, inside effect arguments.
 
 Redexes are listed by one explicit-stack preorder walk, _list_redexes,
-which every caller shares.  It tries the metalanguage rules at every node
-and, at a symbol application, the user rules rooted at its head (see
-head_index) that its shape admits: its arity and the names of its first
-two arguments, whose candidates a memo per head keeps (see _Head).  Each
+which every caller shares.  It reads each node by its class: it tries the
+metalanguage rules at a let or an application and, at a symbol
+application, the user rules rooted at its head (see head_index) that its
+shape admits: its arity and the names of its first two arguments, whose
+candidates a memo per head keeps (see _Head).  Each
 candidate, whatever its left side, is decided alone by the matcher
 compiled for its rule (see _compile_matcher), which hands back the match's
 bindings, so retrieval is exact.  match_pattern, the recursive matcher,
@@ -41,7 +42,11 @@ contractum, and rechecks only the ancestors of p whose head's rules read
 deep enough to see p (see normalize); the others keep their entries, and
 are rebuilt only when the zipper next climbs past them.  The redex-free
 record lasts for the call, so listing a contractum skips the parts it
-shares with the old term.  The current term is held as a
+shares with the old term.  A user rule's contractum is not walked: its
+entries are read off a plan of the rule's right side (see
+_list_contractum), which matches only the right-side nodes whose head
+starts a rule and walks only the bindings the record does not hold.  The
+current term is held as a
 zipper, and every position as a cell linked to its parent's, so a step
 pays for the path it walks and not for its depth; a position becomes a
 tuple only where one is read (a Redex, a trace step, a graph edge).  An
@@ -124,11 +129,12 @@ class RewriteRule:
     sides.
 
     _matcher and _builder, the rule's compiled left and right sides (see
-    _compile_matcher and _compile_builder), and _index_keys, the left
-    side's arity and the names of its first two arguments, None where one
-    is a variable (see _Head), are built on first use and kept.  Copying
-    and pickling rebuild the rule from its constructor's arguments, so a
-    copy compiles its own."""
+    _compile_matcher and _compile_builder), _plan, the right side as the
+    steps that list a contractum's redexes (see _compile_plan), and
+    _index_keys, the left side's arity and the names of its first two
+    arguments, None where one is a variable (see _Head), are built on
+    first use and kept.  Copying and pickling rebuild the rule from its
+    constructor's arguments, so a copy compiles its own."""
 
     name: str
     lhs: Term
@@ -197,6 +203,10 @@ class RewriteRule:
     @cached_property
     def _builder(self) -> Callable[[dict[str, Term]], Term]:
         return _compile_builder(self.rhs)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        return _compile_plan(self.rhs)
 
     @cached_property
     def _index_keys(self) -> tuple:
@@ -338,6 +348,32 @@ def _compile_builder(rhs: Term) -> Callable[[dict[str, Term]], Term]:
     return lambda bindings: SymApp(kind, name, params, tuple([part(bindings) for part in parts]))
 
 
+def _compile_plan(rhs: Term) -> tuple:
+    """A rule's right side as the listing plan of its contracta (see
+    _list_contractum): one step per node, in preorder, each (parent slot,
+    child index, head, variable).  Every node that is not a variable takes
+    the next slot, counting from 0 at the root, and its children name it
+    as parent; the root's parent is -1.  head is a symbol application's
+    (kind, name, parameters), else None; variable is a variable's name,
+    else None."""
+    plan = []
+    slots = 0
+    stack = [(rhs, -1, 0)]
+    while stack:
+        t, parent, i = stack.pop()
+        if type(t) is Var:
+            plan.append((parent, i, None, t.name))
+            continue
+        slot, slots = slots, slots + 1
+        if type(t) is Pure:
+            plan.append((parent, i, None, None))
+            stack.append((t.body, slot, 0))
+        else:
+            plan.append((parent, i, (t.kind, t.name, t.params), None))
+            stack += [(a, slot, j) for j, a in enumerate(t.args)][::-1]
+    return tuple(plan)
+
+
 # ---------------------------------------------------------------------------
 # redexes
 
@@ -437,7 +473,10 @@ class _Head:
         """(rule index, rule name, rule, bindings) for every rule of this
         head that matches sub, in rule order."""
         args = sub.args
-        shape = (len(args), _arg_key(args, 0), _arg_key(args, 1))
+        n = len(args)
+        first = args[0].name if n and type(args[0]) is SymApp else None
+        second = args[1].name if n > 1 and type(args[1]) is SymApp else None
+        shape = (n, first, second)
         candidates = self._shapes.get(shape)
         if candidates is None:
             # a variable in the left side admits any argument
@@ -475,7 +514,7 @@ def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
     Retrieval (`_Head.matches`) is exact: it returns every rule that
     matches, with its bindings, and no other, in rule order.  A head's
     reach tells normalize which of a step's ancestors to recheck (see
-    _head_reach)."""
+    normalize)."""
     index: HeadIndex = {}
     for idx, rule in enumerate(rules):
         lhs = rule.lhs
@@ -486,17 +525,6 @@ def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
         head.rules.append((idx, rule))
         head.reach = max(head.reach, rule.reach)
     return index
-
-
-def _head_reach(t: Term, index: HeadIndex) -> float:
-    """How many levels of t the rules rooted at t's head read: ML_REACH at
-    a let or an application, the head's reach at a symbol application
-    whose head starts a user rule, else 0.  A contraction below t leaves
-    its head, and so this, unchanged."""
-    if type(t) is SymApp:
-        head = index.get((t.kind, t.name, t.params))
-        return 0 if head is None else head.reach
-    return ML_REACH if type(t) is Let or type(t) is App else 0
 
 
 # A position as a cell (parent cell, child index, depth).  The walk makes a
@@ -739,11 +767,15 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
     subterm, contraction) to out for every redex of t, the subterm at cell
     `at`, as _rules_at gives them; positions come in preorder, so in
     lexicographic order.  One explicit-stack walk, which makes each child's
-    cell from its parent's.  clean holds, by id, subterms known to have no
-    redex: they are skipped, and every subterm found to have none is added.
-    Each is held by the record, so that its id cannot be reused."""
+    cell from its parent's and reads each node's children and rules by its
+    class: a symbol application costs one head lookup, and a let or an
+    application a test of the metalanguage rules.  clean holds, by id,
+    subterms known to have no redex: they are skipped, and every subterm
+    found to have none is added.  Each is held by the record, so that its
+    id cannot be reused."""
     stack: list = [] if id(t) in clean else [(t, at)]
     push = stack.append
+    get = index.get
     while stack:
         sub, cell = stack.pop()
         if type(cell) is int:
@@ -751,18 +783,69 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
             if len(out) == cell:
                 clean[id(sub)] = sub
             continue
-        hits = _rules_at(sub, index)
-        kids = children(sub)
+        start = len(out)
+        cls = type(sub)
+        if cls is SymApp:
+            kids = sub.args
+            head = get((sub.kind, sub.name, sub.params))
+            if head is not None:
+                hits = head.matches(sub)
+                if hits:
+                    out += [(cell, idx, name, rule, sub, bindings) for idx, name, rule, bindings in hits]
+        elif cls is Let or cls is App:
+            hit = _ml_contraction(sub)
+            if hit is not None:
+                out.append((cell, 0, hit[0], None, sub, hit[1]))
+            kids = (sub.subject, sub.body) if cls is Let else (sub.fun, sub.arg)
+        elif cls is Var:
+            clean[id(sub)] = sub
+            continue
+        else:
+            kids = (sub.body,)
         if kids:
-            push((sub, len(out)))
+            push((sub, start))
             depth = cell[2] + 1
             for i in range(len(kids) - 1, -1, -1):
                 if id(kids[i]) not in clean:
                     push((kids[i], (cell, i, depth)))
-        elif not hits:
+        elif len(out) == start:
             clean[id(sub)] = sub
-        if hits:
-            out += [(cell, idx, name, rule, sub, contraction) for idx, name, rule, contraction in hits]
+
+
+def _list_contractum(
+    rule: RewriteRule, contractum: Term, bindings: dict[str, Term], at: Cell, index: HeadIndex, clean: dict, out: list
+) -> None:
+    """What _list_redexes(contractum, at, index, clean, out) appends, for
+    the contractum that rule's builder made from bindings, read off the
+    rule's plan (see _compile_plan) instead of walked.  A right-side node
+    is matched only if its head starts a rule: no metalanguage rule applies
+    at a symbol application or a pure.  A variable's binding is walked only
+    if clean does not hold it.  The right side's own nodes are not added
+    to clean; a later walk that meets one adds it."""
+    get = index.get
+    terms: list = []
+    cells: list = []
+    for parent, i, key, var in rule._plan:
+        if var is not None:
+            t = bindings[var]
+            if id(t) not in clean:
+                up = cells[parent] if parent >= 0 else None
+                _list_redexes(t, at if up is None else (up, i, up[2] + 1), index, clean, out)
+            continue
+        if parent < 0:
+            t, cell = contractum, at
+        else:
+            t, up = terms[parent], cells[parent]
+            t = t.args[i] if type(t) is SymApp else t.body
+            cell = (up, i, up[2] + 1)
+        terms.append(t)
+        cells.append(cell)
+        if key is not None:
+            head = get(key)
+            if head is not None:
+                hits = head.matches(t)
+                if hits:
+                    out += [(cell, idx, name, r, t, b) for idx, name, r, b in hits]
 
 
 def _edge(listing: list, cell: Cell, k: int, step: int) -> int:
@@ -806,9 +889,14 @@ def normalize(
     step finds the slice it replaces and the ancestors it rechecks by
     walking cells, so its cost does not grow with the depth of its redex.
 
+    A user-rule step lists its contractum off the rule's right side (see
+    _list_contractum), and a metalanguage step walks it.  The slice of
+    entries it replaces ends at the entry after the fired one unless that
+    entry lies under the redex; only then does _edge search for its end.
     A step rechecks an ancestor k levels above its redex only if the
-    rules rooted at the ancestor's head read more than k levels (see
-    _head_reach), and the zipper climbs, rebuilding parents, only as far
+    rules rooted at the ancestor's head read more than k levels (ML_REACH
+    at a let or an application, the head's reach at a symbol application,
+    see head_index), and the zipper climbs, rebuilding parents, only as far
     as the highest such ancestor.  An ancestor it passes keeps its
     entries: the rules at its head cannot see the change, so they match
     as before, and stale bindings are derived again if the entry fires.
@@ -857,9 +945,20 @@ def normalize(
         lo = i
         while lo and listing[lo - 1][0] is cell:
             lo -= 1
-        hi = _edge(listing, cell, i + 1, 1)
+        # the entry after the fired one is tested before any gallop, since
+        # the slice under a node most often ends at its own entries
+        hi = i + 1
+        if hi < len(listing):
+            c, at_depth = listing[hi][0], cell[2]
+            while c[2] > at_depth:
+                c = c[0]
+            if c is cell:
+                hi = _edge(listing, cell, hi + 1, 1)
         listed: list = []
-        _list_redexes(contractum, cell, index, clean, listed)
+        if rule is None:
+            _list_redexes(contractum, cell, index, clean, listed)
+        else:
+            _list_contractum(rule, contractum, contraction, cell, index, clean, listed)
         listing[lo:hi] = listed
         # an ancestor k levels up sees what changed only if a rule rooted at
         # its head reads more than k levels.  The zipper climbs to the highest
@@ -869,7 +968,14 @@ def normalize(
         parents = zipper.parents
         depth = len(parents)
         for k in range(1, min(reach - 1, depth) + 1):
-            if _head_reach(parents[depth - k], index) <= k:
+            # how many levels the rules rooted at this ancestor's head read
+            p = parents[depth - k]
+            cls = type(p)
+            if cls is SymApp:
+                head = index.get((p.kind, p.name, p.params))
+                if head is None or head.reach <= k:
+                    continue
+            elif (cls is not Let and cls is not App) or ML_REACH <= k:
                 continue
             while len(parents) > depth - k:
                 zipper.up()

@@ -553,6 +553,17 @@ _RECHECK_RULES = {
         make_rule("j-q", fn("j", fn("q", Var("v"))), Pure(Var("v")), extended=True),
         make_rule("mk", fn("mk", Var("x")), Pure(Var("x")), extended=True),
     ),
+    # right sides whose nodes start rules: p's contractum is an h-g-k redex
+    # built only from right-side nodes, q's holds an m-k redex under s,
+    # whose head starts no rule, and drop's is its bare first argument,
+    # which may hold redexes of its own
+    "rhs-heads": (
+        make_rule("h-g-k", fn("h", fn("g", fn("k", Var("x")))), Var("x")),
+        make_rule("m-k", fn("m", Var("x")), fn("k", Var("x"))),
+        make_rule("p-h-g-k", fn("p", Var("x")), fn("h", fn("g", fn("k", Var("x"))))),
+        make_rule("q-s-m", fn("q", Var("x")), fn("s", fn("m", Var("x")))),
+        make_rule("drop", fn("drop", Var("x"), Var("y")), Var("x")),
+    ),
 }
 
 NORMALIZE_CASES = SCAN_CASES + tuple((name, "recheck") for name in _RECHECK_RULES)
@@ -561,11 +572,12 @@ NORMALIZE_CASES = SCAN_CASES + tuple((name, "recheck") for name in _RECHECK_RULE
 def _recheck_term(rng, budget: int):
     """A term over the symbols of _RECHECK_RULES in which their left sides,
     one contraction short, are common: h(g(m(t))), j(q(mk(t))), and
-    f(w(k(t)), w(m(t))) under a chain w of unary symbols."""
+    f(w(k(t)), w(m(t))) under a chain w of unary symbols; and in which
+    p(t), q(t) and drop(t, u) are common as they are."""
     if budget <= 1:
         return rng.choice((fn("c"), fn("a"), Var("x")))
     t = _recheck_term(rng, budget - rng.randint(1, 3))
-    roll = rng.randrange(6)
+    roll = rng.randrange(7)
     if roll == 0:
         return fn("h", fn("g", fn("m", t)))
     if roll == 1:
@@ -578,6 +590,8 @@ def _recheck_term(rng, budget: int):
         return fn("f", *rng.sample((left, right), 2))
     if roll == 3:
         return fn("f", t, _recheck_term(rng, budget // 2))
+    if roll == 4:
+        return rng.choice((fn("p", t), fn("q", t), fn("drop", t, _recheck_term(rng, budget // 2))))
     return fn(rng.choice(("h", "g", "k", "m", "s", "j", "q", "mk")), t)
 
 
@@ -830,20 +844,27 @@ def test_rule_facts_of_random_rules(seed):
 _COPY_CASES = {
     "peano": fn("plus", peano_numeral(3), peano_numeral(2)),
     "par": eff("join", eff("par", eff("e1", Pure(Var("a"))), eff("e2", eff("e1", Pure(Var("b")))))),
+    # retry-succ's right side holds a retry node, whose binding u holds a
+    # plus redex, and plus-zero's right side is a bare variable
+    "retry+peano": fn(
+        "retry", fn("plus", peano_numeral(2), peano_numeral(0)), eff("request", Var("t"), Var("s1"), Var("s2"))
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_COPY_CASES))
 def test_rules_and_theories_survive_copy_and_pickle(name):
-    # a rule compiles its sides when they are first used and keeps them:
-    # copies made before and after must come back equal and fire the same
-    theory = builtin(name)
+    # a rule compiles its sides and its listing plan when they are first
+    # used and keeps them: copies made before and after must come back
+    # equal, compile their own and fire the same
+    theory = compose(*(builtin(part) for part in name.split("+")))
     rules = list(theory.rules)
     t = _COPY_CASES[name]
     duplicates = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    compiled_names = ("_matcher", "_builder", "_plan")
 
-    def compiled():
-        return [r.name for r in rules if "_matcher" in vars(r) or "_builder" in vars(r)]
+    def compiled(rules):
+        return [r.name for r in rules if any(c in vars(r) for c in compiled_names)]
 
     def check_copies():
         for dup in duplicates:
@@ -855,10 +876,10 @@ def test_rules_and_theories_survive_copy_and_pickle(name):
                 assert (again.reach, again.identities) == (rule.reach, rule.identities)
 
     check_copies()
-    assert compiled() == []
+    assert compiled(rules) == []
     nf, trace = normalize(t, rules)
     g = reduction_graph(t, rules)
-    assert compiled()
+    assert compiled(rules)
     check_copies()
     for dup in duplicates:
         copies = [dup(rule) for rule in rules]
@@ -867,6 +888,14 @@ def test_rules_and_theories_survive_copy_and_pickle(name):
         assert reduction_graph(t, copies) == g
         again = dup(trace)
         assert again == trace and again.export_lines() == trace.export_lines()
+    # a rule list copied whole, after the rules compiled, starts with
+    # nothing compiled and lists the same contracta
+    for dup in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        copies = dup(rules)
+        assert copies == rules and compiled(copies) == []
+        again_nf, again_trace = normalize(t, copies)
+        assert again_nf == nf and again_trace.export_lines() == trace.export_lines()
+        assert all(again._plan == rule._plan and again._plan is not rule._plan for again, rule in zip(copies, rules))
 
 
 def test_rule_index_prunes_par_rules(monkeypatch):
@@ -1009,6 +1038,29 @@ def test_plus_steps_climb_only_to_ancestors_they_recheck(peano, strategy, monkey
     assert len(trace.steps) == n + 1
     assert numeral_value(nf) == 2 * n
     assert climbs <= n + 1
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+@stack_safe
+def test_plus_steps_list_contracta_from_the_right_side(peano, strategy, monkeypatch):
+    # each step lists its contractum off the rule's right side: plus is
+    # matched where it is built, and the numerals bound to x and y are
+    # known to have no redex, so the start term is the only term walked;
+    # a step that walks its contractum makes this n + 2
+    n = 300
+    walks = 0
+    walk = effrew.rewrite._list_redexes
+
+    def counting(*args):
+        nonlocal walks
+        walks += 1
+        walk(*args)
+
+    monkeypatch.setattr(effrew.rewrite, "_list_redexes", counting)
+    nf, trace = normalize(fn("plus", peano_numeral(n), peano_numeral(n)), list(peano.rules), strategy=strategy)
+    assert len(trace.steps) == n + 1
+    assert numeral_value(nf) == 2 * n
+    assert walks == 1
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
