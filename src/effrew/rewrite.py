@@ -23,10 +23,12 @@ which every caller shares.  It reads each node by its class: it tries the
 metalanguage rules at a let or an application and, at a symbol
 application, the user rules rooted at its head (see head_index) that its
 shape admits: its arity and the names of its first two arguments, whose
-candidates a memo per head keeps (see _Head).  Each
-candidate, whatever its left side, is decided alone by the matcher
-compiled for its rule (see _compile_matcher), which hands back the match's
-bindings, so retrieval is exact.  match_pattern, the recursive matcher,
+candidates a memo per head keeps (see _Head).  A run of one-argument
+symbol applications whose heads start no rule, such as a numeral's succ
+nodes, is walked down in one loop.  Each candidate, whatever its left
+side, is decided alone by the matcher compiled for its rule (see
+_compile_matcher), which hands back the match's bindings, so retrieval
+is exact.  match_pattern, the recursive matcher,
 is the public reference those matchers agree with; the engine does not
 call it.  Each entry of
 a listing holds what builds its contractum (the bindings, or the
@@ -772,16 +774,28 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
     application a test of the metalanguage rules.  clean holds, by id,
     subterms known to have no redex: they are skipped, and every subterm
     found to have none is added.  Each is held by the record, so that its
-    id cannot be reused."""
+    id cannot be reused.
+
+    A tower, a run of one-argument symbol applications whose heads start
+    no rule, such as the succ nodes of a numeral, is walked down in one
+    loop: its nodes add no entry, so they share one leave marker, which
+    puts the whole run in the record if nothing was listed below it.  The
+    run stops at a subterm the record holds, or before a node that is not
+    such an application, which the walk then reads as any other."""
     stack: list = [] if id(t) in clean else [(t, at)]
     push = stack.append
     get = index.get
     while stack:
         sub, cell = stack.pop()
         if type(cell) is int:
-            # leaving sub: cell is the length of out when sub was entered
+            # leaving sub, or a tower's nodes listed top down: cell is the
+            # length of out when it was entered
             if len(out) == cell:
-                clean[id(sub)] = sub
+                if type(sub) is list:
+                    for node in reversed(sub):
+                        clean[id(node)] = node
+                else:
+                    clean[id(sub)] = sub
             continue
         start = len(out)
         cls = type(sub)
@@ -792,6 +806,19 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
                 hits = head.matches(sub)
                 if hits:
                     out += [(cell, idx, name, rule, sub, bindings) for idx, name, rule, bindings in hits]
+            elif len(kids) == 1:
+                run = [sub]
+                push((run, start))
+                while True:
+                    sub = sub.args[0]
+                    cell = (cell, 0, cell[2] + 1)
+                    if id(sub) in clean:
+                        break
+                    if type(sub) is not SymApp or len(sub.args) != 1 or (sub.kind, sub.name, sub.params) in index:
+                        push((sub, cell))
+                        break
+                    run.append(sub)
+                continue
         elif cls is Let or cls is App:
             hit = _ml_contraction(sub)
             if hit is not None:

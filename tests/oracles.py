@@ -31,7 +31,9 @@ from effrew.rpo import (
     RpoDerivation,
     SearchBoundError,
 )
+from effrew.parser import ParseError
 from effrew.sexpr import Node, SexprError
+from effrew.signature import check_symapp
 from effrew.terms import (
     App,
     Lam,
@@ -627,3 +629,60 @@ def reference_parse_many(text: str) -> list:
     while not r.at_end():
         out.append(r.read())
     return out
+
+
+def reference_build_term(node, sig) -> Term:
+    """parser.build_term by plain recursive descent: each form is checked
+    when it is reached, its parts are built left to right, and a symbol
+    application is checked against sig after its arguments."""
+
+    def ident(node, what: str) -> str:
+        if not isinstance(node, str):
+            raise ParseError(f"expected {what}, got {node!r}")
+        return node
+
+    if isinstance(node, str):
+        return Var(node)
+    if isinstance(node, int):
+        raise ParseError(f"bare integer {node} is not a term")
+    if not isinstance(node, list) or not node:
+        raise ParseError("empty form is not a term")
+    head = node[0]
+    if head == "lam":
+        if len(node) != 3:
+            raise ParseError("(lam ident term) takes two parts")
+        return Lam(ident(node[1], "binder"), reference_build_term(node[2], sig))
+    if head == "app":
+        if len(node) != 3:
+            raise ParseError("(app term term) takes two parts")
+        return App(reference_build_term(node[1], sig), reference_build_term(node[2], sig))
+    if head == "pure":
+        if len(node) != 2:
+            raise ParseError("(pure term) takes one part")
+        return Pure(reference_build_term(node[1], sig))
+    if head == "let":
+        if len(node) != 4:
+            raise ParseError("(let ident term term) takes three parts")
+        return Let(ident(node[1], "binder"), reference_build_term(node[2], sig), reference_build_term(node[3], sig))
+    if head == "eff":
+        if len(node) < 3 or not isinstance(node[2], list):
+            raise ParseError("(eff ident (param*) term*) needs a parameter list")
+        name = ident(node[1], "effect name")
+        params = []
+        for p in node[2]:
+            if isinstance(p, list):
+                raise ParseError(f"parameter of {name} must be an integer or ident")
+            params.append(p)
+        args = tuple(reference_build_term(a, sig) for a in node[3:])
+        term = SymApp("eff", name, tuple(params), args)
+        check_symapp(sig, term)
+        return term
+    if head == "fn":
+        if len(node) < 2:
+            raise ParseError("(fn ident term*) needs a symbol name")
+        name = ident(node[1], "function name")
+        args = tuple(reference_build_term(a, sig) for a in node[2:])
+        term = SymApp("fn", name, (), args)
+        check_symapp(sig, term)
+        return term
+    raise ParseError(f"unknown form head: {head!r}")

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import subprocess
@@ -488,6 +489,29 @@ def test_search_on_more_rules_than_stack_frames(capsys, tmp_path):
     )
     code, out, err = run(capsys, "search", "--theory", str(theory))
     assert (code, out, err) == (0, "f > g\n", "")
+
+
+@stack_safe
+def test_deep_numeral_on_standard_input(capsys, monkeypatch):
+    # Linux caps one argument at 128 KiB, so a term 10^5 deep comes on
+    # standard input; it is read, built, listed and printed without recursion
+    n = 10**5
+    numeral = "(fn succ " * n + "(fn zero)" + ")" * n
+    plus_zero = f"(fn plus (fn zero) {numeral})"
+    peano = ("--builtin", "peano", "--term", "-")
+    cases = [
+        (numeral, ("normalize", *peano, "--format", "json"), json.dumps({"normal_form": numeral, "steps": 0}) + "\n"),
+        (plus_zero, ("trace", *peano), f"plus-zero @ / : {numeral}\n"),
+        (numeral, ("graph", *peano, "--summary"), None),
+    ]
+    for text, argv, expected in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if expected is None:
+            assert out.startswith("nodes: 1\nedges: 0\nnormal forms: 1\n") and out.endswith(f"  nf: {numeral}\n")
+        else:
+            assert out == expected, argv
 
 
 def test_search_bound_exceeded(capsys):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effrew.parser import ParseError, parse_term, parse_type
+from effrew.parser import ParseError, build_term, parse_term, parse_type
+from effrew.sexpr import parse_one
+from effrew.signature import SignatureError
 from effrew.terms import (
     App,
     Arrow,
@@ -18,7 +20,9 @@ from effrew.terms import (
     fn,
     print_term,
 )
-from effrew.theories import builtin
+from effrew.theories import builtin, compose, peano_numeral
+from oracles import reference_build_term
+from stack_safe import stack_safe
 from termgen import RPO_SIG, symbolic_term
 
 GS_SIG = builtin("global-state").signature
@@ -127,3 +131,70 @@ def test_print_parse_roundtrip_binders():
     for text in samples:
         t = parse_term(text, sig)
         assert parse_term(print_term(t), sig) == t
+
+
+# -- the builder against the recursive reference -----------------------------
+
+MIXED_SIG = compose(builtin("global-state"), builtin("nondet"), builtin("peano")).signature
+
+_ATOMS = st.sampled_from(("x", "v", "y", "zero", "succ", "plus", "or", "lam", "fn", 0, -1))
+
+
+def _forms(part):
+    """Each form with parts drawn from part: most have the right shape,
+    but a binder or a name may be an integer, a parameter may be a list, a
+    symbol may be unknown or take the wrong arity, and the last one is any
+    list at all."""
+    parts = st.lists(part, max_size=3)
+    params = st.lists(st.one_of(st.integers(-1, 2), st.just("a"), part), max_size=2)
+    return st.one_of(
+        st.builds(lambda b, body: ["lam", b, body], _ATOMS, part),
+        st.builds(lambda f, a: ["app", f, a], part, part),
+        st.builds(lambda body: ["pure", body], part),
+        st.builds(lambda b, s, body: ["let", b, s, body], _ATOMS, part, part),
+        st.builds(
+            lambda name, ps, args: ["eff", name, ps, *args],
+            st.sampled_from(("assign", "get", "or", "succ", "nope")), params, parts,
+        ),
+        st.builds(lambda name, args: ["fn", name, *args], st.sampled_from(("zero", "succ", "plus", "or", 3)), parts),
+        st.lists(st.one_of(_ATOMS, part), max_size=4),
+    )
+
+
+def _outcome(build, node):
+    try:
+        return "ok", build(node, MIXED_SIG)
+    except (ParseError, SignatureError) as e:
+        return type(e).__name__, str(e)
+
+
+@given(st.recursive(_ATOMS, _forms, max_leaves=30))
+@settings(max_examples=500, deadline=None)
+def test_build_term_matches_recursive_reference(node):
+    assert _outcome(build_term, node) == _outcome(reference_build_term, node)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a form is checked before its parts, and its parts left to right
+        ("(fn plus (lam 3 x) (fn nope))", "expected binder, got 3"),
+        ("(fn plus (fn nope) (lam 3 x))", "unknown symbol: nope"),
+        # a symbol application is checked after its arguments
+        ("(fn zero (fn succ))", "arity mismatch: succ expects 1 arguments, got 0"),
+        ("(eff or (x) (lam))", "(lam ident term) takes two parts"),
+        ("(eff or ((p)) (lam))", "parameter of or must be an integer or ident"),
+    ],
+)
+def test_build_term_error_order(text, message):
+    assert _outcome(build_term, parse_one(text)) == _outcome(reference_build_term, parse_one(text))
+    with pytest.raises(ParseError) as caught:
+        parse_term(text, MIXED_SIG)
+    assert str(caught.value) == message
+
+
+@stack_safe
+def test_build_term_deep_numeral():
+    n = 10**5
+    text = "(fn succ " * n + "(fn zero)" + ")" * n
+    assert parse_term(text, MIXED_SIG) == peano_numeral(n)

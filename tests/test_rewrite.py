@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 
 import effrew.rewrite
 from effrew.rewrite import (
+    _ROOT,
     STRATEGIES,
     FuelExhausted,
     RewriteRule,
     RuleError,
     StaleRedexError,
+    _cell_position,
     _contractum,
+    _list_redexes,
     all_redexes,
     left_nesting_measure,
     make_rule,
     match_pattern,
     ml_redexes,
+    head_index,
     normalize,
     pattern_vars,
     position_str,
@@ -37,6 +41,7 @@ from effrew.terms import (
     Var,
     alpha_eq,
     canonical_key,
+    children,
     eff,
     fn,
     free_vars,
@@ -529,6 +534,129 @@ def test_leftmost_outermost_follows_reference_head(case, seed):
         pos, rule_name, _, _, current = found[0]
         expected.append((rule_name, pos, current))
     assert [(s.redex.rule_name, s.redex.position, s.result) for s in trace.steps] == expected
+
+
+# -- the redex walk down towers ------------------------------------------------
+
+
+def _walked(t, rules, clean):
+    """_list_redexes(t) from the root under the record clean, its entries
+    as reference_redexes gives them.  Each entry's position is read off its
+    cell, whose depth must be the position's length, and its subterm must
+    be the one at that position."""
+    out: list = []
+    _list_redexes(t, _ROOT, head_index(rules), clean, out)
+    found = []
+    for cell, idx, name, rule, sub, contraction in out:
+        pos = _cell_position(cell)
+        assert cell[2] == len(pos) and subterm_at(t, pos) is sub
+        found.append((pos, name, rule is None, idx, replace_at(t, pos, _contractum(rule, contraction))))
+    return found
+
+
+def _check_walk(t, rules, before):
+    """Walk t under a record that holds `before`, and check the entries
+    against reference_redexes and the record afterwards: it holds every
+    subterm the walk visited, which is every one not under a subterm that
+    `before` held, exactly when that subterm has no redex, and nothing
+    that has one."""
+    clean = dict(before)
+    assert _walked(t, rules, clean) == reference_redexes(t, rules)
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if id(sub) not in before:
+            assert (id(sub) in clean) == (not reference_redexes(sub, rules)), print_term(sub)
+            stack += children(sub)
+    assert not any(reference_redexes(sub, rules) for sub in clean.values())
+
+
+def _tower(names, bottom, kind="fn"):
+    """names[0](names[1](... bottom)) as one-argument symbol applications."""
+    for name in reversed(names):
+        bottom = SymApp(kind, name, (), (bottom,))
+    return bottom
+
+
+def _towers():
+    """Cases (id, theory, term) whose terms hold runs of one-argument nodes
+    at which no rule starts: no rule of peano or retry+peano starts at
+    succ, and none of par at e1 or e2."""
+    x, v = Var("x"), Var("v")
+    num = peano_numeral
+    shared = num(6)
+    par_bottom = eff("join", eff("par", Pure(Var("a")), Pure(Var("b"))))
+    cases = [
+        ("zero", "peano", num(0)),
+        ("one", "peano", num(1)),
+        ("numeral", "peano", num(12)),
+        ("plus-numerals", "peano", fn("plus", num(3), num(4))),
+        ("ends-in-var", "peano", _tower(["succ"] * 8, x)),
+        ("plus-var-tower", "peano", fn("plus", x, _tower(["succ"] * 5, Var("y")))),
+        # a redex at the bottom, or a head that starts a rule but matches not
+        ("redex-at-bottom", "peano", _tower(["succ"] * 6, fn("plus", num(2), num(1)))),
+        ("rule-head-at-bottom", "peano", _tower(["succ"] * 4, fn("plus", x, num(3)))),
+        ("nested", "peano", fn("plus", _tower(["succ"] * 3, fn("plus", fn("zero"), x)), num(2))),
+        ("retry-at-bottom", "retry+peano", _tower(["succ"] * 3, fn("retry", num(2), eff("request", x, v, Var("w"))))),
+        # one subterm at two places: the second is in the record already
+        ("shared-under-tower", "peano", fn("plus", _tower(["succ"] * 2, shared), shared)),
+        ("tower-over-shared", "peano", fn("plus", shared, _tower(["succ"] * 2, shared))),
+        # effect chains
+        ("ends-in-pure", "par", _tower(["e1", "e2", "e1"], Pure(v), "eff")),
+        ("ends-in-lam", "par", _tower(["e2", "e1"], Lam("x", _tower(["e1", "e2", "e2"], Pure(x), "eff")), "eff")),
+        ("let-beta-at-bottom", "par", _tower(["e1", "e2", "e1"], Let("x", Pure(v), Pure(x)), "eff")),
+        ("abs-beta-at-bottom", "par", _tower(["e1", "e1"], App(Lam("x", _tower(["e2"], Pure(x), "eff")), v), "eff")),
+        ("join-at-bottom", "par", _tower(["e2", "e1", "e2"], par_bottom, "eff")),
+        # no rule starts at pair, but it has two arguments
+        ("two-args-at-bottom", "par", _tower(["e1", "e2"], fn("pair", x, Let("x", Pure(v), x)), "eff")),
+        ("under-par", "par", eff("par", _tower(["e1", "e2"], Pure(v), "eff"), _tower(["e2"], x, "eff"))),
+        ("under-let", "par", Let("y", _tower(["e1", "e2"], Pure(v), "eff"), _tower(["e2", "e1"], Var("y"), "eff"))),
+    ]
+    return [pytest.param(name, t, id=case) for case, name, t in cases]
+
+
+@pytest.mark.parametrize("name, t", _towers())
+def test_tower_walk_matches_reference(name, t):
+    rules = list(_scan_theory(name).rules)
+    _check_walk(t, rules, {})
+    # the same walk after an earlier one recorded what it found below
+    # each subterm, so that every run stops, in turn, at each subterm
+    index = head_index(rules)
+    for _, sub in iter_subterms(t):
+        before: dict = {}
+        _list_redexes(sub, _ROOT, index, before, [])
+        _check_walk(t, rules, before)
+
+
+@given(st.sampled_from(SCAN_CASES), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_walk_matches_reference_after_an_earlier_walk(case, seed):
+    t, rules = _random_term(case, seed)
+    _check_walk(t, rules, {})
+    subs = [sub for _, sub in iter_subterms(t)]
+    before: dict = {}
+    _list_redexes(random.Random(seed).choice(subs), _ROOT, head_index(rules), before, [])
+    _check_walk(t, rules, before)
+
+
+@stack_safe
+def test_deep_numeral_lists_and_normalizes_quickly(peano):
+    # the numeral is one run: listing it pushes one leave marker, and the
+    # record takes all its nodes when that pops
+    n = 10**5
+    t = peano_numeral(n)
+    rules = list(peano.rules)
+    start = time.perf_counter()
+    clean: dict = {}
+    out: list = []
+    _list_redexes(t, _ROOT, head_index(rules), clean, out)
+    assert out == [] and len(clean) == n + 1 and clean[id(t)] is t
+    nf, trace = normalize(t, rules)
+    assert nf is t and not trace.steps
+    nf, trace = normalize(fn("plus", fn("zero"), t), rules)
+    assert nf is t and len(trace.steps) == 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"took {elapsed:.2f} s"
 
 
 # -- incremental normalize against the full rescan ------------------------------

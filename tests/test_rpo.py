@@ -604,6 +604,109 @@ def test_certified_rules_validate(gs, nondet, par, retry, peano):
                 assert validate_derivation(theory.precedence, entry.derivation)
 
 
+_THEORY_SETS = [
+    *((name,) for name in builtin_names()),
+    *itertools.combinations(builtin_names(), 2),
+    tuple(builtin_names()),
+]
+
+
+@pytest.mark.parametrize("names", _THEORY_SETS, ids="+".join)
+def test_certified_entries_prove_their_own_rules(names):
+    # a replay checks that a derivation is sound, not what it proves: each
+    # certified entry's root must be its own rule's lhs > rhs
+    theory = compose(*(builtin(n) for n in names))
+    rules = {rule.name: rule for rule in theory.rules}
+    report = certify_ruleset(theory.precedence, list(theory.rules))
+    assert [e.rule_name for e in report.entries] == list(rules)
+    for entry in report.entries:
+        if entry.status == "certified":
+            d, rule = entry.derivation, rules[entry.rule_name]
+            assert (d.lhs, d.rhs) == (rule.lhs, rule.rhs) and d.rule != CASE_EQ
+            assert validate_derivation(theory.precedence, d)
+
+
+# -- corrupted certificates: each is a real derivation with one step that
+# breaks a single clause of the definition, while its parents stay
+# consistent with it, so that only that clause can reject it
+
+
+def _certified(names, rule_name):
+    theory = compose(*(builtin(n) for n in names))
+    report = certify_ruleset(theory.precedence, list(theory.rules))
+    d = report.entry(rule_name).derivation
+    assert validate_derivation(theory.precedence, d)
+    return theory.precedence, d
+
+
+def test_validate_rejects_refl_eq_with_unequal_sides():
+    z = Var("z")
+    # plus(zero(), y) > z by RPO(3) at argument 1, from "y = z"
+    prec, d = _certified(("peano",), "plus-zero")
+    assert d.rule == CASE_SUB and d.children[0] == RpoDerivation(v("y"), v("y"), CASE_EQ)
+    bad_eq = dataclasses.replace(d.children[0], rhs=z)
+    assert not validate_derivation(prec, dataclasses.replace(d, rhs=z, children=(bad_eq,)))
+    # retry(zero(), request(t, s1, s2)) > z, two RPO(3) steps down to "t = z"
+    prec, d = _certified(("par", "retry"), "retry-zero")
+    (mid,) = d.children
+    assert mid.rule == CASE_SUB and mid.children[0].rule == CASE_EQ
+    bad_mid = dataclasses.replace(mid, rhs=z, children=(dataclasses.replace(mid.children[0], rhs=z),))
+    assert not validate_derivation(prec, dataclasses.replace(d, rhs=z, children=(bad_mid,)))
+
+
+def test_validate_rejects_subterm_step_that_proves_another_goal():
+    # RPO(3)'s subgoal must be the chosen argument on the left and t on
+    # the right; each child below is itself valid
+    prec, d = _certified(("peano",), "plus-zero")
+    # plus(zero(), y) > y at argument 0, from "y = y": zero() is not y
+    assert not validate_derivation(prec, dataclasses.replace(d, index=0))
+    # plus(zero(), y) > z at argument 1, from "y = y"
+    assert not validate_derivation(prec, dataclasses.replace(d, rhs=Var("z")))
+    prec, d = _certified(("par", "retry"), "retry-zero")
+    (mid,) = d.children
+    # request(t, s1, s2) > t at argument 1, from "t = t": s1 is not t
+    assert not validate_derivation(prec, dataclasses.replace(d, children=(dataclasses.replace(mid, index=1),)))
+
+
+def test_validate_rejects_lex_step_with_unequal_prefix():
+    # par(t, e1(s1)) > par(t, s1) decides at position 1; made to prove
+    # par(t, e1(s1)) > par(s1, s1) with the same witness, the prefix t, s1
+    # differs, while every side goal par(t, e1(s1)) > s1 holds
+    prec, d = _certified(("par", "retry"), "par-right.e1")
+    (lex,) = d.children
+    assert lex.rule == CASE_LEX and lex.index == 1
+    witness, _, to_s1 = lex.children
+    s1 = lex.rhs.args[1]
+    assert to_s1.rhs == s1
+    pair = SymApp(lex.rhs.kind, lex.rhs.name, lex.rhs.params, (s1, s1))
+    bad_lex = dataclasses.replace(lex, rhs=pair, children=(witness, to_s1, to_s1))
+    top = SymApp(d.rhs.kind, d.rhs.name, d.rhs.params, (pair,))
+    assert not validate_derivation(prec, dataclasses.replace(d, rhs=top, children=(bad_lex,)))
+
+
+def test_validate_rejects_side_goals_that_prove_other_goals():
+    # the side goals s > tj of RPO(1) and RPO(2) must have s on the left
+    # and tj on the right; each child below is itself valid
+    prec, d = _certified(("peano",), "plus-succ")
+    (lex,) = d.children
+    assert d.rule == CASE_PREC and lex.rule == CASE_LEX
+    witness, to_x, to_y = lex.children
+    assert (to_x.rhs, to_y.rhs) == (v("x"), v("y"))
+    # RPO(2): succ(x) > x and plus(succ(x), y) > x stand for
+    # plus(succ(x), y) > plus(x, y)
+    assert not validate_derivation(prec, dataclasses.replace(d, children=(witness,)))
+    assert not validate_derivation(prec, dataclasses.replace(d, children=(to_x,)))
+    # RPO(1): the side goals swapped, or one made succ(x) > x
+    for sides in ((witness, to_y, to_x), (witness, witness, to_y)):
+        bad_lex = dataclasses.replace(lex, children=sides)
+        assert not validate_derivation(prec, dataclasses.replace(d, children=(bad_lex,)))
+    # RPO(2) under par+retry: the side goals for s1 and s2 swapped
+    prec, d = _certified(("par", "retry"), "retry-succ")
+    lex, to_s1, to_s2 = d.children
+    assert d.rule == CASE_PREC and (to_s1.rhs, to_s2.rhs) == d.rhs.args[1:]
+    assert not validate_derivation(prec, dataclasses.replace(d, children=(lex, to_s2, to_s1)))
+
+
 # -- precedence search --------------------------------------------------------
 
 
