@@ -331,7 +331,9 @@ def _compile_builder(rhs: Term) -> Callable[[dict[str, Term]], Term]:
     """A rule's right side as a function from a match's bindings to the
     contractum: one closure per node of the side, a variable read from the
     bindings and a nullary symbol shared.  Right sides are binder-free, so
-    this cannot capture; the recursion is bounded by the rule's size."""
+    this cannot capture.  It recurses once per level of the side, and so
+    do the closures when they run: a theory file's right side deeper than
+    the interpreter recursion limit raises RecursionError."""
     if type(rhs) is Var:
         return itemgetter(rhs.name)
     if type(rhs) is Pure:

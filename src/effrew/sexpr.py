@@ -64,6 +64,32 @@ def _read(text: str, one: bool) -> list:
     return forms
 
 
+# the pending literal tokens of _node_repr, boxed so that they cannot be
+# taken for an atom
+_CLOSE, _COMMA = ("]",), (", ",)
+
+
+def _node_repr(node: Node) -> str:
+    """repr(node), written from an explicit stack, so that an error message
+    can quote a deep form: repr recurses."""
+    out: list[str] = []
+    stack: list = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            out.append(node[0])
+        elif type(node) is list:
+            out.append("[")
+            stack.append(_CLOSE)
+            for i in range(len(node) - 1, -1, -1):
+                stack.append(node[i])
+                if i:
+                    stack.append(_COMMA)
+        else:
+            out.append(repr(node))
+    return "".join(out)
+
+
 def parse_one(text: str) -> Node:
     """Parse exactly one form; trailing garbage is an error."""
     return _read(text, True)[0]

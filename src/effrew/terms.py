@@ -4,6 +4,14 @@ Terms are immutable trees. Binders carry names; alpha-equivalence and
 hashing go through a canonical de Bruijn rendering so that two terms that
 differ only in bound names are interchangeable wherever it matters
 (reduction graph nodes, nonlinear pattern matching).
+
+Terms and types can be far deeper than the interpreter recursion limit,
+so no walk here calls itself.  Most keep their pending work on one
+explicit stack.  A walk that is clearer as a recursion is written as a
+step, a generator that yields where it would call itself, and runs on
+_run_steps, which keeps the generators on one list: substitute's capture
+renaming here, the term and type builders of parser, and type inference
+in typecheck.
 """
 
 from __future__ import annotations
@@ -50,19 +58,59 @@ class TVar:
 Type = Union[Base, Eff, Arrow, TVar]
 
 
+# the pending literal tokens of type_str, print_term and sym_str, boxed so
+# that they cannot be taken for a type or term: a str in place of one is
+# refused like any other non-type or non-term
+_CLOSE, _SPACE, _COMMA = (")",), (" ",), (", ",)
+
+
 def type_str(ty: Type) -> str:
-    if isinstance(ty, Base):
-        return ty.name
-    if isinstance(ty, Eff):
-        return f"(E {type_str(ty.inner)})"
-    if isinstance(ty, Arrow):
-        return f"(-> {type_str(ty.dom)} {type_str(ty.cod)})"
-    if isinstance(ty, TVar):
-        # 0 -> 'a, 25 -> 'z, 26 -> 'a1, ...
-        letter = chr(ord("a") + ty.index % 26)
-        suffix = ty.index // 26
-        return "'" + letter + (str(suffix) if suffix else "")
-    raise TermError(f"not a type: {ty!r}")
+    """Surface syntax of a type, as parse_type reads it.  Iterative, like
+    print_term: one explicit stack of pending types and literal tokens."""
+    out: list[str] = []
+    stack: list = [ty]
+    while stack:
+        ty = stack.pop()
+        tt = type(ty)
+        if tt is tuple:
+            out.append(ty[0])
+        elif tt is Base:
+            out.append(ty.name)
+        elif tt is Eff:
+            out.append("(E ")
+            stack += (_CLOSE, ty.inner)
+        elif tt is Arrow:
+            out.append("(-> ")
+            stack += (_CLOSE, ty.cod, _SPACE, ty.dom)
+        elif tt is TVar:
+            # 0 -> 'a, 25 -> 'z, 26 -> 'a1, ...
+            letter = chr(ord("a") + ty.index % 26)
+            suffix = ty.index // 26
+            out.append("'" + letter + (str(suffix) if suffix else ""))
+        else:
+            raise TermError(f"not a type: {ty!r}")
+    return "".join(out)
+
+
+def _run_steps(step, root):
+    """The value of step(root), where step(part) is a generator that yields
+    each part whose value it needs, is sent that value, and returns its
+    own.  The generators wait on one explicit list, so the depth of the
+    walk costs no Python stack; a recursive function becomes a step by
+    turning each call on itself into a yield."""
+    stack = [step(root)]
+    value = None
+    while True:
+        try:
+            part = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(step(part))
+            value = None
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +426,15 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def substitute(t: Term, var: str, repl: Term) -> Term:
     """Capture-avoiding substitution of repl for free occurrences of var.
     A subterm that the substitution leaves unchanged comes back as the same
-    object, so a caller can tell shared subterms by identity.  The walk is
-    iterative, one explicit stack of pending subterms and rebuild marks; a
-    binder that would capture is renamed in its body by a nested call."""
+    object, so a caller can tell shared subterms by identity."""
+    return _run_steps(_substitute, (t, var, repl))
+
+
+def _substitute(job: tuple):
+    """Step of substitute for job = (t, var, repl): one explicit stack of
+    pending subterms and rebuild marks, which yields only to rename a
+    binder that would capture, as (body, old binder, Var(new binder))."""
+    t, var, repl = job
     repl_fv = free_vars(repl)
     done: list[Term] = []
     # items: a term to substitute into; (term,), a term kept as it is; or
@@ -421,7 +475,7 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
                 body_fv = free_vars(body)
                 if var in body_fv:
                     binder = fresh_name(binder, repl_fv | body_fv | {var})
-                    body = substitute(body, t.binder, Var(binder))
+                    body = yield (body, t.binder, Var(binder))
             kids = kids[:-1] + (body,)
         elif not kids:
             done.append(t)
@@ -437,12 +491,6 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
 
 def _params_str(params: tuple[Param, ...]) -> str:
     return " ".join(map(str, params)) if params else ""
-
-
-# the pending literal tokens of print_term and sym_str, boxed so that they
-# cannot be taken for a term: a str in place of a term is refused like any
-# other non-term
-_CLOSE, _SPACE, _COMMA = (")",), (" ",), (", ",)
 
 
 def print_term(t: Term) -> str:

@@ -47,7 +47,7 @@ from typing import Sequence
 from .parser import ParseError, build_term, build_type
 from .rewrite import RewriteRule, RuleError, make_rule, pattern_vars
 from .rpo import Precedence, PrecedenceError
-from .sexpr import SexprError, parse_one
+from .sexpr import SexprError, _node_repr, parse_one
 from .signature import (
     EffectDecl,
     FunctionDecl,
@@ -406,12 +406,12 @@ def parse_theory(text: str) -> Theory:
     prec_clauses: list = []
     for clause in node[2:]:
         if not isinstance(clause, list) or not clause or not isinstance(clause[0], str):
-            raise TheoryError(f"bad clause: {clause!r}")
+            raise TheoryError(f"bad clause: {_node_repr(clause)}")
         head = clause[0]
         if head == "base":
             for b in clause[1:]:
                 if not isinstance(b, str):
-                    raise TheoryError(f"base type names must be idents, got {b!r}")
+                    raise TheoryError(f"base type names must be idents, got {_node_repr(b)}")
                 bases.append(b)
         elif head == "domain":
             if len(clause) != 3 or not isinstance(clause[1], str) or not isinstance(clause[2], list):
@@ -419,7 +419,7 @@ def parse_theory(text: str) -> Theory:
             vals = []
             for v in clause[2]:
                 if isinstance(v, list):
-                    raise TheoryError(f"domain values must be atoms, got {v!r}")
+                    raise TheoryError(f"domain values must be atoms, got {_node_repr(v)}")
                 vals.append(v)
             if clause[1] in domains:
                 raise TheoryError(f"duplicate domain {clause[1]}")
@@ -469,7 +469,7 @@ def parse_theory(text: str) -> Theory:
         extended = False
         if len(clause) == 5:
             if clause[4] != "extended":
-                raise TheoryError(f"rule {clause[1]}: unknown flag {clause[4]!r}")
+                raise TheoryError(f"rule {clause[1]}: unknown flag {_node_repr(clause[4])}")
             extended = True
         try:
             # rule sides reuse the term grammar; rule variables are free idents

@@ -13,10 +13,17 @@ Lambda binders are unannotated in the surface syntax, so inference runs
 with fresh type variables and first-order unification (no polymorphism,
 no generalisation).  Variables left over after solving are renumbered by
 first occurrence, which makes inferred types comparable across terms.
+
+Inference is one step per node, run on terms._run_steps, under one
+scope that holds each name's bound types, innermost last: a binder
+pushes its type while its body is typed.  Unification and the occurs
+check walk explicit stacks, and resolving and renumbering a type are
+steps too, so neither a deep term nor a deep type costs Python stack.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping
 
 from .signature import EffectDecl, Signature, SignatureError, check_symapp
@@ -33,6 +40,7 @@ from .terms import (
     TVar,
     Type,
     Var,
+    _run_steps,
     ident_str,
     print_term,
     type_str,
@@ -60,47 +68,56 @@ class Unifier:
         return ty
 
     def resolve(self, ty: Type) -> Type:
+        return _run_steps(self._resolve, ty)
+
+    def _resolve(self, ty: Type):
         ty = self.walk(ty)
         if isinstance(ty, Eff):
-            return Eff(self.resolve(ty.inner))
+            return Eff((yield ty.inner))
         if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.dom), self.resolve(ty.cod))
+            return Arrow((yield ty.dom), (yield ty.cod))
         return ty
 
     def _occurs(self, idx: int, ty: Type) -> bool:
-        ty = self.walk(ty)
-        if isinstance(ty, TVar):
-            return ty.index == idx
-        if isinstance(ty, Eff):
-            return self._occurs(idx, ty.inner)
-        if isinstance(ty, Arrow):
-            return self._occurs(idx, ty.dom) or self._occurs(idx, ty.cod)
+        stack = [ty]
+        while stack:
+            ty = self.walk(stack.pop())
+            if isinstance(ty, TVar):
+                if ty.index == idx:
+                    return True
+            elif isinstance(ty, Eff):
+                stack.append(ty.inner)
+            elif isinstance(ty, Arrow):
+                stack += (ty.cod, ty.dom)
         return False
 
     def unify(self, a: Type, b: Type, why: Callable[[], str]) -> None:
         """Unify a with b.  why builds the error context and is called only
-        when unification fails, so it must not outlive this call."""
-        a, b = self.walk(a), self.walk(b)
-        if a == b:
-            return
-        if isinstance(a, TVar):
-            if self._occurs(a.index, b):
-                raise TypingError(f"{why()}: circular type")
-            self.subst[a.index] = b
-            return
-        if isinstance(b, TVar):
-            self.unify(b, a, why)
-            return
-        if isinstance(a, Eff) and isinstance(b, Eff):
-            self.unify(a.inner, b.inner, why)
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            self.unify(a.dom, b.dom, why)
-            self.unify(a.cod, b.cod, why)
-            return
-        raise TypingError(
-            f"{why()}: {type_str(self.resolve(a))} does not match {type_str(self.resolve(b))}"
-        )
+        when unification fails, so it must not outlive this call.  One
+        explicit stack of pairs, a domain's before its codomain's; only
+        leaves are compared with ==."""
+        pairs = [(a, b)]
+        while pairs:
+            a, b = pairs.pop()
+            a, b = self.walk(a), self.walk(b)
+            if a is b:
+                continue
+            if not isinstance(a, TVar) and isinstance(b, TVar):
+                a, b = b, a
+            if isinstance(a, TVar):
+                if a == b:
+                    continue
+                if self._occurs(a.index, b):
+                    raise TypingError(f"{why()}: circular type")
+                self.subst[a.index] = b
+            elif isinstance(a, Eff) and isinstance(b, Eff):
+                pairs.append((a.inner, b.inner))
+            elif isinstance(a, Arrow) and isinstance(b, Arrow):
+                pairs += ((a.cod, b.cod), (a.dom, b.dom))
+            elif not (isinstance(a, Base) and a == b):
+                raise TypingError(
+                    f"{why()}: {type_str(self.resolve(a))} does not match {type_str(self.resolve(b))}"
+                )
 
 
 def canonical_type(ty: Type) -> Type:
@@ -108,42 +125,49 @@ def canonical_type(ty: Type) -> Type:
     can be compared structurally."""
     mapping: dict[int, int] = {}
 
-    def go(ty: Type) -> Type:
+    def go(ty: Type):
         if isinstance(ty, TVar):
             if ty.index not in mapping:
                 mapping[ty.index] = len(mapping)
             return TVar(mapping[ty.index])
         if isinstance(ty, Eff):
-            return Eff(go(ty.inner))
+            return Eff((yield ty.inner))
         if isinstance(ty, Arrow):
-            return Arrow(go(ty.dom), go(ty.cod))
+            return Arrow((yield ty.dom), (yield ty.cod))
         return ty
 
-    return go(ty)
+    return _run_steps(go, ty)
 
 
-def _infer(t: Term, ctx: dict[str, Type], uni: Unifier, sig: Signature) -> Type:
+def _infer(scope: dict[str, list[Type]], uni: Unifier, sig: Signature, t: Term):
+    """Step of type inference for t.  scope maps each name to the types of
+    its bindings in scope, innermost last: a binder pushes its type while
+    its body is typed and pops it after."""
     if isinstance(t, Var):
-        if t.name not in ctx:
+        if not scope.get(t.name):
             raise TypingError(f"unbound variable: {t.name}")
-        return ctx[t.name]
+        return scope[t.name][-1]
     if isinstance(t, Lam):
         a = uni.fresh()
-        body = _infer(t.body, {**ctx, t.binder: a}, uni, sig)
+        scope.setdefault(t.binder, []).append(a)
+        body = yield t.body
+        scope[t.binder].pop()
         return Arrow(a, body)
     if isinstance(t, App):
-        fun = _infer(t.fun, ctx, uni, sig)
-        arg = _infer(t.arg, ctx, uni, sig)
+        fun = yield t.fun
+        arg = yield t.arg
         res = uni.fresh()
         uni.unify(fun, Arrow(arg, res), lambda: f"in application {print_term(t)}")
         return res
     if isinstance(t, Pure):
-        return Eff(_infer(t.body, ctx, uni, sig))
+        return Eff((yield t.body))
     if isinstance(t, Let):
-        subject = _infer(t.subject, ctx, uni, sig)
+        subject = yield t.subject
         a = uni.fresh()
         uni.unify(subject, Eff(a), lambda: f"let subject {print_term(t.subject)} must have an effect type")
-        body = _infer(t.body, {**ctx, t.binder: a}, uni, sig)
+        scope.setdefault(t.binder, []).append(a)
+        body = yield t.body
+        scope[t.binder].pop()
         res = uni.fresh()
         uni.unify(body, Eff(res), lambda: f"let body {print_term(t.body)} must have an effect type")
         return Eff(res)
@@ -155,7 +179,7 @@ def _infer(t: Term, ctx: dict[str, Type], uni: Unifier, sig: Signature) -> Type:
         if isinstance(decl, EffectDecl):
             common = uni.fresh()
             for i, arg in enumerate(t.args):
-                got = _infer(arg, ctx, uni, sig)
+                got = yield arg
                 uni.unify(
                     got,
                     Eff(common),
@@ -163,7 +187,7 @@ def _infer(t: Term, ctx: dict[str, Type], uni: Unifier, sig: Signature) -> Type:
                 )
             return Eff(common)
         for i, arg in enumerate(t.args):
-            got = _infer(arg, ctx, uni, sig)
+            got = yield arg
             uni.unify(got, decl.arg_types[i], lambda: f"argument {i} of {t.name}")
         return decl.result
     raise TypingError(f"not a term: {t!r}")
@@ -177,7 +201,7 @@ def infer_type(ctx: TypingContext, t: Term, sig: Signature) -> Type:
     equal inferred types.
     """
     uni = Unifier()
-    ty = _infer(t, dict(ctx), uni, sig)
+    ty = _run_steps(partial(_infer, {x: [s] for x, s in ctx.items()}, uni, sig), t)
     return canonical_type(uni.resolve(ty))
 
 
@@ -186,13 +210,13 @@ def infer_rule_types(sig: Signature, lhs: Term, rhs: Term, rule_vars: frozenset[
     of its variables; unify the two sides.  Returns (lhs type, rhs type)
     after solving.  Raises TypingError naming the offending side."""
     uni = Unifier()
-    ctx: dict[str, Type] = {v: uni.fresh() for v in sorted(rule_vars)}
+    infer = partial(_infer, {v: [uni.fresh()] for v in sorted(rule_vars)}, uni, sig)
     try:
-        lt = _infer(lhs, ctx, uni, sig)
+        lt = _run_steps(infer, lhs)
     except TypingError as e:
         raise TypingError(f"left side {print_term(lhs)}: {e}") from e
     try:
-        rt = _infer(rhs, ctx, uni, sig)
+        rt = _run_steps(infer, rhs)
     except TypingError as e:
         raise TypingError(f"right side {print_term(rhs)}: {e}") from e
     uni.unify(

@@ -33,22 +33,28 @@ from effrew.rpo import (
 )
 from effrew.parser import ParseError
 from effrew.sexpr import Node, SexprError
-from effrew.signature import check_symapp
+from effrew.signature import EffectDecl, SignatureError, check_symapp
 from effrew.terms import (
     App,
+    Arrow,
+    Base,
+    Eff,
     Lam,
     Let,
     Pure,
     SymApp,
     Term,
     TermError,
+    TVar,
     Var,
     canonical_key,
     children,
     ident_str,
     iter_subterms,
+    print_term,
     with_children,
 )
+from effrew.typecheck import TypingError
 
 
 def naive_normal_forms(t: Term, rules, limit: int = 50_000) -> set[str]:
@@ -686,3 +692,161 @@ def reference_build_term(node, sig) -> Term:
         check_symapp(sig, term)
         return term
     raise ParseError(f"unknown form head: {head!r}")
+
+
+def reference_type_str(ty) -> str:
+    """terms.type_str by plain recursion."""
+    if isinstance(ty, Base):
+        return ty.name
+    if isinstance(ty, Eff):
+        return f"(E {reference_type_str(ty.inner)})"
+    if isinstance(ty, Arrow):
+        return f"(-> {reference_type_str(ty.dom)} {reference_type_str(ty.cod)})"
+    if isinstance(ty, TVar):
+        letter = chr(ord("a") + ty.index % 26)
+        suffix = ty.index // 26
+        return "'" + letter + (str(suffix) if suffix else "")
+    raise TermError(f"not a type: {ty!r}")
+
+
+class _ReferenceUnifier:
+    """typecheck.Unifier by plain recursion: unify compares whole types
+    with ==, and calls itself with its arguments swapped to bind a
+    variable on the right."""
+
+    def __init__(self):
+        self.subst: dict = {}
+        self.counter = 0
+
+    def fresh(self) -> TVar:
+        self.counter += 1
+        return TVar(self.counter - 1)
+
+    def walk(self, ty):
+        while isinstance(ty, TVar) and ty.index in self.subst:
+            ty = self.subst[ty.index]
+        return ty
+
+    def resolve(self, ty):
+        ty = self.walk(ty)
+        if isinstance(ty, Eff):
+            return Eff(self.resolve(ty.inner))
+        if isinstance(ty, Arrow):
+            return Arrow(self.resolve(ty.dom), self.resolve(ty.cod))
+        return ty
+
+    def occurs(self, idx: int, ty) -> bool:
+        ty = self.walk(ty)
+        if isinstance(ty, TVar):
+            return ty.index == idx
+        if isinstance(ty, Eff):
+            return self.occurs(idx, ty.inner)
+        if isinstance(ty, Arrow):
+            return self.occurs(idx, ty.dom) or self.occurs(idx, ty.cod)
+        return False
+
+    def unify(self, a, b, why) -> None:
+        a, b = self.walk(a), self.walk(b)
+        if a == b:
+            return
+        if isinstance(a, TVar):
+            if self.occurs(a.index, b):
+                raise TypingError(f"{why()}: circular type")
+            self.subst[a.index] = b
+            return
+        if isinstance(b, TVar):
+            self.unify(b, a, why)
+            return
+        if isinstance(a, Eff) and isinstance(b, Eff):
+            self.unify(a.inner, b.inner, why)
+            return
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            self.unify(a.dom, b.dom, why)
+            self.unify(a.cod, b.cod, why)
+            return
+        raise TypingError(
+            f"{why()}: {reference_type_str(self.resolve(a))} does not match {reference_type_str(self.resolve(b))}"
+        )
+
+
+def _reference_canonical_type(ty):
+    mapping: dict = {}
+
+    def go(ty):
+        if isinstance(ty, TVar):
+            if ty.index not in mapping:
+                mapping[ty.index] = len(mapping)
+            return TVar(mapping[ty.index])
+        if isinstance(ty, Eff):
+            return Eff(go(ty.inner))
+        if isinstance(ty, Arrow):
+            return Arrow(go(ty.dom), go(ty.cod))
+        return ty
+
+    return go(ty)
+
+
+def _reference_infer(t: Term, ctx: dict, uni: _ReferenceUnifier, sig):
+    """typecheck._infer by plain recursion, with a copy of the context at
+    each binder."""
+    if isinstance(t, Var):
+        if t.name not in ctx:
+            raise TypingError(f"unbound variable: {t.name}")
+        return ctx[t.name]
+    if isinstance(t, Lam):
+        a = uni.fresh()
+        return Arrow(a, _reference_infer(t.body, {**ctx, t.binder: a}, uni, sig))
+    if isinstance(t, App):
+        fun = _reference_infer(t.fun, ctx, uni, sig)
+        arg = _reference_infer(t.arg, ctx, uni, sig)
+        res = uni.fresh()
+        uni.unify(fun, Arrow(arg, res), lambda: f"in application {print_term(t)}")
+        return res
+    if isinstance(t, Pure):
+        return Eff(_reference_infer(t.body, ctx, uni, sig))
+    if isinstance(t, Let):
+        subject = _reference_infer(t.subject, ctx, uni, sig)
+        a = uni.fresh()
+        uni.unify(subject, Eff(a), lambda: f"let subject {print_term(t.subject)} must have an effect type")
+        body = _reference_infer(t.body, {**ctx, t.binder: a}, uni, sig)
+        res = uni.fresh()
+        uni.unify(body, Eff(res), lambda: f"let body {print_term(t.body)} must have an effect type")
+        return Eff(res)
+    if isinstance(t, SymApp):
+        try:
+            decl = check_symapp(sig, t)
+        except SignatureError as e:
+            raise TypingError(str(e)) from e
+        if isinstance(decl, EffectDecl):
+            common = uni.fresh()
+            for i, arg in enumerate(t.args):
+                got = _reference_infer(arg, ctx, uni, sig)
+                uni.unify(got, Eff(common), lambda: f"argument {i} of {ident_str(t.identity)} disagrees with the others")
+            return Eff(common)
+        for i, arg in enumerate(t.args):
+            got = _reference_infer(arg, ctx, uni, sig)
+            uni.unify(got, decl.arg_types[i], lambda: f"argument {i} of {t.name}")
+        return decl.result
+    raise TypingError(f"not a term: {t!r}")
+
+
+def reference_infer_type(ctx, t: Term, sig):
+    """typecheck.infer_type by plain recursion."""
+    uni = _ReferenceUnifier()
+    return _reference_canonical_type(uni.resolve(_reference_infer(t, dict(ctx), uni, sig)))
+
+
+def reference_infer_rule_types(sig, lhs: Term, rhs: Term, rule_vars):
+    """typecheck.infer_rule_types by plain recursion."""
+    uni = _ReferenceUnifier()
+    ctx = {v: uni.fresh() for v in sorted(rule_vars)}
+    try:
+        lt = _reference_infer(lhs, ctx, uni, sig)
+    except TypingError as e:
+        raise TypingError(f"left side {print_term(lhs)}: {e}") from e
+    try:
+        rt = _reference_infer(rhs, ctx, uni, sig)
+    except TypingError as e:
+        raise TypingError(f"right side {print_term(rhs)}: {e}") from e
+    uni.unify(lt, rt, lambda: f"rule sides {print_term(lhs)} and {print_term(rhs)} must share a type")
+    return _reference_canonical_type(uni.resolve(lt)), _reference_canonical_type(uni.resolve(rt))

@@ -1,6 +1,8 @@
+import contextlib
 import io
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -500,6 +502,7 @@ def test_deep_numeral_on_standard_input(capsys, monkeypatch):
     plus_zero = f"(fn plus (fn zero) {numeral})"
     peano = ("--builtin", "peano", "--term", "-")
     cases = [
+        (numeral, ("check", *peano), "nat\n"),
         (numeral, ("normalize", *peano, "--format", "json"), json.dumps({"normal_form": numeral, "steps": 0}) + "\n"),
         (plus_zero, ("trace", *peano), f"plus-zero @ / : {numeral}\n"),
         (numeral, ("graph", *peano, "--summary"), None),
@@ -512,6 +515,78 @@ def test_deep_numeral_on_standard_input(capsys, monkeypatch):
             assert out.startswith("nodes: 1\nedges: 0\nnormal forms: 1\n") and out.endswith(f"  nf: {numeral}\n")
         else:
             assert out == expected, argv
+
+
+def _chain(opening: str, middle: str, n: int) -> str:
+    return opening * n + middle + ")" * n
+
+
+def _capture_chain(k: int) -> str:
+    # binders y, y1, y11, ... over a body that uses them all; abs-beta
+    # substitutes y for x, which renames every binder
+    names = ["y" + "1" * i for i in range(k)]
+    body = "x"
+    for b in names:
+        body = f"(app {body} {b})"
+    return "(app (lam x " + "".join(f"(lam {b} " for b in names) + body + ")" * k + ") y)"
+
+
+_TOKENS = re.compile(r"[()]|[^\s()]+")
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command line of check, normalize, trace or graph --summary and the
+    term text it reads on standard input: a deep numeral, a lam or let
+    chain, a capture chain or a variable of a deep arrow type, or one of
+    them with a token replaced or its tail cut off."""
+    # hypothesis raises the recursion limit by about 2000 while it runs a
+    # test, so a deep input here is deeper than that
+    n = draw(st.integers(0, 50) | st.integers(3000, 5000))
+    shape = draw(st.sampled_from(("numeral", "lam", "let", "capture", "arrow")))
+    ty, text = "val", "(app f v)"
+    if shape == "numeral":
+        text = _chain("(fn succ ", "(fn zero)", n)
+        if draw(st.booleans()):
+            text = f"(fn plus (fn zero) {text})"
+    elif shape == "lam":
+        text = _chain("(lam x ", "(app x v)" if n % 2 else "x", n)
+    elif shape == "let":
+        text = _chain("(let x m ", "(let y (pure x) (pure y))", n)
+    elif shape == "capture":
+        text = _capture_chain(n // 25)
+    else:
+        ty = _chain("(-> val ", "(E val)", n)
+    if draw(st.booleans()):
+        # malformed: a token replaced, or the text cut short
+        tokens = _TOKENS.findall(ty if shape == "arrow" else text)
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(st.sampled_from(("(", ")", "()", "3", "lam", "let", "(fn nope)", "(E val)")))
+            bad = " ".join(tokens)
+        else:
+            bad = " ".join(tokens[: draw(st.integers(0, len(tokens) - 1))])
+        ty, text = (bad, text) if shape == "arrow" else (ty, bad)
+    command = draw(st.sampled_from((["check"], ["normalize"], ["trace"], ["graph", "--summary"])))
+    if command == ["check"]:
+        command += ["--var", "v:val", "--var", "m:(E val)", "--var", f"f:{ty}"]
+    return [*command, "--builtin", "peano", "--builtin", "nondet", "--term", "-"], text
+
+
+@given(_cli_runs())
+@settings(max_examples=60, deadline=None)
+def test_main_returns_an_exit_code_on_deep_and_malformed_input(run_):
+    # main catches no RecursionError, so a walk that recursed past the
+    # limit would raise here
+    argv, text = run_
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in range(5)
 
 
 def test_search_bound_exceeded(capsys):

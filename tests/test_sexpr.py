@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effrew.sexpr import SexprError, parse_many, parse_one
+from effrew.sexpr import SexprError, _node_repr, parse_many, parse_one
 from oracles import reference_parse_many, reference_parse_one
 from stack_safe import stack_safe
 
@@ -102,3 +102,14 @@ def test_deep_nested_list():
     with pytest.raises(SexprError) as exc:
         parse_many("\n" + "(" * n)
     assert (exc.value.line, exc.value.col) == (2, n)
+
+
+@given(st.recursive(st.integers() | st.text(max_size=3), lambda inner: st.lists(inner, max_size=4), max_leaves=20))
+def test_node_repr_is_repr(node):
+    assert _node_repr(node) == repr(node)
+
+
+@stack_safe
+def test_node_repr_quotes_a_deep_form():
+    n = 100_000
+    assert _node_repr(parse_one("(a " * n + ")" * n)) == "['a', " * (n - 1) + "['a'" + "]" * n

@@ -188,6 +188,26 @@ def test_deep_terms_sizes_free_vars_and_substitution():
     assert free_vars(Lam("w", t)) == frozenset()
 
 
+
+@stack_safe
+def test_capture_renames_nest_past_the_recursion_limit():
+    # binders y, y1, y11, ... over a body that uses them all: substituting
+    # y for x renames y to y1, which renames y1 in its body, and so on
+    k = 1200
+    names = ["y" + "1" * i for i in range(k)]
+    t = Var("x")
+    for b in names:
+        t = App(t, Var(b))
+    for b in reversed(names):
+        t = Lam(b, t)
+    expected = Var("y")
+    for i in range(k):
+        expected = App(expected, Var(f"z{i}"))
+    for i in reversed(range(k)):
+        expected = Lam(f"z{i}", expected)
+    assert canonical_key(substitute(t, "x", Var("y"))) == canonical_key(expected)
+
+
 def test_term_reprs():
     assert repr(Var("x")) == "Var(name='x')"
     assert repr(Lam("x", Var("x"))) == "Lam(binder='x', body=Var(name='x'))"

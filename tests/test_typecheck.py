@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effrew.parser import parse_type
 from effrew.rewrite import pattern_vars
 from effrew.terms import (
     App,
@@ -11,14 +14,20 @@ from effrew.terms import (
     Lam,
     Let,
     Pure,
+    SymApp,
     TVar,
     Var,
     eff,
     fn,
+    free_vars,
+    iter_subterms,
+    replace_at,
     type_str,
 )
 from effrew.theories import builtin, compose
 from effrew.typecheck import TypingError, canonical_type, infer_rule_types, infer_type
+from oracles import reference_infer_rule_types, reference_infer_type, reference_type_str
+from stack_safe import stack_safe
 from termgen import TypedTermGen
 
 GS = builtin("global-state")
@@ -176,3 +185,118 @@ def test_generated_terms_are_well_typed():
             target = Eff(b)
             t = gen.gen_sized(target, 25)
             assert infer_type(dict(gen.ctx), t, theory.signature) == target
+
+
+# -- against the recursive reference -------------------------------------------
+
+MIXED = compose(builtin("global-state"), builtin("nondet"), builtin("peano"), builtin("par"))
+_NAMES = ("x", "y", "v", "n", "f", "m")
+# symbol applications of every kind, some with a parameter or arity that
+# the signature refuses
+_HEADS = (
+    ("eff", "assign", (1,)), ("eff", "assign", (7,)), ("eff", "get", ()), ("eff", "or", ()),
+    ("eff", "par", ()), ("eff", "join", ()), ("fn", "zero", ()), ("fn", "succ", ()),
+    ("fn", "plus", ()), ("fn", "pair", ()), ("fn", "nope", ()),
+)
+_TYPES = st.recursive(
+    st.sampled_from((Base("val"), Base("nat"))),
+    lambda inner: st.builds(Eff, inner) | st.builds(Arrow, inner, inner),
+    max_leaves=4,
+)
+_CONTEXTS = st.dictionaries(st.sampled_from(_NAMES), _TYPES, max_size=4)
+_TERMS = st.recursive(
+    st.sampled_from(_NAMES).map(Var) | st.just(fn("zero")),
+    lambda part: st.one_of(
+        st.builds(Lam, st.sampled_from(_NAMES), part),
+        st.builds(App, part, part),
+        st.builds(Pure, part),
+        st.builds(Let, st.sampled_from(_NAMES), part, part),
+        st.builds(lambda head, args: SymApp(*head, tuple(args)), st.sampled_from(_HEADS), st.lists(part, max_size=3)),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _typed_terms(draw):
+    """A well-typed term of MIXED and its context, one of whose variables
+    has an arrow type; half of them with one subterm replaced by a drawn
+    term, which mostly makes them ill-typed below the root."""
+    gen = TypedTermGen(random.Random(draw(st.integers(0, 2**32 - 1))), MIXED)
+    ctx = {**gen.ctx, "f": Arrow(Base("val"), Eff(Base("nat")))}
+    t = gen.gen_sized(Eff(draw(st.sampled_from(gen.bases))), draw(st.integers(2, 25)))
+    if draw(st.booleans()):
+        pos = draw(st.sampled_from([p for p, _ in iter_subterms(t)]))
+        t = replace_at(t, pos, draw(_TERMS))
+    return ctx, t
+
+
+def _outcome(run):
+    try:
+        return "ok", run()
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+@given(st.one_of(st.tuples(_CONTEXTS, _TERMS), _typed_terms()))
+@settings(max_examples=400, deadline=None)
+def test_infer_type_matches_recursive_reference(case):
+    ctx, t = case
+    got = _outcome(lambda: type_str(infer_type(ctx, t, MIXED.signature)))
+    assert got == _outcome(lambda: reference_type_str(reference_infer_type(ctx, t, MIXED.signature)))
+
+
+_SIDES = _TERMS | _typed_terms().map(lambda case: case[1])
+
+
+@given(_SIDES, _SIDES)
+@settings(max_examples=300, deadline=None)
+def test_infer_rule_types_matches_recursive_reference(lhs, rhs):
+    args = (MIXED.signature, lhs, rhs, free_vars(lhs))
+    got = _outcome(lambda: tuple(map(type_str, infer_rule_types(*args))))
+    assert got == _outcome(lambda: tuple(map(reference_type_str, reference_infer_rule_types(*args))))
+
+
+def test_infer_rule_types_matches_recursive_reference_on_builtin_rules():
+    for rule in MIXED.rules:
+        args = (MIXED.signature, rule.lhs, rule.rhs, pattern_vars(rule.lhs))
+        got = _outcome(lambda: tuple(map(type_str, infer_rule_types(*args))))
+        assert got == _outcome(lambda: tuple(map(reference_type_str, reference_infer_rule_types(*args)))), rule.name
+
+
+# -- deep terms ------------------------------------------------------------------
+
+
+@stack_safe
+def test_deep_numeral_types():
+    n = 10**5
+    t = fn("zero")
+    for _ in range(n):
+        t = fn("succ", t)
+    assert infer_type({}, t, PEANO.signature) == NAT
+
+
+@stack_safe
+def test_deep_lam_and_let_chains_type():
+    n = 10**4
+    t = Var("x")
+    for _ in range(n):
+        t = Lam("x", t)
+    # each binder gets a fresh variable, and the body is the innermost one's
+    names = [type_str(TVar(i)) for i in range(n)]
+    expected = "".join(f"(-> {a} " for a in names) + names[-1] + ")" * n
+    assert type_str(infer_type({}, t, GS.signature)) == expected
+    t = Pure(Var("x"))
+    for i in range(n):
+        t = Let("x", Pure(Lam("y", Var("x"))) if i % 2 else Pure(Var("v")), t)
+    assert type_str(infer_type({"x": NAT, "v": VAL}, t, GS.signature)) == "(E val)"
+
+
+@stack_safe
+def test_deep_arrow_type_round_trips():
+    n = 10**4
+    text = "(-> val " * n + "(E nat)" + ")" * n
+    ty = parse_type(text)
+    assert type_str(ty) == text
+    assert type_str(canonical_type(ty)) == text
+
