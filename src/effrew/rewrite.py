@@ -26,15 +26,16 @@ shape admits: its arity and the names of its first two arguments, whose
 candidates a memo per head keeps (see _Head).  A run of one-argument
 symbol applications whose heads start no rule, such as a numeral's succ
 nodes, is walked down in one loop.  Each candidate, whatever its left
-side, is decided alone by the matcher compiled for its rule (see
-_compile_matcher), which hands back the match's bindings, so retrieval
-is exact.  match_pattern, the recursive matcher,
-is the public reference those matchers agree with; the engine does not
-call it.  Each entry of
-a listing holds what builds its contractum (the bindings, or the
-metalanguage rule's thunk), so no redex is matched twice, and a user
-rule's contractum is built by a builder compiled from its right side (see
-RewriteRule).  Subterms found to have no redex are remembered by identity
+side, is decided alone by its rule's matcher, which hands back the
+match's bindings, so retrieval is exact.  match_pattern, the recursive
+matcher, is the public reference those matchers agree with; the engine
+does not call it.  Each entry of a listing holds what builds its
+contractum (the bindings, or the metalanguage rule's thunk), so no redex
+is matched twice.  A rule is compiled on first use to straight-line
+Python, generated from its sides and run by exec (see _compile_rule): a
+matcher with one check per left-side node, and a contraction that builds
+the contractum with one statement per right-side node and can list its
+redexes too.  Subterms found to have no redex are remembered by identity
 for the walk's caller.  all_redexes and its two filters wrap the entries
 into Redex objects; reduction_graph builds each reduct straight from them.
 
@@ -44,17 +45,16 @@ contractum, and rechecks only the ancestors of p whose head's rules read
 deep enough to see p (see normalize); the others keep their entries, and
 are rebuilt only when the zipper next climbs past them.  The redex-free
 record lasts for the call, so listing a contractum skips the parts it
-shares with the old term.  A user rule's contractum is not walked: its
-entries are read off a plan of the rule's right side (see
-_list_contractum), which matches only the right-side nodes whose head
-starts a rule and walks only the bindings the record does not hold.  The
-current term is held as a
-zipper, and every position as a cell linked to its parent's, so a step
-pays for the path it walks and not for its depth; a position becomes a
-tuple only where one is read (a Redex, a trace step, a graph edge).  An
-entry whose subterm was rebuilt since it was listed holds bindings that
-point into the old subterm, so the lookup that listed it is run again on
-the new one.  The trace holds per step only what normalize recorded; its
+shares with the old term.  A user rule's contractum is not walked: the
+rule's compiled contraction lists its entries off the right side, as it
+builds it, matching only the right-side nodes whose head starts a rule
+and walking only the bindings the record does not hold.  The current
+term is held as a zipper, and every position as a cell linked to its
+parent's, so a step pays for the path it walks and not for its depth; a
+position becomes a tuple only where one is read (a Redex, a trace step,
+a graph edge).  An entry whose subterm was rebuilt since it was listed
+holds bindings that point into the old subterm, so the lookup that
+listed it is run again on the new one.  The trace holds per step only what normalize recorded; its
 terms and its redexes are built when read.  What the engine reads off a
 rule is derived when the rule is built (see RewriteRule).
 """
@@ -62,11 +62,12 @@ rule is derived when the rule is built (see RewriteRule).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from operator import itemgetter
+from functools import cached_property, lru_cache, partial
 from random import Random
-from typing import Callable, Iterable, Sequence
+from types import CodeType
+from typing import Callable, Iterable
 
 from .terms import (
     App,
@@ -85,7 +86,6 @@ from .terms import (
     print_term,
     replace_at,
     substitute,
-    with_children,
 )
 
 ML_RULES = ("abs-beta", "let-beta", "let-assoc", "eff-assoc")
@@ -130,12 +130,11 @@ class RewriteRule:
     compares whole subterms.  identities: the symbol identities of both
     sides.
 
-    _matcher and _builder, the rule's compiled left and right sides (see
-    _compile_matcher and _compile_builder), _plan, the right side as the
-    steps that list a contractum's redexes (see _compile_plan), and
-    _index_keys, the left side's arity and the names of its first two
-    arguments, None where one is a variable (see _Head), are built on
-    first use and kept.  Copying and pickling rebuild the rule from its
+    _matcher and _contract, the rule's sides compiled together to Python
+    code (_compiled, see _compile_rule), which match a subject and build
+    and list a contractum, and _index_keys, the left side's arity and the
+    names of its first two arguments, None where one is a variable (see
+    _Head), are built on first use and kept.  Copying and pickling rebuild the rule from its
     constructor's arguments, so a copy compiles its own."""
 
     name: str
@@ -199,16 +198,16 @@ class RewriteRule:
         return (RewriteRule, (self.name, self.lhs, self.rhs, self.extended))
 
     @cached_property
+    def _compiled(self) -> tuple[Callable, Callable]:
+        return _compile_rule(self)
+
+    @cached_property
     def _matcher(self) -> Callable[[SymApp], dict[str, Term] | None]:
-        return _compile_matcher(self)
+        return self._compiled[0]
 
     @cached_property
-    def _builder(self) -> Callable[[dict[str, Term]], Term]:
-        return _compile_builder(self.rhs)
-
-    @cached_property
-    def _plan(self) -> tuple:
-        return _compile_plan(self.rhs)
+    def _contract(self) -> Callable[..., Term]:
+        return self._compiled[1]
 
     @cached_property
     def _index_keys(self) -> tuple:
@@ -272,110 +271,193 @@ def match_pattern(
     raise RuleError(f"pattern leaves the symbolic fragment: {print_term(pattern)}")
 
 
-def _compile_matcher(rule: RewriteRule) -> Callable[[SymApp], dict[str, Term] | None]:
-    """The rule's left side as a function from a subject with the same
-    head and arity to the match's bindings, or None, as match_pattern
-    gives them.  It decides the match alone, trusting nothing else about
-    the subject.  It checks kind, name, parameters and arity of every
-    symbol application below the root at its fixed path, in preorder so
-    that each path's parents are checked first, and then reads each
-    variable's binding at its path.  Last come the guarded reads, in
-    preorder: every occurrence of a value metavariable, which binds the
-    payload of a pure, or a plain variable, and fails on anything else,
-    and every later occurrence of a repeated variable, which must read a
-    subterm alpha-equal to the first.  A linear left side with no value
-    metavariable has none."""
-    lhs, value_vars = rule.lhs, rule.value_vars
-    checks, reads, guarded = [], [], []
-    stack = [(a, (i,)) for i, a in enumerate(lhs.args)][::-1]
+def _compile_rule(rule: RewriteRule) -> tuple[Callable, Callable]:
+    """The rule compiled to straight-line Python: its two functions,
+    _matcher and _contract (see _code), run by exec in a namespace that
+    binds the rule's constants as C0, C1, ....  One explicit-stack pass
+    over each side, in preorder, collects the constants and the side's
+    shape, which is all the generated text depends on.
+
+    Per node, the shape holds a symbol application's arity, a left-side
+    variable's pair (whether it is a value metavariable, the index of its
+    first occurrence if it repeats), "v" at a right-side variable and "p"
+    at a pure.  The constants are, on the left, a symbol's name, kind and
+    parameters, except at the root, and a variable's name at its first
+    occurrence; on the right, a symbol's kind, name, parameters and head
+    key, or a nullary symbol itself and its head key, and a variable's
+    name."""
+    consts: list = []
+    lhs: list = []
+    first: dict[str, int] = {}
+    value_vars = rule.value_vars
+    stack: list = [rule.lhs]
     while stack:
-        p, path = stack.pop()
+        p = stack.pop()
         if type(p) is Var:
-            if p.name in value_vars or any(p.name == var for var, _ in reads):
-                guarded.append((p.name, path, p.name in value_vars))
-            else:
-                reads.append((p.name, path))
+            name = p.name
+            seen = first.get(name)
+            if seen is None:
+                first[name] = len(lhs)
+                consts.append(name)
+            lhs.append((name in value_vars, seen))
             continue
-        checks.append((path, p.name, p.kind, p.params, len(p.args)))
-        stack += [(a, path + (i,)) for i, a in enumerate(p.args)][::-1]
-
-    def match(sub: SymApp) -> dict[str, Term] | None:
-        for path, name, kind, params, arity in checks:
-            s = sub
-            for i in path:
-                s = s.args[i]
-            if type(s) is not SymApp or s.name != name or s.kind != kind or s.params != params or len(s.args) != arity:
-                return None
-        out = {}
-        for var, path in reads:
-            s = sub
-            for i in path:
-                s = s.args[i]
-            out[var] = s
-        for var, path, value in guarded:
-            s = sub
-            for i in path:
-                s = s.args[i]
-            if value and type(s) is not Var:
-                if type(s) is not Pure:
-                    return None
-                s = s.body
-            if out.setdefault(var, s) is not s and not alpha_eq(out[var], s):
-                return None
-        return out
-
-    return match
-
-
-def _compile_builder(rhs: Term) -> Callable[[dict[str, Term]], Term]:
-    """A rule's right side as a function from a match's bindings to the
-    contractum: one closure per node of the side, a variable read from the
-    bindings and a nullary symbol shared.  Right sides are binder-free, so
-    this cannot capture.  It recurses once per level of the side, and so
-    do the closures when they run: a theory file's right side deeper than
-    the interpreter recursion limit raises RecursionError."""
-    if type(rhs) is Var:
-        return itemgetter(rhs.name)
-    if type(rhs) is Pure:
-        body = _compile_builder(rhs.body)
-        return lambda bindings: Pure(body(bindings))
-    kind, name, params, args = rhs.kind, rhs.name, rhs.params, rhs.args
-    if not args:
-        return lambda bindings: rhs
-    parts = tuple(map(_compile_builder, args))
-    if len(parts) == 1:
-        (first,) = parts
-        return lambda bindings: SymApp(kind, name, params, (first(bindings),))
-    if len(parts) == 2:
-        first, second = parts
-        return lambda bindings: SymApp(kind, name, params, (first(bindings), second(bindings)))
-    return lambda bindings: SymApp(kind, name, params, tuple([part(bindings) for part in parts]))
-
-
-def _compile_plan(rhs: Term) -> tuple:
-    """A rule's right side as the listing plan of its contracta (see
-    _list_contractum): one step per node, in preorder, each (parent slot,
-    child index, head, variable).  Every node that is not a variable takes
-    the next slot, counting from 0 at the root, and its children name it
-    as parent; the root's parent is -1.  head is a symbol application's
-    (kind, name, parameters), else None; variable is a variable's name,
-    else None."""
-    plan = []
-    slots = 0
-    stack = [(rhs, -1, 0)]
+        if lhs:
+            consts += (p.name, p.kind, p.params)
+        lhs.append(len(p.args))
+        stack += reversed(p.args)
+    rhs: list = []
+    stack = [rule.rhs]
     while stack:
-        t, parent, i = stack.pop()
+        t = stack.pop()
         if type(t) is Var:
-            plan.append((parent, i, None, t.name))
-            continue
-        slot, slots = slots, slots + 1
-        if type(t) is Pure:
-            plan.append((parent, i, None, None))
-            stack.append((t.body, slot, 0))
+            consts.append(t.name)
+            rhs.append("v")
+        elif type(t) is Pure:
+            rhs.append("p")
+            stack.append(t.body)
+        elif t.args:
+            consts += (t.kind, t.name, t.params, (t.kind, t.name, t.params))
+            rhs.append(len(t.args))
+            stack += reversed(t.args)
         else:
-            plan.append((parent, i, (t.kind, t.name, t.params), None))
-            stack += [(a, slot, j) for j, a in enumerate(t.args)][::-1]
-    return tuple(plan)
+            consts += (t, (t.kind, t.name, t.params))
+            rhs.append(0)
+    code, names = _code((tuple(lhs), tuple(rhs)))
+    namespace = dict(zip(names, consts))
+    namespace.update(SymApp=SymApp, Pure=Pure, Var=Var, alpha_eq=alpha_eq, rewrite=sys.modules[__name__])
+    exec(code, namespace)
+    return namespace["_matcher"], namespace["_contract"]
+
+
+def _tree(shape: tuple, arities: Callable) -> list[list[int]]:
+    """The children of each node of a side's preorder shape, by preorder
+    index; arities gives a node's number of children from its entry."""
+    kids: list[list[int]] = [[] for _ in shape]
+    open_: list[int] = []
+    for k, entry in enumerate(shape):
+        if open_:
+            up = open_[-1]
+            kids[up].append(k)
+            if len(kids[up]) == arities(shape[up]):
+                open_.pop()
+        if arities(entry):
+            open_.append(k)
+    return kids
+
+
+@lru_cache(maxsize=256)
+def _code(shape: tuple) -> tuple[CodeType, tuple[str, ...]]:
+    """The code object that a rule's shape (see _compile_rule) compiles
+    to, and the names of the constants it reads, in the order the shape's
+    pass collects them.  Rules of one shape share the code and run it over
+    their own constants.
+
+    The text has no loop and no nested scope, one statement or two per
+    node of a side, and holds only generated identifiers and integers, so
+    no name of a rule's reaches the compiler, and compiling costs time
+    linear in the size of the rule.  Node k of a side is the local s{k} in
+    the matcher and t{k} in the contraction, and its cell c{k}.
+
+    _matcher(s0) takes a subject with the left side's head and arity and
+    gives the match's bindings, or None, as match_pattern gives them.  It
+    decides the match alone, trusting nothing else about the subject.  In
+    preorder, it checks the kind, name, parameters and arity of each symbol
+    application below the root and unpacks its arguments, so that each
+    node's parent is checked first.  Then come the guarded reads, in
+    preorder: every occurrence of a value metavariable, which binds the
+    payload of a pure, or a plain variable, and fails on anything else, and
+    every later occurrence of a repeated variable, which must read a
+    subterm alpha-equal to the first.  A linear left side with no value
+    metavariable has none.  The bindings come back as one dict, the plain
+    variables in preorder of first occurrence, then the value
+    metavariables.
+
+    _contract(b, at, index, clean, out) builds the contractum from the
+    bindings b, children before parents, a variable read from b and a
+    nullary symbol shared.  Right sides are binder-free, so this cannot
+    capture.  Given a listing out, it then appends what
+    _list_redexes(contractum, at, index, clean, out) would, read off the
+    right side instead of walked, in preorder: it gives each node its cell
+    once, at `at` for the root, and matches a node only if its head starts
+    a rule, since no metalanguage rule applies at a symbol application or
+    a pure.  A variable's binding is walked, through the module's
+    _list_redexes, only if clean does not hold it.  The right side's own
+    nodes are not added to clean; a later walk that meets one adds it."""
+    lhs, rhs = shape
+    names: list[str] = []
+
+    def const() -> str:
+        names.append(f"C{len(names)}")
+        return names[-1]
+
+    lines = ["def _matcher(s0):"]
+    guarded: list[str] = []
+    reads: list[str] = []
+    value_reads: list[str] = []
+    kids = _tree(lhs, lambda entry: entry if type(entry) is int else 0)
+    for k, entry in enumerate(lhs):
+        s = f"s{k}"
+        if type(entry) is int:
+            if k:
+                lines.append(
+                    f"    if type({s}) is not SymApp or {s}.name != {const()} or {s}.kind != {const()}"
+                    f" or {s}.params != {const()} or len({s}.args) != {entry}: return None"
+                )
+            if entry:
+                lines.append(f"    {''.join(f's{j}, ' for j in kids[k])}= {s}.args")
+            continue
+        value, seen = entry
+        if value:
+            guarded.append(f"    if type({s}) is Pure: {s} = {s}.body")
+            guarded.append(f"    elif type({s}) is not Var: return None")
+        if seen is None:
+            (value_reads if value else reads).append(f"{const()}: {s}")
+        else:
+            guarded.append(f"    if {s} is not s{seen} and not alpha_eq(s{seen}, {s}): return None")
+    lines += guarded
+    lines.append(f"    return {{{', '.join(reads + value_reads)}}}")
+
+    kids = _tree(rhs, lambda entry: 1 if entry == "p" else 0 if entry == "v" else entry)
+    # each node's constants, as the pass collected them, and its parent,
+    # child index and level
+    consts: list[list[str]] = []
+    where = [(-1, 0, 0)] * len(rhs)
+    for k, entry in enumerate(rhs):
+        consts.append([const() for _ in range(1 if entry == "v" else 0 if entry == "p" else 4 if entry else 2)])
+        for i, j in enumerate(kids[k]):
+            where[j] = (k, i, where[k][2] + 1)
+    lines.append("def _contract(b, at=None, index=None, clean=None, out=None):")
+    for k in range(len(rhs) - 1, -1, -1):
+        entry, c = rhs[k], consts[k]
+        if entry == "v":
+            lines.append(f"    t{k} = b[{c[0]}]")
+        elif entry == "p":
+            lines.append(f"    t{k} = Pure(t{kids[k][0]})")
+        elif entry:
+            args = "".join(f"t{j}, " for j in kids[k])
+            lines.append(f"    t{k} = SymApp({c[0]}, {c[1]}, {c[2]}, ({args}))")
+        else:
+            lines.append(f"    t{k} = {c[0]}")
+    lines.append("    if out is not None:")
+    if len(rhs) > 1:
+        lines.append("        d = at[2]")
+    if any(entry not in ("v", "p") for entry in rhs):
+        lines.append("        get = index.get")
+    for k, entry in enumerate(rhs):
+        parent, i, level = where[k]
+        up = "at" if parent == 0 else f"c{parent}"
+        cell = "at" if k == 0 else f"({up}, {i}, d + {level})"
+        if entry == "v":
+            lines.append(f"        if id(t{k}) not in clean: rewrite._list_redexes(t{k}, {cell}, index, clean, out)")
+            continue
+        if k:
+            lines.append(f"        c{k} = {cell}")
+            cell = f"c{k}"
+        if entry != "p":
+            lines.append(f"        h = get({consts[k][-1]})")
+            lines.append(f"        if h is not None: h.matches(t{k}, {cell}, out)")
+    lines.append("    return t0")
+    return compile("\n".join(lines) + "\n", "<effrew rule>", "exec"), tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +545,8 @@ class _Head:
     candidate of each.  The list for a shape is filtered from the rules, in
     rule order, when the shape is first looked up, so a normalize or graph
     run pays only for the shapes its terms reach.  The filter only prunes:
-    each candidate's compiled matcher decides it alone (see
-    _compile_matcher), so retrieval is exact."""
+    each candidate's compiled matcher decides it alone (see _code), so
+    retrieval is exact."""
 
     __slots__ = ("rules", "reach", "_shapes")
 
@@ -473,9 +555,10 @@ class _Head:
         self.reach: float = 0
         self._shapes: dict[tuple, list] = {}
 
-    def matches(self, sub: SymApp) -> list[tuple[int, str, RewriteRule, dict[str, Term]]]:
-        """(rule index, rule name, rule, bindings) for every rule of this
-        head that matches sub, in rule order."""
+    def matches(self, sub: SymApp, cell: Cell, out: list) -> None:
+        """Append the listing entry (cell, rule index, rule name, rule, sub,
+        bindings) to out for every rule of this head that matches sub, the
+        subterm at cell, in rule order."""
         args = sub.args
         n = len(args)
         first = args[0].name if n and type(args[0]) is SymApp else None
@@ -489,12 +572,10 @@ class _Head:
             candidates = self._shapes[shape] = [
                 (idx, rule.name, rule, rule._matcher) for idx, rule in self.rules if rule._index_keys in admitted
             ]
-        out = []
         for idx, name, rule, matcher in candidates:
             bindings = matcher(sub)
             if bindings is not None:
-                out.append((idx, name, rule, bindings))
-        return out
+                out.append((cell, idx, name, rule, sub, bindings))
 
 
 def _arg_key(args: tuple, i: int) -> str | None:
@@ -515,7 +596,7 @@ def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
     _Head).  A rule's left side is always a symbol application, so a
     subject node whose head starts no rule costs one dict lookup.
 
-    Retrieval (`_Head.matches`) is exact: it returns every rule that
+    Retrieval (`_Head.matches`) is exact: it lists every rule that
     matches, with its bindings, and no other, in rule order.  A head's
     reach tells normalize which of a step's ancestors to recheck (see
     normalize)."""
@@ -716,9 +797,25 @@ class _Zipper:
     def up(self) -> None:
         node = self.parents.pop()
         self.cell, i, _ = self.cell
-        kids = children(node)
-        if kids[i] is not self.focus:
-            node = with_children(node, kids[:i] + (self.focus,) + kids[i + 1 :])
+        focus = self.focus
+        cls = type(node)
+        if cls is SymApp:
+            args = node.args
+            if args[i] is not focus:
+                args = (focus,) if len(args) == 1 else args[:i] + (focus,) + args[i + 1 :]
+                node = SymApp(node.kind, node.name, node.params, args)
+        elif cls is Let:
+            if i == 0 and node.subject is not focus:
+                node = Let(node.binder, focus, node.body)
+            elif i == 1 and node.body is not focus:
+                node = Let(node.binder, node.subject, focus)
+        elif cls is App:
+            if i == 0 and node.fun is not focus:
+                node = App(focus, node.arg)
+            elif i == 1 and node.arg is not focus:
+                node = App(node.fun, focus)
+        elif node.body is not focus:
+            node = Lam(node.binder, focus) if cls is Lam else Pure(focus)
         self.focus = node
 
     def move(self, target: Cell) -> None:
@@ -747,23 +844,26 @@ class _Zipper:
         return self.focus
 
 
-def _rules_at(sub: Term, index: HeadIndex) -> Sequence[tuple[int, str, RewriteRule | None, object]]:
-    """(rule index, rule name, rule, contraction) for every rule that
-    applies at sub itself: the metalanguage rule, whose rule is None, index
-    0 and contraction a thunk that builds its contractum, or the user rules
-    by index, each with its bindings as contraction."""
+def _rules_at(sub: Term, cell: Cell, index: HeadIndex) -> list:
+    """The listing entries (see _list_redexes) of every rule that applies
+    at sub itself, the subterm at cell: the metalanguage rule, whose rule
+    is None, index 0 and contraction a thunk that builds its contractum, or
+    the user rules by index, each with its bindings as contraction."""
+    out: list = []
     if type(sub) is SymApp:
         head = index.get((sub.kind, sub.name, sub.params))
-        if head is None:
-            return ()
-        return head.matches(sub)
+        if head is not None:
+            head.matches(sub, cell, out)
+        return out
     hit = _ml_contraction(sub)
-    return () if hit is None else ((0, hit[0], None, hit[1]),)
+    if hit is not None:
+        out.append((cell, 0, hit[0], None, sub, hit[1]))
+    return out
 
 
 def _contractum(rule: RewriteRule | None, contraction) -> Term:
     """The contractum that an entry's rule and contraction give."""
-    return contraction() if rule is None else rule._builder(contraction)
+    return contraction() if rule is None else rule._contract(contraction)
 
 
 def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], out: list) -> None:
@@ -805,9 +905,7 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
             kids = sub.args
             head = get((sub.kind, sub.name, sub.params))
             if head is not None:
-                hits = head.matches(sub)
-                if hits:
-                    out += [(cell, idx, name, rule, sub, bindings) for idx, name, rule, bindings in hits]
+                head.matches(sub, cell, out)
             elif len(kids) == 1:
                 run = [sub]
                 push((run, start))
@@ -839,42 +937,6 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
                     push((kids[i], (cell, i, depth)))
         elif len(out) == start:
             clean[id(sub)] = sub
-
-
-def _list_contractum(
-    rule: RewriteRule, contractum: Term, bindings: dict[str, Term], at: Cell, index: HeadIndex, clean: dict, out: list
-) -> None:
-    """What _list_redexes(contractum, at, index, clean, out) appends, for
-    the contractum that rule's builder made from bindings, read off the
-    rule's plan (see _compile_plan) instead of walked.  A right-side node
-    is matched only if its head starts a rule: no metalanguage rule applies
-    at a symbol application or a pure.  A variable's binding is walked only
-    if clean does not hold it.  The right side's own nodes are not added
-    to clean; a later walk that meets one adds it."""
-    get = index.get
-    terms: list = []
-    cells: list = []
-    for parent, i, key, var in rule._plan:
-        if var is not None:
-            t = bindings[var]
-            if id(t) not in clean:
-                up = cells[parent] if parent >= 0 else None
-                _list_redexes(t, at if up is None else (up, i, up[2] + 1), index, clean, out)
-            continue
-        if parent < 0:
-            t, cell = contractum, at
-        else:
-            t, up = terms[parent], cells[parent]
-            t = t.args[i] if type(t) is SymApp else t.body
-            cell = (up, i, up[2] + 1)
-        terms.append(t)
-        cells.append(cell)
-        if key is not None:
-            head = get(key)
-            if head is not None:
-                hits = head.matches(t)
-                if hits:
-                    out += [(cell, idx, name, r, t, b) for idx, name, r, b in hits]
 
 
 def _edge(listing: list, cell: Cell, k: int, step: int) -> int:
@@ -918,8 +980,9 @@ def normalize(
     step finds the slice it replaces and the ancestors it rechecks by
     walking cells, so its cost does not grow with the depth of its redex.
 
-    A user-rule step lists its contractum off the rule's right side (see
-    _list_contractum), and a metalanguage step walks it.  The slice of
+    A user-rule step builds and lists its contractum in one call of the
+    rule's compiled code, which reads the entries off the right side (see
+    _code), and a metalanguage step walks it.  The slice of
     entries it replaces ends at the entry after the fired one unless that
     entry lies under the redex; only then does _edge search for its end.
     A step rechecks an ancestor k levels above its redex only if the
@@ -967,8 +1030,14 @@ def normalize(
             # subterm after it was listed: the rule still applies, but the
             # bindings read from the old subterm are stale.  At one node the
             # rule index tells the rules that apply apart
-            contraction = next(c for i, _, _, c in _rules_at(sub_now, index) if i == idx)
-        contractum = zipper.focus = _contractum(rule, contraction)
+            contraction = next(e[5] for e in _rules_at(sub_now, cell, index) if e[1] == idx)
+        listed: list = []
+        if rule is None:
+            contractum = contraction()
+            _list_redexes(contractum, cell, index, clean, listed)
+        else:
+            contractum = rule._contract(contraction, cell, index, clean, listed)
+        zipper.focus = contractum
         fired.append((entry, contractum))
         # the contractum's entries take the place of the slice under cell
         lo = i
@@ -983,11 +1052,6 @@ def normalize(
                 c = c[0]
             if c is cell:
                 hi = _edge(listing, cell, hi + 1, 1)
-        listed: list = []
-        if rule is None:
-            _list_redexes(contractum, cell, index, clean, listed)
-        else:
-            _list_contractum(rule, contractum, contraction, cell, index, clean, listed)
         listing[lo:hi] = listed
         # an ancestor k levels up sees what changed only if a rule rooted at
         # its head reads more than k levels.  The zipper climbs to the highest
@@ -1012,7 +1076,7 @@ def normalize(
             lo = hi = _edge(listing, above, lo - 1, -1) + 1
             while hi < len(listing) and listing[hi][0] is above:
                 hi += 1
-            listing[lo:hi] = [(above, idx, name, rule, focus, c) for idx, name, rule, c in _rules_at(focus, index)]
+            listing[lo:hi] = _rules_at(focus, above, index)
     current = zipper.root()
     return current, _trace(t, fired, current)
 

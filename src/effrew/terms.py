@@ -547,52 +547,68 @@ def canonical_key(t: Term) -> str:
     Bruijn indices #k (the innermost binding wins), free vars by name, with
     a leading # doubled so that a free #0 cannot read as a bound one.  Equal
     keys mean alpha-equal terms.  Iterative: one explicit stack of pending
-    (subterm, binders) items and literal tokens, joined once, so a deep
-    term costs no Python stack."""
+    subterms and tokens, joined once, so a deep term costs no Python stack.
+    depth counts the binders in scope and scopes lists, per name, the depths
+    at which they bind it, so a bound variable's index is read off its
+    innermost binder's depth.  A binder's scope opens when its body is
+    reached and is closed by a token popped after the body: a string is
+    literal text, and a tuple (name, opening) a scope's edge."""
     out: list[str] = []
-    # binders lists the enclosing binder names innermost first, so a bound
-    # variable's de Bruijn index is the first position of its name
-    stack: list = [(t, ())]
+    depth = 0
+    scopes: dict[str, list[int]] = {}
+    stack: list = [t]
     push = stack.append
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        t, binders = item
+        t = stack.pop()
         tt = type(t)
-        if tt is SymApp:
+        if tt is str:
+            out.append(t)
+        elif tt is tuple:
+            name, opening = t
+            if opening:
+                scopes.setdefault(name, []).append(depth)
+                depth += 1
+            else:
+                scopes[name].pop()
+                depth -= 1
+        elif tt is SymApp:
             out.append(f"({t.kind} {t.name} ({_params_str(t.params)})")
             push(")")
             for a in reversed(t.args):
-                push((a, binders))
+                push(a)
                 push(" ")
         elif tt is Var:
             name = t.name
-            if name in binders:
-                out.append(f"#{binders.index(name)}")
+            levels = scopes.get(name)
+            if levels:
+                out.append(f"#{depth - 1 - levels[-1]}")
             else:
                 out.append("#" + name if name[:1] == "#" else name)
         elif tt is Lam:
             out.append("(lam ")
             push(")")
-            push((t.body, (t.binder,) + binders))
+            push((t.binder, False))
+            push(t.body)
+            scopes.setdefault(t.binder, []).append(depth)
+            depth += 1
         elif tt is App:
             out.append("(app ")
             push(")")
-            push((t.arg, binders))
+            push(t.arg)
             push(" ")
-            push((t.fun, binders))
+            push(t.fun)
         elif tt is Pure:
             out.append("(pure ")
             push(")")
-            push((t.body, binders))
+            push(t.body)
         elif tt is Let:
             out.append("(let ")
             push(")")
-            push((t.body, (t.binder,) + binders))
+            push((t.binder, False))
+            push(t.body)
+            push((t.binder, True))
             push(" ")
-            push((t.subject, binders))
+            push(t.subject)
         else:
             raise TermError(f"not a term: {t!r}")
     return "".join(out)

@@ -175,6 +175,31 @@ def instantiate(rhs: Term, bindings: dict[str, Term]) -> Term:
     raise RuleError(f"rule right side leaves the symbolic fragment: {rhs!r}")
 
 
+def reference_build(rhs: Term, bindings: dict[str, Term]) -> Term:
+    """instantiate by an explicit stack, for right sides too deep for
+    recursion: a node is pushed again, marked, under its children, and
+    rebuilt from their values when it pops marked."""
+    done: list[Term] = []
+    stack: list = [(rhs, False)]
+    while stack:
+        t, ready = stack.pop()
+        if isinstance(t, Var):
+            done.append(bindings[t.name])
+        elif not isinstance(t, (SymApp, Pure)):
+            raise RuleError(f"rule right side leaves the symbolic fragment: {t!r}")
+        elif not ready:
+            stack.append((t, True))
+            stack += [(k, False) for k in reversed(children(t))]
+        elif isinstance(t, Pure):
+            done.append(Pure(done.pop()))
+        else:
+            n = len(t.args)
+            args = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(SymApp(t.kind, t.name, t.params, args))
+    return done[0]
+
+
 def reference_redexes(t: Term, rules) -> list[tuple]:
     """Every redex of t as (position, rule_name, ml, rule_index, reduct),
     found the plain way: one recursive walk for the metalanguage rules and

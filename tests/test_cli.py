@@ -679,6 +679,46 @@ def test_composition_checks_trusted_parts(capsys, tmp_path):
     )
 
 
+@stack_safe
+def test_theory_file_rule_with_a_deep_right_side(capsys, tmp_path):
+    # the rule's right side, a numeral 3000 deep, compiles to code with one
+    # statement per node, so firing it recurses nowhere
+    n = 3000
+    numeral = _chain("(fn succ ", "(fn zero)", n)
+    deep = tmp_path / "deep.thy"
+    deep.write_text(
+        "(theory deep (base nat) (function zero (-> nat)) (function succ (nat -> nat))"
+        f" (function big (nat -> nat)) (rule big (fn big x) {numeral}))",
+        encoding="utf-8",
+    )
+    argv = ("--theory", str(deep), "--term", "(fn big (fn zero))")
+    assert run(capsys, "normalize", *argv) == (0, numeral + "\n", "")
+    assert run(capsys, "trace", *argv) == (0, f"big @ / : {numeral}\n", "")
+
+
+@stack_safe
+def test_theory_files_merge_deep_declarations(capsys, tmp_path):
+    # two files that declare f alike merge, and one that differs at the
+    # innermost leaf of a 3000-deep argument type conflicts; the types are
+    # compared without recursion
+    n = 3000
+    paths = []
+    for name, leaf in (("a", "nat"), ("b", "nat"), ("c", "val")):
+        path = tmp_path / f"{name}.thy"
+        path.write_text(
+            f"(theory {name} (base nat) (function f ({_chain('(-> nat ', leaf, n)} -> val)))", encoding="utf-8"
+        )
+        paths.append(str(path))
+    a, b, c = paths
+    check = ("check", "--var", "v:val", "--term", "v")
+    assert run(capsys, *check, "--theory", a, "--theory", b) == (0, "val\n", "")
+    assert run(capsys, *check, "--theory", a, "--theory", c) == (
+        1,
+        "",
+        "error: conflicting declarations for symbol f\n",
+    )
+
+
 def test_missing_theory_file(capsys):
     code, _, err = run(capsys, "certify", "--theory", "/nonexistent/x.theory")
     assert code == 1

@@ -19,9 +19,6 @@ SOURCE = Path(effrew.__file__).parent
 
 ALLOWED = {
     "rewrite.match_pattern": "the public reference matcher; the engine never calls it",
-    "rewrite._compile_builder": "recurses once per level of a rule's right side, so a theory "
-    "file's right side deeper than the recursion limit still fails; a builder that does not "
-    "recurse would interpret the listing plan on every step",
 }
 
 

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import re
 import time
 from functools import cache
 
@@ -55,6 +56,7 @@ from effrew.graph import reduction_graph
 from effrew.rpo import rule_identities
 from oracles import (
     instantiate,
+    reference_build,
     naive_normal_forms,
     nesting_count_by_positions,
     reference_graph,
@@ -909,14 +911,17 @@ def test_rule_retrieval_matches_brute_force(seed):
         # contractum is what instantiate builds from them
         for _, sub in iter_subterms(s):
             head = index.get((sub.kind, sub.name, sub.params)) if isinstance(sub, SymApp) else None
-            hits = head.matches(sub) if head is not None else []
+            hits: list = []
+            if head is not None:
+                head.matches(sub, _ROOT, hits)
             expected = [
                 (i, match_pattern(r.lhs, sub, r.value_vars))
                 for i, r in enumerate(rules)
                 if match_pattern(r.lhs, sub, r.value_vars) is not None
             ]
-            assert [(i, bindings) for i, _, _, bindings in hits] == expected
-            assert [_contractum(rule, bindings) for _, _, rule, bindings in hits] == [
+            assert [(i, bindings) for _, i, _, _, _, bindings in hits] == expected
+            assert all(cell is _ROOT and at is sub for cell, _, _, _, at, _ in hits)
+            assert [_contractum(rule, bindings) for _, _, _, rule, _, bindings in hits] == [
                 instantiate(rules[i].rhs, bindings) for i, bindings in expected
             ]
             # each compiled matcher decides alone: given only the head and
@@ -982,14 +987,14 @@ _COPY_CASES = {
 
 @pytest.mark.parametrize("name", sorted(_COPY_CASES))
 def test_rules_and_theories_survive_copy_and_pickle(name):
-    # a rule compiles its sides and its listing plan when they are first
-    # used and keeps them: copies made before and after must come back
-    # equal, compile their own and fire the same
+    # a rule compiles its sides to code when they are first used and keeps
+    # it: copies made before and after must come back equal, compile their
+    # own and fire the same
     theory = compose(*(builtin(part) for part in name.split("+")))
     rules = list(theory.rules)
     t = _COPY_CASES[name]
     duplicates = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
-    compiled_names = ("_matcher", "_builder", "_plan")
+    compiled_names = ("_compiled", "_matcher", "_contract")
 
     def compiled(rules):
         return [r.name for r in rules if any(c in vars(r) for c in compiled_names)]
@@ -1023,7 +1028,18 @@ def test_rules_and_theories_survive_copy_and_pickle(name):
         assert copies == rules and compiled(copies) == []
         again_nf, again_trace = normalize(t, copies)
         assert again_nf == nf and again_trace.export_lines() == trace.export_lines()
-        assert all(again._plan == rule._plan and again._plan is not rule._plan for again, rule in zip(copies, rules))
+        # a copy's functions are its own, run the bytecode of the same
+        # generated text and read equal constants
+        for again, rule in zip(copies, rules):
+            for name in ("_matcher", "_contract"):
+                mine, theirs = getattr(again, name), getattr(rule, name)
+                assert mine is not theirs and mine.__code__ is theirs.__code__
+                assert _constants(mine) == _constants(theirs)
+
+
+def _constants(f) -> dict:
+    """The constants a rule's compiled function reads from its namespace."""
+    return {k: v for k, v in f.__globals__.items() if k[:1] == "C"}
 
 
 def test_rule_index_prunes_par_rules(monkeypatch):
@@ -1081,6 +1097,168 @@ def test_compiled_matcher_reads_repeats_and_value_metavariables():
         assert got == reference == expected
         # both bind a repeated variable to its first occurrence, in preorder
         assert got is None or all(got[v] is reference[v] for v in got)
+
+
+def _check_contract(rules, rule, bindings, rng):
+    """rule._contract from bindings, at a random cell under a random
+    record, lists what a fresh _list_redexes walk of its contractum lists
+    from that cell under that record: the same positions, rules and
+    bindings, in the same order, at the same nodes.  Each entry's cell
+    climbs to the very cell it was listed from, and the entries at one node
+    share one cell."""
+    index = head_index(rules)
+    at = _ROOT
+    for _ in range(rng.randint(0, 3)):
+        at = (at, rng.randint(0, 2), at[2] + 1)
+    clean: dict = {}
+    for value in bindings.values():
+        if rng.random() < 0.5:
+            _list_redexes(value, _ROOT, index, clean, [])
+    for key in list(clean):
+        if rng.random() < 0.3:
+            del clean[key]
+    listed: list = []
+    contractum = rule._contract(bindings, at, index, dict(clean), listed)
+    assert contractum == reference_build(rule.rhs, bindings) == rule._contract(bindings)
+    walked: list = []
+    _list_redexes(contractum, at, index, dict(clean), walked)
+
+    def view(entries):
+        out, cells = [], {}
+        for cell, idx, name, r, sub, contraction in entries:
+            up = cell
+            while up[2] > at[2]:
+                up = up[0]
+            pos = _cell_position(cell)
+            assert up is at and cell[2] == len(pos)
+            assert cells.setdefault(pos, cell) is cell
+            found = contraction() if r is None else {v: id(b) for v, b in contraction.items()}
+            out.append((pos, idx, name, r is None, id(sub), found))
+        return out
+
+    assert view(listed) == view(walked)
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "retry+peano", "par6"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_contract_lists_what_a_walk_lists_for_builtin_rules(name, seed):
+    # bindings drawn from the subterms of a random term of the theory, so
+    # that they hold redexes of its rules, and the right-side nodes built
+    # over them do too
+    rng = random.Random(seed)
+    t, rules = _random_term((name, "interleave" if name == "par6" else "typed"), seed)
+    pool = [sub for _, sub in iter_subterms(t)]
+    for rule in rules:
+        bindings = {v: rng.choice(pool) for v in sorted(pattern_vars(rule.lhs))}
+        _check_contract(rules, rule, bindings, rng)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_contract_lists_what_a_walk_lists_for_random_rules(seed):
+    rng = random.Random(seed)
+    rules = list(_TREE_EDGE_RULES)
+    for i in range(rng.randint(1, 6)):
+        lhs = _vary(rng, symbolic_term(rng, rng.randint(1, 7)), pure=False)
+        if isinstance(lhs, Var):
+            lhs = fn("f", lhs)
+        extended = rng.random() < 0.5
+        rhs = _vary(rng, _over(rng, symbolic_term(rng, rng.randint(1, 9)), sorted(pattern_vars(lhs))), extended)
+        rules.append(make_rule(f"r{i}", lhs, rhs, extended=extended))
+    rng.shuffle(rules)
+    pool = [sub for _ in range(4) for _, sub in iter_subterms(_vary(rng, symbolic_term(rng, rng.randint(1, 10)), True))]
+    for rule in rules:
+        bindings = {v: rng.choice(pool) for v in sorted(pattern_vars(rule.lhs))}
+        _check_contract(rules, rule, bindings, rng)
+
+
+# names that would break generated code, or read as one of its own
+# identifiers, if they reached its text
+_HOSTILE = (
+    "'", '"', "'''", "\n", "\\", "{", "}", "__import__('os')", "ñámé", "ラムダ", "x​y",
+    "s0", "s1", "t0", "c1", "C0", "C1", "b", "d", "h", "at", "out", "get", "index", "clean", "rewrite",
+    "SymApp", "return None", "None", "type", "len",
+)
+_GENERATED = re.compile(
+    r"[Cstc]\d+|b|at|index|clean|out|d|h|get|SymApp|Pure|Var|alpha_eq|rewrite|_list_redexes"
+    r"|type|len|id|name|kind|params|args|body|matches"
+)
+
+
+def _hostile(rng, t, names: dict):
+    """t with its variable and symbol names, and the parameters of its
+    symbols, renamed through names, which picks a hostile name for each
+    name when it is first met, so that repeats stay repeats."""
+    if isinstance(t, Var):
+        return Var(names.setdefault(("var", t.name), rng.choice(_HOSTILE)))
+    if isinstance(t, Pure):
+        return Pure(_hostile(rng, t.body, names))
+    params = names.setdefault(("params", t.name), rng.choice([(), (rng.choice(_HOSTILE),), (3, rng.choice(_HOSTILE))]))
+    name = names.setdefault(("sym", t.name), rng.choice(_HOSTILE))
+    return SymApp(t.kind, name, params, tuple(_hostile(rng, a, names) for a in t.args))
+
+
+def test_compiled_rules_hold_no_text_of_their_own():
+    # symbol names, parameters and variable names that are quotes,
+    # newlines, code, non-ASCII text or the generated code's own names
+    # reach its namespace only: the code objects hold no string and name
+    # nothing but what the generator writes.  Matchers agree with
+    # match_pattern, and contractions with the reference builder
+    rng = random.Random(23)
+    compiled = 0
+    for i in range(150):
+        lhs = symbolic_term(rng, rng.randint(2, 8))
+        if not isinstance(lhs, SymApp):
+            continue
+        extended = rng.random() < 0.5
+        rhs = _vary(rng, _over(rng, symbolic_term(rng, rng.randint(1, 8)), sorted(pattern_vars(lhs))), extended)
+        names: dict = {}
+        lhs, rhs = _hostile(rng, lhs, names), _hostile(rng, rhs, names)
+        rule = make_rule(f"h{i}", lhs, rhs, extended=extended)
+        for f in (rule._matcher, rule._contract):
+            code = f.__code__
+            assert all(c is None or type(c) is int for c in code.co_consts), code.co_consts
+            assert all(_GENERATED.fullmatch(n) for n in code.co_names + code.co_varnames), code.co_names
+        compiled += 1
+        for _ in range(6):
+            bindings = {v: _hostile(rng, symbolic_term(rng, rng.randint(1, 4)), names) for v in pattern_vars(lhs)}
+            for v in rule.value_vars:
+                bindings[v] = rng.choice([Pure(bindings[v]), Var(v), bindings[v]])
+            sub = instantiate(lhs, bindings)
+            if sub.args and rng.random() < 0.5:
+                # a subject that may differ below the root
+                args = list(sub.args)
+                args[rng.randrange(len(args))] = _hostile(rng, symbolic_term(rng, rng.randint(1, 4)), names)
+                sub = SymApp(sub.kind, sub.name, sub.params, tuple(args))
+            expected = match_pattern(rule.lhs, sub, rule.value_vars)
+            assert rule._matcher(sub) == expected
+            if expected is not None:
+                assert rule._contract(expected) == reference_build(rule.rhs, expected)
+    assert compiled > 100
+
+
+@stack_safe
+def test_deep_sides_compile_in_linear_time_and_fire():
+    # a rule whose left side and one whose right side is a succ tower 6000
+    # deep compile to code with a statement or two per node; generated code
+    # that nests a scope per node compiles in quadratic time
+    n = 6000
+    tower = Var("x")
+    for _ in range(n):
+        tower = fn("succ", tower)
+    down, up = make_rule("down", fn("f", tower), fn("g", Var("x"))), make_rule("up", fn("u", Var("x")), tower)
+    start = time.perf_counter()
+    assert down._matcher and up._contract
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"took {elapsed:.2f} s"
+    # the deep left side matches a deep enough subject, and only that
+    assert normalize(fn("f", peano_numeral(n + 2)), [down])[0] == fn("g", peano_numeral(2))
+    shallow = fn("f", peano_numeral(n - 1))
+    assert normalize(shallow, [down])[0] == shallow
+    nf, trace = normalize(fn("u", fn("zero")), [up, down])
+    assert nf == reference_build(tower, {"x": fn("zero")}) == peano_numeral(n)
+    assert len(trace.steps) == 1
 
 
 def test_engine_runs_without_match_pattern(monkeypatch):
@@ -1174,7 +1352,8 @@ def test_plus_steps_list_contracta_from_the_right_side(peano, strategy, monkeypa
     # each step lists its contractum off the rule's right side: plus is
     # matched where it is built, and the numerals bound to x and y are
     # known to have no redex, so the start term is the only term walked;
-    # a step that walks its contractum makes this n + 2
+    # a step that walks its contractum makes this n + 2.  A rule's compiled
+    # code calls the walk through the module, so the count sees its calls
     n = 300
     walks = 0
     walk = effrew.rewrite._list_redexes

@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +150,26 @@ def test_deep_numeral_prints_keys_and_compares():
     assert len(key) == 13 * n + 12
     assert key.startswith("(fn succ () (fn succ () ")
     assert alpha_eq(t, peano_numeral(n))
+
+
+@stack_safe
+def test_canonical_key_of_deep_binder_chains_takes_linear_time():
+    # a key that copies the binders in scope at every binder, or searches
+    # them at every variable, takes about 3.4 s on the first chain alone
+    n = 40_000
+    same, distinct, lets = Var("x"), App(Var("x0"), Var("free")), Var("y")
+    for i in range(n - 1, -1, -1):
+        same, distinct, lets = Lam("x", same), Lam(f"x{i}", distinct), Let("y", Var("y"), lets)
+    start = time.perf_counter()
+    keys = [canonical_key(t) for t in (same, distinct, lets)]
+    elapsed = time.perf_counter() - start
+    assert keys[0] == "(lam " * n + "#0" + ")" * n
+    # the body reads the outermost binder, under n - 1 others
+    assert keys[1] == "(lam " * n + f"(app #{n - 1} free)" + ")" * n
+    # a let's subject lies outside its own scope: the first reads a free y,
+    # each other the binder of the let above it
+    assert keys[2] == "(let y " + "(let #0 " * (n - 1) + "#0" + ")" * n
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
 @stack_safe
