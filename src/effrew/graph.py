@@ -7,6 +7,10 @@ The fuel bounds the number of distinct nodes; a truncated graph keeps
 whatever was explored and says so.  Each node is listed once by the
 rewrite engine's redex walk, and each reduct is built from what that
 listing found (the bindings of a user rule), without a second match.
+Per edge the exploration builds one contractum, one reduct (the node's
+term with the contractum spliced in by replace_at, which shares every
+subterm off the path), one canonical key and one Edge, whether or not
+the key names a node met before.
 
 Exploration is a pure function of (term, rules, fuel).
 """
@@ -14,7 +18,7 @@ Exploration is a pure function of (term, rules, fuel).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .rewrite import _ROOT, RewriteRule, _cell_position, _contractum, _list_redexes, head_index
@@ -23,12 +27,37 @@ from .terms import Position, Term, canonical_key, print_term, replace_at
 DEFAULT_NODE_FUEL = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Edge:
+    """One rewrite step between two nodes, named by their keys.  A
+    read-only dataclass on __slots__, as RpoDerivation is: the constructor
+    writes each slot through its descriptor, and assigning or deleting any
+    name raises FrozenInstanceError.  Equality, the hash and repr are the
+    dataclass's own, over the four fields."""
+
     src: str
     rule_name: str
     position: Position
     dst: str
+
+    def __init__(self, src: str, rule_name: str, position: Position, dst: str):
+        _edge_src(self, src)
+        _edge_rule_name(self, rule_name)
+        _edge_position(self, position)
+        _edge_dst(self, dst)
+
+    def __reduce__(self):
+        return Edge, (self.src, self.rule_name, self.position, self.dst)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_edge_src, _edge_rule_name = Edge.src.__set__, Edge.rule_name.__set__
+_edge_position, _edge_dst = Edge.position.__set__, Edge.dst.__set__
 
 
 @dataclass(frozen=True)

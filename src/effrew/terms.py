@@ -120,9 +120,10 @@ def _run_steps(step, root):
 class _Term:
     """Base of the six term classes: immutable __slots__ nodes.  Assigning a
     field raises AttributeError.  Equality is structural and the hash,
-    computed on first use, is cached in the node; both, and repr, walk an
-    explicit stack, so a deep term costs no Python stack.  Each class lists
-    its fields in __slots__, in constructor order."""
+    computed on first use, is cached in the node; both, repr and the
+    reduction that pickle and deepcopy use walk an explicit stack, so a
+    deep term costs no Python stack.  Each class lists its fields in
+    __slots__, in constructor order."""
 
     __slots__ = ("_hash",)
 
@@ -133,7 +134,26 @@ class _Term:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        """A flat postorder table of the term's distinct nodes, each as
+        (class, scalars, indices of its children), which _from_table
+        rebuilds in one loop: pickle and deepcopy take no Python stack per
+        level, and a subterm shared within the term stays shared."""
+        index: dict[int, int] = {}
+        table = []
+        # None on the stack marks the node under it as ready: its children
+        # were pushed above the mark, so they are listed by then
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if t is None:
+                t = stack.pop()
+                if id(t) not in index:
+                    index[id(t)] = len(table)
+                    table.append((type(t), _scalars(t), tuple([index[id(k)] for k in children(t)])))
+            elif id(t) not in index:
+                stack += (t, None)
+                stack += children(t)
+        return _from_table, (tuple(table),)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -275,6 +295,15 @@ _sym_kind, _sym_name, _sym_params, _sym_args = (
 )
 
 
+def _from_table(table: tuple) -> "Term":
+    """The term that _Term.__reduce__ listed as table, root last."""
+    built: list = []
+    for cls, scalars, kids in table:
+        kids = tuple(built[i] for i in kids)
+        built.append(cls(*scalars, kids) if cls is SymApp else cls(*scalars, *kids))
+    return built[-1]
+
+
 def _scalars(t: "Term") -> tuple:
     """The fields of t that are not subterms."""
     if type(t) is SymApp:
@@ -352,18 +381,23 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 def replace_at(t: Term, pos: Position, sub: Term) -> Term:
     """t with the subterm at pos replaced by sub: walks down to pos, then
-    rebuilds the path bottom-up, without recursion."""
+    rebuilds the path bottom-up, without recursion.  Each node on the path
+    is rebuilt with its children tuple spliced around the new child, so
+    every subterm off the path is shared with t.  A position that is not
+    in t, a negative index included, raises TermError."""
     spine = []
     for i in pos:
-        kids = children(t)
-        if i >= len(kids):
+        kids = t.args if type(t) is SymApp else children(t)
+        if not 0 <= i < len(kids):
             raise TermError(f"position {pos} not in term")
         spine.append((t, kids, i))
         t = kids[i]
     for node, kids, i in reversed(spine):
-        kids = list(kids)
-        kids[i] = sub
-        sub = with_children(node, tuple(kids))
+        kids = kids[:i] + (sub,) + kids[i + 1 :]
+        if type(node) is SymApp:
+            sub = SymApp(node.kind, node.name, node.params, kids)
+        else:
+            sub = with_children(node, kids)
     return sub
 
 
@@ -548,21 +582,45 @@ def canonical_key(t: Term) -> str:
     a leading # doubled so that a free #0 cannot read as a bound one.  Equal
     keys mean alpha-equal terms.  Iterative: one explicit stack of pending
     subterms and tokens, joined once, so a deep term costs no Python stack.
-    depth counts the binders in scope and scopes lists, per name, the depths
-    at which they bind it, so a bound variable's index is read off its
-    innermost binder's depth.  A binder's scope opens when its body is
-    reached and is closed by a token popped after the body: a string is
-    literal text, and a tuple (name, opening) a scope's edge."""
+    Each node's text carries its own leading space (" (eff a ()", " x",
+    " #0"), so no separator is pushed between siblings, and the root's
+    space is cut off the joined string.  depth counts the binders in scope
+    and scopes lists, per name, the depths at which they bind it, so a
+    bound variable's index is read off its innermost binder's depth.  A
+    binder's scope opens when its body is reached and is closed by a token
+    popped after the body: a string is literal text, and a tuple (name,
+    opening) a scope's edge."""
     out: list[str] = []
     depth = 0
     scopes: dict[str, list[int]] = {}
     stack: list = [t]
-    push = stack.append
     while stack:
         t = stack.pop()
         tt = type(t)
         if tt is str:
             out.append(t)
+        elif tt is SymApp:
+            params = t.params
+            if params:
+                out.append(f" ({t.kind} {t.name} ({_params_str(params)})")
+            else:
+                out.append(f" ({t.kind} {t.name} ()")
+            args = t.args
+            if len(args) == 1:
+                stack += (")", args[0])
+            else:
+                stack.append(")")
+                stack += reversed(args)
+        elif tt is Var:
+            name = t.name
+            levels = scopes.get(name)
+            if levels:
+                out.append(f" #{depth - 1 - levels[-1]}")
+            else:
+                out.append(" #" + name if name[:1] == "#" else " " + name)
+        elif tt is Pure:
+            out.append(" (pure")
+            stack += (")", t.body)
         elif tt is tuple:
             name, opening = t
             if opening:
@@ -571,47 +629,21 @@ def canonical_key(t: Term) -> str:
             else:
                 scopes[name].pop()
                 depth -= 1
-        elif tt is SymApp:
-            out.append(f"({t.kind} {t.name} ({_params_str(t.params)})")
-            push(")")
-            for a in reversed(t.args):
-                push(a)
-                push(" ")
-        elif tt is Var:
-            name = t.name
-            levels = scopes.get(name)
-            if levels:
-                out.append(f"#{depth - 1 - levels[-1]}")
-            else:
-                out.append("#" + name if name[:1] == "#" else name)
+        elif tt is Let:
+            out.append(" (let")
+            binder = t.binder
+            stack += (")", (binder, False), t.body, (binder, True), t.subject)
         elif tt is Lam:
-            out.append("(lam ")
-            push(")")
-            push((t.binder, False))
-            push(t.body)
+            out.append(" (lam")
+            stack += (")", (t.binder, False), t.body)
             scopes.setdefault(t.binder, []).append(depth)
             depth += 1
         elif tt is App:
-            out.append("(app ")
-            push(")")
-            push(t.arg)
-            push(" ")
-            push(t.fun)
-        elif tt is Pure:
-            out.append("(pure ")
-            push(")")
-            push(t.body)
-        elif tt is Let:
-            out.append("(let ")
-            push(")")
-            push((t.binder, False))
-            push(t.body)
-            push((t.binder, True))
-            push(" ")
-            push(t.subject)
+            out.append(" (app")
+            stack += (")", t.arg, t.fun)
         else:
             raise TermError(f"not a term: {t!r}")
-    return "".join(out)
+    return "".join(out)[1:]
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

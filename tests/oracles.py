@@ -162,6 +162,24 @@ def reference_canonical_key(t: Term) -> str:
     return go(t, ())
 
 
+def reference_replace_at(t: Term, pos: tuple, sub: Term) -> Term:
+    """replace_at as it stood before it spliced tuples: walk down to pos,
+    then rebuild the path bottom-up, each node from a copied list of its
+    children through with_children."""
+    spine = []
+    for i in pos:
+        kids = children(t)
+        if i >= len(kids):
+            raise TermError(f"position {pos} not in term")
+        spine.append((t, kids, i))
+        t = kids[i]
+    for node, kids, i in reversed(spine):
+        kids = list(kids)
+        kids[i] = sub
+        sub = with_children(node, tuple(kids))
+    return sub
+
+
 def instantiate(rhs: Term, bindings: dict[str, Term]) -> Term:
     """Plug matched bindings into a rule right-hand side by plain
     recursion: the reference for a rule's compiled builder.  Right sides

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import pickle
 import random
+
+import pytest
 
 from effrew.graph import Edge, ReductionGraph, graph_summary, reduction_graph
 from effrew.rewrite import make_rule
@@ -149,3 +154,41 @@ def test_join_does_not_commute_with_eff_assoc(par):
         "  nf: (eff e1 () (pure (fn pair a b)))",
         "  nf: (eff join () (eff e1 () (eff e1 () (eff par () (pure a) (pure b)))))",
     ]
+
+
+def test_edge_contract(par):
+    # a read-only dataclass on slots, with the fields, equality, hash, repr
+    # and replace of a frozen dataclass
+    e = Edge("k0", "par-left", (0, 1), "k1")
+    assert [f.name for f in dataclasses.fields(Edge)] == ["src", "rule_name", "position", "dst"]
+    assert all(f.init and f.compare and f.hash is None for f in dataclasses.fields(Edge))
+    assert repr(e) == "Edge(src='k0', rule_name='par-left', position=(0, 1), dst='k1')"
+    assert e == Edge("k0", "par-left", (0, 1), "k1") and hash(e) == hash(("k0", "par-left", (0, 1), "k1"))
+    assert e == Edge(src="k0", rule_name="par-left", position=(0, 1), dst="k1")
+    for other in (
+        Edge("k2", "par-left", (0, 1), "k1"),
+        Edge("k0", "par-right", (0, 1), "k1"),
+        Edge("k0", "par-left", (0,), "k1"),
+        Edge("k0", "par-left", (0, 1), "k2"),
+    ):
+        assert e != other
+    assert e != ("k0", "par-left", (0, 1), "k1")
+    assert dataclasses.replace(e, dst="k2") == Edge("k0", "par-left", (0, 1), "k2")
+    assert not hasattr(e, "__dict__")
+    for name in ("src", "rule_name", "position", "dst", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, "k9")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(e, name)
+    assert e == Edge("k0", "par-left", (0, 1), "k1")
+    # a graph copies and pickles whole, its edges included
+    t = Let("x", eff("par", eff("e1", Pure(Var("v"))), eff("e2", Pure(Var("w")))), Pure(Var("x")))
+    g = reduction_graph(t, list(par.rules))
+    assert len(g.edges) > 4
+    for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again = dup(g)
+        assert again == g
+        assert list(again.nodes.items()) == list(g.nodes.items())
+        assert again.edges == g.edges and all(type(x) is Edge for x in again.edges)
+        assert again.normal_forms == g.normal_forms and again.truncated == g.truncated
+        assert again.to_dot() == g.to_dot()

@@ -1,5 +1,6 @@
 import copy
 import gc
+import pickle
 import random
 import time
 
@@ -12,6 +13,7 @@ from effrew.terms import (
     Lam,
     Let,
     Pure,
+    TermError,
     Var,
     alpha_eq,
     canonical_key,
@@ -29,10 +31,10 @@ from effrew.terms import (
     with_children,
 )
 from effrew.graph import reduction_graph
-from effrew.rewrite import StaleRedexError, all_redexes, normalize, step
+from effrew.rewrite import StaleRedexError, all_redexes, make_rule, normalize, step
 from effrew.terms import Eff
 from effrew.theories import builtin, compose, peano_numeral
-from oracles import reference_canonical_key
+from oracles import reference_canonical_key, reference_replace_at
 from stack_safe import stack_safe
 from termgen import PAR6_EFFECTS, TypedTermGen, par_interleaving, symbolic_term
 
@@ -337,6 +339,70 @@ def test_replace_subterm_with_itself_is_identity(t):
         assert replace_at(t, pos, sub) == t
 
 
+@given(st.sampled_from(("global-state+nondet", "retry", "peano")), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_replace_at_matches_reference(name, seed):
+    rng = random.Random(seed)
+    gen = TypedTermGen(rng, compose(*(builtin(part) for part in name.split("+"))))
+    ty = Eff(rng.choice(gen.bases))
+    drawn, sub = gen.gen_sized(ty, 25), gen.gen_sized(ty, 5)
+    # a frame that puts every class of node on the spine to the drawn term:
+    # let, app, lam, symbol, pure, and a variable at the bottom of others
+    t = Let("x", Pure(Var("v")), App(Lam("y", fn("f", Var("y"), Pure(drawn))), Var("x")))
+    for pos, old in iter_subterms(t):
+        out = replace_at(t, pos, sub)
+        assert out == reference_replace_at(t, pos, sub)
+        assert subterm_at(out, pos) is sub
+        # every sibling off the spine is the same object
+        a, b = t, out
+        for i in pos:
+            ka, kb = children(a), children(b)
+            assert len(ka) == len(kb)
+            assert all(x is y for j, (x, y) in enumerate(zip(ka, kb)) if j != i)
+            a, b = ka[i], kb[i]
+        # one past the last child is not a position; a negative index is
+        # refused as well, where the reference took it from the end
+        past = pos + (len(children(old)),)
+        for f in (replace_at, reference_replace_at):
+            with pytest.raises(TermError) as e:
+                f(t, past, sub)
+            assert str(e.value) == f"position {past} not in term"
+        if children(old):
+            with pytest.raises(TermError, match="not in term"):
+                replace_at(t, pos + (-1,), sub)
+
+
+@stack_safe
+def test_deep_terms_survive_copy_and_pickle(peano):
+    # a term reduces to a flat table of its distinct nodes, so pickle and
+    # deepcopy take no Python stack per level; reduced to its own fields, a
+    # term 5000 deep raised RecursionError
+    duplicates = (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    big = peano_numeral(100_000)
+    for dup in duplicates:
+        again = dup(big)
+        assert again == big and again is not big
+    # a subterm shared within a term stays shared
+    small = peano_numeral(3)
+    shared = fn("f", small, fn("g", small))
+    for dup in duplicates:
+        again = dup(shared)
+        assert again == shared and again.args[0] is again.args[1].args[0]
+    # a trace, a rule and a graph over terms 10^4 deep
+    n = peano_numeral(10_000)
+    rules = list(peano.rules)
+    _, trace = normalize(fn("plus", peano_numeral(2), n), rules)
+    rule = make_rule("big", fn("big", n), fn("succ", n))
+    graph = reduction_graph(fn("plus", fn("zero"), n), rules)
+    for dup in duplicates:
+        again = dup(trace)
+        assert again == trace and again.export_lines() == trace.export_lines()
+        again = dup(rule)
+        assert (again, hash(again), again.reach) == (rule, hash(rule), rule.reach)
+        again = dup(graph)
+        assert again == graph and again.normal_form_terms == graph.normal_form_terms
+
+
 @given(symbolic_terms(), symbolic_terms(), st.booleans(), st.booleans())
 def test_equality_does_not_depend_on_cached_hashes(t, other, hash_left, hash_right):
     # deepcopy builds fresh nodes, which hold no cached hash
@@ -360,10 +426,26 @@ def test_canonical_key_matches_reference(name, seed):
     rng = random.Random(seed)
     gen = TypedTermGen(rng, compose(*(builtin(part) for part in name.split("+"))))
     t = gen.gen_sized(Eff(rng.choice(gen.bases)), 40)
-    # an outer binder shadowed at once, so every draw has a shadowed one
+    # every node's text carries its own leading space, so each case below
+    # would show a case the key renders wrongly as a one-character diff
     b = rng.choice("xyz")
-    t = Lam(b, Let(b, Pure(Var(b)), t))
-    assert canonical_key(t) == reference_canonical_key(t)
+    # a parameterised effect, a nullary symbol and a free name with a
+    # leading #, under a binder named with one
+    side = eff("assign", Var("#" + b), fn("zero"), params=(rng.choice((0, 1)),))
+    cases = (
+        # an outer binder shadowed at once, so every draw has a shadowed one
+        Lam(b, Let(b, Pure(Var(b)), t)),
+        # an unused binder, and the side term beside the draw
+        Lam("u", eff("or", t, side)),
+        Lam("#" + b, Let(b, side, App(Var("#" + b), Var(b)))),
+        # a bare variable and a nullary symbol as the whole term
+        Var(b),
+        Var("#" + b),
+        fn("zero"),
+        eff("get", params=(rng.choice((0, 1)),)),
+    )
+    for u in cases:
+        assert canonical_key(u) == reference_canonical_key(u)
 
 
 @given(st.integers(0, 2**32 - 1))
