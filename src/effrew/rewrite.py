@@ -706,6 +706,24 @@ class _Replay:
     def contractum(self, i: int) -> Term:
         return self.fired[i][1]
 
+    def __reduce__(self):
+        # per step its position, rule index, rule name, rule and contractum:
+        # no cell, whose parent chain is as deep as the redex, and no thunk
+        steps = tuple([(_cell_position(entry[0]), *entry[1:4], contractum) for entry, contractum in self.fired])
+        return _load_replay, (self.terms[0], steps, self.terms[-1])
+
+
+def _load_replay(initial: Term, steps: tuple, final: Term) -> _Replay:
+    """The _Replay that _Replay.__reduce__ handed over, its cells rebuilt
+    from the positions."""
+    fired = []
+    for pos, idx, name, rule, contractum in steps:
+        cell = _ROOT
+        for i in pos:
+            cell = (cell, i, cell[2] + 1)
+        fired.append(((cell, idx, name, rule, None, None), contractum))
+    return _Replay(initial, fired, final)
+
 
 class TraceStep:
     """One normalize step: the redex contracted and the term it gave.  A
@@ -734,6 +752,9 @@ class TraceStep:
     @property
     def result(self) -> Term:
         return self._replay.term(self._index + 1)
+
+    def __reduce__(self):
+        return TraceStep, (self._replay, self._index)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -57,8 +57,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
 
 from .rewrite import _ROOT, _cell_position, position_str
-from .terms import Identity, SymApp, Term, Var, _scalars, _Term, ident_str, sym_str
-from .terms import children as term_children
+from .terms import Identity, SymApp, Term, Var, _built, _same, _table, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -180,8 +179,8 @@ class RpoDerivation:
 
     The prover shares a node among every parent whose goal it proves, so
     a derivation is a DAG.  Equality, the hash and repr walk an explicit
-    stack and handle each distinct node once; equality walks the nodes'
-    terms on the same stack, each distinct pair of terms once.  repr
+    stack and handle each distinct node once; equality compares the nodes'
+    terms under the same set of pairs met, each distinct pair once.  repr
     still spells a shared node out wherever it occurs, as the dataclass
     repr did, so its length is that of the unfolded tree.
     """
@@ -202,7 +201,32 @@ class RpoDerivation:
         _set_children(self, children)
 
     def __reduce__(self):
-        return RpoDerivation, (self.lhs, self.rhs, self.rule, self.index, self.children)
+        """Two flat tables, each rebuilt in one loop: the distinct term
+        nodes under the sides (see terms._table), and the distinct
+        derivation nodes in postorder, each as (row of lhs, row of rhs,
+        rule, index, rows of its children).  Pickle and deepcopy take no
+        Python stack per level, and shared nodes and subterms stay shared."""
+        rows: dict[int, int] = {}
+        nodes = []
+        stack = [self]
+        while stack:
+            d = stack[-1]
+            todo = [c for c in d.children if id(c) not in rows]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if id(d) not in rows:
+                rows[id(d)] = len(nodes)
+                nodes.append(d)
+        terms, at = _table([t for d in nodes for t in (d.lhs, d.rhs)])
+        table = tuple([
+            (at[id(d.lhs)], at[id(d.rhs)], d.rule, d.index, tuple([rows[id(c)] for c in d.children])) for d in nodes
+        ])
+        return _load_derivation, (terms, table)
+
+    def __copy__(self):
+        return RpoDerivation(self.lhs, self.rhs, self.rule, self.index, self.children)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -213,32 +237,23 @@ class RpoDerivation:
     def __eq__(self, other):
         if type(other) is not RpoDerivation:
             return NotImplemented
-        # derivation pairs and term pairs wait on one stack; a pair met
-        # again, through a shared node or subterm, was checked already
+        # a pair met again, through a shared node or subterm, was checked
+        # already; seen holds the pairs of nodes and, through _same, of terms
         stack, seen = [(self, other)], set()
         while stack:
             a, b = stack.pop()
             if a is b or (id(a), id(b)) in seen:
                 continue
             seen.add((id(a), id(b)))
-            if type(a) is RpoDerivation:
-                if (
-                    type(b) is not RpoDerivation
-                    or a.rule != b.rule
-                    or a.index != b.index
-                    or len(a.children) != len(b.children)
-                ):
-                    return False
-                stack += ((a.lhs, b.lhs), (a.rhs, b.rhs), *zip(a.children, b.children))
-            elif isinstance(a, _Term):
-                if type(b) is not type(a) or _scalars(a) != _scalars(b):
-                    return False
-                ka, kb = term_children(a), term_children(b)
-                if len(ka) != len(kb):
-                    return False
-                stack += zip(ka, kb)
-            elif a != b:
+            if (
+                type(b) is not RpoDerivation
+                or a.rule != b.rule
+                or a.index != b.index
+                or len(a.children) != len(b.children)
+                or not _same([(a.lhs, b.lhs), (a.rhs, b.rhs)], seen)
+            ):
                 return False
+            stack += zip(a.children, b.children)
         return True
 
     def __hash__(self):
@@ -325,6 +340,15 @@ _set_lhs, _set_rhs, _set_rule, _set_index, _set_children = (
     RpoDerivation.index.__set__,
     RpoDerivation.children.__set__,
 )
+
+
+def _load_derivation(terms: tuple, table: tuple) -> RpoDerivation:
+    """The derivation that RpoDerivation.__reduce__ listed, root last."""
+    sides = _built(terms)
+    built: list[RpoDerivation] = []
+    for lhs, rhs, rule, index, kids in table:
+        built.append(RpoDerivation(sides[lhs], sides[rhs], rule, index, tuple([built[i] for i in kids])))
+    return built[-1]
 
 
 def _check_symbolic(t: Term, side: str) -> None:

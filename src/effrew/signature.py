@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Arrow, Eff, Identity, Param, SymApp, Type, ident_str, type_str
+from .terms import Identity, Param, SymApp, Type, ident_str, type_str
 
 
 class SignatureError(Exception):
@@ -91,39 +91,9 @@ class Signature:
             mine = self.get(d.name)
             if mine is None:
                 out.append(d)
-            elif not _same_decl(mine, d):
+            elif mine != d:
                 raise SignatureError(f"conflicting declarations for symbol {d.name}")
         return Signature(tuple(out))
-
-
-def _same_decl(a: Decl, b: Decl) -> bool:
-    """a == b, with the types of function declarations compared by
-    _same_types, so that a deep type costs no Python stack."""
-    if type(a) is not type(b) or type(a) is EffectDecl:
-        return a == b
-    return a.name == b.name and len(a.arg_types) == len(b.arg_types) and _same_types(
-        [*a.arg_types, a.result], [*b.arg_types, b.result]
-    )
-
-
-def _same_types(xs: list[Type], ys: list[Type]) -> bool:
-    """Whether the types xs and ys are equal pairwise.  One explicit stack
-    of pairs: an arrow pushes its domains and codomains, an effect type its
-    inner types, and leaves compare with ==."""
-    stack = list(zip(xs, ys))
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if type(x) is Arrow:
-            stack += ((x.dom, y.dom), (x.cod, y.cod))
-        elif type(x) is Eff:
-            stack.append((x.inner, y.inner))
-        elif x != y:
-            return False
-    return True
 
 
 def check_symapp(sig: Signature, node: SymApp) -> Decl:

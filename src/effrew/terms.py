@@ -29,33 +29,7 @@ class TermError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# types
-
-
-@dataclass(frozen=True)
-class Base:
-    name: str
-
-
-@dataclass(frozen=True)
-class Eff:
-    inner: "Type"
-
-
-@dataclass(frozen=True)
-class Arrow:
-    dom: "Type"
-    cod: "Type"
-
-
-@dataclass(frozen=True)
-class TVar:
-    """Inference variable; only shows up in inferred types, never in signatures."""
-
-    index: int
-
-
-Type = Union[Base, Eff, Arrow, TVar]
+# printing types, and the step runner
 
 
 # the pending literal tokens of type_str, print_term and sym_str, boxed so
@@ -114,16 +88,17 @@ def _run_steps(step, root):
 
 
 # ---------------------------------------------------------------------------
-# terms
+# types and terms
 
 
-class _Term:
-    """Base of the six term classes: immutable __slots__ nodes.  Assigning a
-    field raises AttributeError.  Equality is structural and the hash,
-    computed on first use, is cached in the node; both, repr and the
-    reduction that pickle and deepcopy use walk an explicit stack, so a
-    deep term costs no Python stack.  Each class lists its fields in
-    __slots__, in constructor order."""
+class _Node:
+    """Base of the four type and six term classes: immutable __slots__
+    nodes.  Assigning a field raises AttributeError, FrozenInstanceError
+    for a type.  Equality is structural and the hash, computed on first
+    use, is cached in the node; both, repr and the reduction that pickle
+    and deepcopy use walk an explicit stack, so a deep type or term costs
+    no Python stack.  Each class lists its fields in __slots__, in
+    constructor order."""
 
     __slots__ = ("_hash",)
 
@@ -134,46 +109,25 @@ class _Term:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        """A flat postorder table of the term's distinct nodes, each as
-        (class, scalars, indices of its children), which _from_table
-        rebuilds in one loop: pickle and deepcopy take no Python stack per
-        level, and a subterm shared within the term stays shared."""
-        index: dict[int, int] = {}
-        table = []
-        # None on the stack marks the node under it as ready: its children
-        # were pushed above the mark, so they are listed by then
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if t is None:
-                t = stack.pop()
-                if id(t) not in index:
-                    index[id(t)] = len(table)
-                    table.append((type(t), _scalars(t), tuple([index[id(k)] for k in children(t)])))
-            elif id(t) not in index:
-                stack += (t, None)
-                stack += children(t)
-        return _from_table, (tuple(table),)
+        """A flat table of the node's distinct descendants (see _table),
+        which _from_table rebuilds in one loop: pickle and deepcopy take no
+        Python stack per level, and a part shared within the node stays
+        shared."""
+        return _from_table, (_table([self])[0],)
+
+    def __deepcopy__(self, memo):
+        # the table holds only classes, scalars and indices, so it is
+        # rebuilt as it is, not copied first
+        return _from_table(_table([self])[0])
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        # equal terms hash equal, so two cached hashes that differ settle it
+        # equal nodes hash equal, so two cached hashes that differ settle it
         h = getattr(self, "_hash", None)
         if h is not None and h != getattr(other, "_hash", h):
             return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or _scalars(a) != _scalars(b):
-                return False
-            ka, kb = children(a), children(b)
-            if len(ka) != len(kb):
-                return False
-            stack += zip(ka, kb)
-        return True
+        return _same([(self, other)])
 
     def __hash__(self):
         try:
@@ -205,7 +159,7 @@ class _Term:
             for f in t.__slots__:
                 value = getattr(t, f)
                 parts.append(f"{f}=")
-                if isinstance(value, _Term):
+                if isinstance(value, _Node):
                     parts.append(value)
                 elif f == "args" and value:
                     parts.append("(")
@@ -220,17 +174,43 @@ class _Term:
         return "".join(out)
 
 
-_set_hash = _Term._hash.__set__
+_set_hash = _Node._hash.__set__
 
 
-class Var(_Term):
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Base(_Node):
+    name: str
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Eff(_Node):
+    inner: "Type"
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Arrow(_Node):
+    dom: "Type"
+    cod: "Type"
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class TVar(_Node):
+    """Inference variable; only shows up in inferred types, never in signatures."""
+
+    index: int
+
+
+Type = Union[Base, Eff, Arrow, TVar]
+
+
+class Var(_Node):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         _var_name(self, name)
 
 
-class Lam(_Term):
+class Lam(_Node):
     __slots__ = ("binder", "body")
 
     def __init__(self, binder: str, body: "Term"):
@@ -238,7 +218,7 @@ class Lam(_Term):
         _lam_body(self, body)
 
 
-class App(_Term):
+class App(_Node):
     __slots__ = ("fun", "arg")
 
     def __init__(self, fun: "Term", arg: "Term"):
@@ -246,14 +226,14 @@ class App(_Term):
         _app_arg(self, arg)
 
 
-class Pure(_Term):
+class Pure(_Node):
     __slots__ = ("body",)
 
     def __init__(self, body: "Term"):
         _pure_body(self, body)
 
 
-class Let(_Term):
+class Let(_Node):
     __slots__ = ("binder", "subject", "body")
 
     def __init__(self, binder: str, subject: "Term", body: "Term"):
@@ -262,7 +242,7 @@ class Let(_Term):
         _let_body(self, body)
 
 
-class SymApp(_Term):
+class SymApp(_Node):
     """Applied effect or function symbol.
 
     ``kind`` is "eff" or "fn".  Effect symbols may carry parameters drawn
@@ -295,22 +275,76 @@ _sym_kind, _sym_name, _sym_params, _sym_args = (
 )
 
 
-def _from_table(table: tuple) -> "Term":
-    """The term that _Term.__reduce__ listed as table, root last."""
+def _table(roots: list) -> tuple[tuple, dict[int, int]]:
+    """A flat postorder table of the distinct nodes under roots, each as
+    (class, scalars, indices of its children), and each node's row by id.
+    A node's children come before it, so a single root comes last."""
+    index: dict[int, int] = {}
+    table = []
+    # None on the stack marks the node under it as ready: its children
+    # were pushed above the mark, so they are listed by then
+    stack: list = list(roots)
+    while stack:
+        t = stack.pop()
+        if t is None:
+            t = stack.pop()
+            if id(t) not in index:
+                index[id(t)] = len(table)
+                table.append((type(t), _scalars(t), tuple([index[id(k)] for k in children(t)])))
+        elif id(t) not in index:
+            stack += (t, None)
+            stack += children(t)
+    return tuple(table), index
+
+
+def _built(table: tuple) -> list:
+    """The nodes that _table listed as table, in its order."""
     built: list = []
     for cls, scalars, kids in table:
         kids = tuple(built[i] for i in kids)
         built.append(cls(*scalars, kids) if cls is SymApp else cls(*scalars, *kids))
-    return built[-1]
+    return built
+
+
+def _from_table(table: tuple) -> "Term":
+    """The node that _Node.__reduce__ listed as table, root last."""
+    return _built(table)[-1]
 
 
 def _scalars(t: "Term") -> tuple:
-    """The fields of t that are not subterms."""
-    if type(t) is SymApp:
+    """The fields of t that are not subterms or inner types."""
+    tt = type(t)
+    if tt is SymApp:
         return (t.kind, t.name, t.params)
-    if type(t) is Var:
+    if tt is Var or tt is Base:
         return (t.name,)
-    return (t.binder,) if type(t) is Lam or type(t) is Let else ()
+    if tt is Lam or tt is Let:
+        return (t.binder,)
+    return (t.index,) if tt is TVar else ()
+
+
+def _same(pairs: list, seen: set | None = None) -> bool:
+    """Whether the two nodes of each pair in pairs are structurally equal.
+    pairs is the walk's explicit stack, which it leaves empty: it pops a
+    pair and pushes its children's, so a deep node costs no Python stack.
+    Given seen, a set of id pairs, the walk records there each pair it
+    meets and skips one already recorded, so a caller that compares many
+    nodes sharing parts walks each pair of parts once."""
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        if seen is not None:
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+        if type(a) is not type(b) or _scalars(a) != _scalars(b):
+            return False
+        ka, kb = children(a), children(b)
+        if len(ka) != len(kb):
+            return False
+        pairs += zip(ka, kb)
+    return True
 
 
 Term = Union[Var, Lam, App, Pure, Let, SymApp]
@@ -351,6 +385,13 @@ def children(t: Term) -> tuple[Term, ...]:
         return (t.body,)
     if isinstance(t, Let):
         return (t.subject, t.body)
+    # types, after the terms, so that a term's lookup is not slowed
+    if isinstance(t, Arrow):
+        return (t.dom, t.cod)
+    if isinstance(t, Eff):
+        return (t.inner,)
+    if isinstance(t, (Base, TVar)):
+        return ()
     raise TermError(f"not a term: {t!r}")
 
 

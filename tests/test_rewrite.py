@@ -1037,6 +1037,26 @@ def test_rules_and_theories_survive_copy_and_pickle(name):
                 assert _constants(mine) == _constants(theirs)
 
 
+
+@stack_safe
+def test_traces_pickle_and_copy_without_cells_or_thunks(peano):
+    # a trace hands over each step's position, rule and contractum: not the
+    # thunk of a metalanguage step, which pickle refused as a local object,
+    # nor the cell of a redex 10^4 deep, whose parent chain raised
+    # RecursionError in pickle and deepcopy
+    ml = normalize(Let("x", Pure(Var("a")), Pure(Var("x"))))[1]
+    assert [s.redex.rule_name for s in ml.steps] == ["let-beta"]
+    t = fn("plus", fn("zero"), fn("zero"))
+    for _ in range(10_000):
+        t = fn("succ", t)
+    deep = normalize(t, list(peano.rules))[1]
+    assert [s.redex.position for s in deep.steps] == [(0,) * 10_000]
+    for trace in (ml, deep):
+        for dup in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            again = dup(trace)
+            assert again == trace and again.export_lines() == trace.export_lines()
+            assert [s.redex.ml for s in again.steps] == [s.redex.ml for s in trace.steps]
+
 def _constants(f) -> dict:
     """The constants a rule's compiled function reads from its namespace."""
     return {k: v for k, v in f.__globals__.items() if k[:1] == "C"}

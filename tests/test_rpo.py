@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effrew.cli import json_text
 from effrew.rewrite import RuleError, make_rule
 from effrew.rpo import (
     CASE_EQ,
@@ -436,6 +437,22 @@ def test_certify_node_sharing_is_pinned():
                 stack += d.children
         assert len(seen) == expected, names
 
+
+@stack_safe
+def test_deep_certify_reports_pickle_and_copy():
+    # a derivation reduces to flat tables of its nodes and of its terms'
+    # nodes, so pickle and deepcopy take no Python stack per level; reduced
+    # to its fields, a report of g(f^3000(x)) -> x raised RecursionError.
+    # Its JSON spells out every node's terms, so it takes seconds to build
+    # at this depth, and repr, which does too, is not called
+    report = certify_ruleset(EMPTY, [make_rule("r", fn("g", _tower("f", 3000, v("x"))), v("x"))])
+    expected = json_text(report.to_json())
+    for dup in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again = dup(report)
+        assert again == report and json_text(again.to_json()) == expected
+        # a subterm shared between nodes stays shared
+        d = again.entries[0].derivation
+        assert d.children[0].lhs is d.lhs.args[0] and d.children[0].rhs is d.rhs
 
 @stack_safe
 def test_derivation_eq_hash_repr_are_stack_safe():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -32,8 +33,8 @@ from effrew.terms import (
 )
 from effrew.graph import reduction_graph
 from effrew.rewrite import StaleRedexError, all_redexes, make_rule, normalize, step
-from effrew.terms import Eff
-from effrew.theories import builtin, compose, peano_numeral
+from effrew.terms import Arrow, Base, Eff, TVar
+from effrew.theories import builtin, compose, parse_theory, peano_numeral
 from oracles import reference_canonical_key, reference_replace_at
 from stack_safe import stack_safe
 from termgen import PAR6_EFFECTS, TypedTermGen, par_interleaving, symbolic_term
@@ -402,6 +403,44 @@ def test_deep_terms_survive_copy_and_pickle(peano):
         again = dup(graph)
         assert again == graph and again.normal_form_terms == graph.normal_form_terms
 
+
+@stack_safe
+def test_deep_types_and_theories_compare_hash_copy_and_pickle():
+    # types are nodes like terms: an arrow 3000 deep, and a theory file
+    # that declares f over it, compare, hash, copy and pickle without
+    # recursion.  As plain dataclasses each raised RecursionError
+    n = 3000
+
+    def arrow(leaf):
+        ty = Base(leaf)
+        for _ in range(n):
+            ty = Arrow(Base("nat"), ty)
+        return ty
+
+    def theory(leaf):
+        return parse_theory(f"(theory a (base nat) (function f ({'(-> nat ' * n}{leaf}{')' * n} -> val)))")
+
+    theories = (theory("nat"), theory("nat"), theory("val"))
+    pairs = (
+        (arrow("nat"), arrow("nat"), arrow("val")),
+        tuple(th.signature.decls for th in theories),
+        theories,
+    )
+    for a, b, apart in pairs:
+        assert a is not b and a == b and a != apart and b != apart
+        if a is not theories[0]:
+            assert hash(a) == hash(b)
+        for dup in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            again = dup(a)
+            assert again == a and again is not a
+    # small types keep the dataclass repr, replace and frozen fields
+    small = Arrow(Base("a"), Eff(TVar(3)))
+    assert repr(small) == "Arrow(dom=Base(name='a'), cod=Eff(inner=TVar(index=3)))"
+    assert dataclasses.replace(small, dom=Base("b")) == Arrow(Base("b"), Eff(TVar(3)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small.dom = Base("b")
+    # a type is never equal to a term with the same fields
+    assert Base("a") != Var("a") and hash(Base("a")) == hash(Base("a"))
 
 @given(symbolic_terms(), symbolic_terms(), st.booleans(), st.booleans())
 def test_equality_does_not_depend_on_cached_hashes(t, other, hash_left, hash_right):
