@@ -22,7 +22,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .rewrite import _ROOT, RewriteRule, _cell_position, _contractum, _list_redexes, head_index
-from .terms import Position, Term, canonical_key, print_term, replace_at
+from .terms import Position, Term, _built, _table, canonical_key, print_term, replace_at
 
 DEFAULT_NODE_FUEL = 100_000
 
@@ -33,7 +33,8 @@ class Edge:
     read-only dataclass on __slots__, as RpoDerivation is: the constructor
     writes each slot through its descriptor, and assigning or deleting any
     name raises FrozenInstanceError.  Equality, the hash and repr are the
-    dataclass's own, over the four fields."""
+    dataclass's own, over the four fields; RpoDerivation takes its own
+    from the node base it shares with the terms."""
 
     src: str
     rule_name: str
@@ -67,6 +68,22 @@ class ReductionGraph:
     edges: tuple[Edge, ...]
     normal_forms: tuple[str, ...]
     truncated: bool
+
+    def __reduce__(self):
+        """The node terms as one flat table (see terms._table), which
+        _load_graph rebuilds in one loop, so a subterm that several nodes
+        share stays shared; the cached adjacency is left behind."""
+        table, at = _table(list(self.nodes.values()))
+        rows = [(key, at[id(t)]) for key, t in self.nodes.items()]
+        return _load_graph, (self.root, table, rows, self.edges, self.normal_forms, self.truncated)
+
+    def __deepcopy__(self, memo):
+        # the table holds only classes, scalars and indices, and the edges
+        # are read-only, so the copy is built from them as they are
+        return _load_graph(*self.__reduce__()[1])
+
+    def __copy__(self):
+        return ReductionGraph(self.root, self.nodes, self.edges, self.normal_forms, self.truncated)
 
     @property
     def normal_form_terms(self) -> list[Term]:
@@ -135,6 +152,14 @@ class ReductionGraph:
             lines.append(f'  {ids[e.src]} -> {ids[e.dst]} [label="{e.rule_name}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _load_graph(
+    root: str, table: tuple, rows: list, edges: tuple, normal_forms: tuple, truncated: bool
+) -> ReductionGraph:
+    """The graph that ReductionGraph.__reduce__ listed."""
+    built = _built(table)
+    return ReductionGraph(root, {key: built[i] for key, i in rows}, edges, normal_forms, truncated)
 
 
 def reduction_graph(

@@ -20,14 +20,15 @@ definition.
 The cases are spelt out once, by _cases, as conjunctions of one optional
 precedence atom f > g and subgoals s' > t'.  _evaluate runs one step per
 goal on an explicit stack, memoized on (s, t).  Replay, the reports and
-the search's backtracking walk explicit stacks too, and so do a
-derivation's equality, hash and repr, so neither the depth of a term or
-derivation nor the number of rules costs Python stack.  There are two
-steps: _derive finds the derivation of the first case that holds under
-a fixed precedence (certification), and _extensions finds the minimal
-consistent sets of atoms under which some case holds
-(precedence search; the constraint encoding of Codish, Lagoon & Stuckey,
-RTA 2006).  A set of atoms is consistent when its graph has no cycle.
+the search's backtracking walk explicit stacks too, and a derivation's
+equality, hash, repr and pickling are those of the term nodes, so
+neither the depth of a term or derivation nor the number of rules costs
+Python stack.  There are two steps: _derive finds the derivation of the
+first case that holds under a fixed precedence (certification), and
+_extensions finds the minimal consistent sets of atoms under which some
+case holds (precedence search; the constraint encoding of Codish, Lagoon
+& Stuckey, RTA 2006).  A set of atoms is consistent when its graph has
+no cycle.
 One depth-first search checks that, and only for a union that adds pairs
 to both of its parts: a single atom pairs two distinct identities, and
 every other set the search holds is a union checked before.  So a
@@ -46,18 +47,19 @@ derivations join the other goals' in the memo.
 A derivation is a DAG: the memo shares a node among every parent whose
 goal it proves.  Certification builds one node per goal it proves, so
 RpoDerivation is a dataclass on __slots__ whose own constructor writes
-each slot through its descriptor, as the term nodes do.  It is
-read-only: its __setattr__ and __delattr__ raise FrozenInstanceError for
-every name, as a frozen dataclass's do for its fields.
+each slot through its descriptor, as the term nodes do.  It is a node of
+terms._Node, whose children are its sides, then its sub-derivations: it
+is read-only, assigning or deleting any name raising FrozenInstanceError,
+and it compares, hashes, prints and pickles by the nodes' own walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 from .rewrite import _ROOT, _cell_position, position_str
-from .terms import Identity, SymApp, Term, Var, _built, _same, _table, ident_str, sym_str
+from .terms import Identity, SymApp, Term, Var, _Node, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -167,8 +169,8 @@ class Precedence:
 # derivations
 
 
-@dataclass(slots=True, init=False)
-class RpoDerivation:
+@dataclass(eq=False, repr=False, slots=True, init=False)
+class RpoDerivation(_Node):
     """Evidence for lhs > rhs (or lhs >= rhs when rule is refl-eq).
 
     Children layout by case:
@@ -178,11 +180,13 @@ class RpoDerivation:
       refl-eq           none
 
     The prover shares a node among every parent whose goal it proves, so
-    a derivation is a DAG.  Equality, the hash and repr walk an explicit
-    stack and handle each distinct node once; equality compares the nodes'
-    terms under the same set of pairs met, each distinct pair once.  repr
-    still spells a shared node out wherever it occurs, as the dataclass
-    repr did, so its length is that of the unfolded tree.
+    a derivation is a DAG.  As a terms._Node, its children are lhs, rhs,
+    then the sub-derivations, and its scalars rule and index.  The hash
+    handles each distinct node once, and equality each distinct pair of
+    nodes, over the derivation and its terms alike; pickle and deepcopy
+    rebuild one table of both, so shared nodes and subterms stay shared.  repr still spells a shared node out wherever it occurs,
+    as the dataclass repr did, so its length is that of the unfolded tree.
+    copy.copy is shallow.
     """
 
     lhs: Term
@@ -200,100 +204,8 @@ class RpoDerivation:
         _set_index(self, index)
         _set_children(self, children)
 
-    def __reduce__(self):
-        """Two flat tables, each rebuilt in one loop: the distinct term
-        nodes under the sides (see terms._table), and the distinct
-        derivation nodes in postorder, each as (row of lhs, row of rhs,
-        rule, index, rows of its children).  Pickle and deepcopy take no
-        Python stack per level, and shared nodes and subterms stay shared."""
-        rows: dict[int, int] = {}
-        nodes = []
-        stack = [self]
-        while stack:
-            d = stack[-1]
-            todo = [c for c in d.children if id(c) not in rows]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if id(d) not in rows:
-                rows[id(d)] = len(nodes)
-                nodes.append(d)
-        terms, at = _table([t for d in nodes for t in (d.lhs, d.rhs)])
-        table = tuple([
-            (at[id(d.lhs)], at[id(d.rhs)], d.rule, d.index, tuple([rows[id(c)] for c in d.children])) for d in nodes
-        ])
-        return _load_derivation, (terms, table)
-
     def __copy__(self):
         return RpoDerivation(self.lhs, self.rhs, self.rule, self.index, self.children)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not RpoDerivation:
-            return NotImplemented
-        # a pair met again, through a shared node or subterm, was checked
-        # already; seen holds the pairs of nodes and, through _same, of terms
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if (
-                type(b) is not RpoDerivation
-                or a.rule != b.rule
-                or a.index != b.index
-                or len(a.children) != len(b.children)
-                or not _same([(a.lhs, b.lhs), (a.rhs, b.rhs)], seen)
-            ):
-                return False
-            stack += zip(a.children, b.children)
-        return True
-
-    def __hash__(self):
-        # postorder, so that every child's hash is known when its parent's
-        # is taken
-        hashes: dict[int, int] = {}
-        stack = [self]
-        while stack:
-            d = stack[-1]
-            todo = [c for c in d.children if id(c) not in hashes]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            kids = tuple(hashes[id(c)] for c in d.children)
-            hashes[id(d)] = hash((d.lhs, d.rhs, d.rule, d.index, kids))
-        return hashes[id(self)]
-
-    def __repr__(self):
-        # each distinct node's fields are rendered once, up to its children
-        heads: dict[int, str] = {}
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            d = stack.pop()
-            if type(d) is str:
-                out.append(d)
-                continue
-            head = heads.get(id(d))
-            if head is None:
-                heads[id(d)] = head = (
-                    f"RpoDerivation(lhs={d.lhs!r}, rhs={d.rhs!r}, rule={d.rule!r}, "
-                    f"index={d.index!r}, children=("
-                )
-            out.append(head)
-            parts = [x for c in d.children for x in (c, ", ")]
-            # the last separator, if any, gives way to the closing brackets
-            parts[-1:] = (",))" if len(d.children) == 1 else "))",)
-            stack += reversed(parts)
-        return "".join(out)
 
     def pretty(self, indent: int = 0) -> str:
         lines = []
@@ -340,15 +252,6 @@ _set_lhs, _set_rhs, _set_rule, _set_index, _set_children = (
     RpoDerivation.index.__set__,
     RpoDerivation.children.__set__,
 )
-
-
-def _load_derivation(terms: tuple, table: tuple) -> RpoDerivation:
-    """The derivation that RpoDerivation.__reduce__ listed, root last."""
-    sides = _built(terms)
-    built: list[RpoDerivation] = []
-    for lhs, rhs, rule, index, kids in table:
-        built.append(RpoDerivation(sides[lhs], sides[rhs], rule, index, tuple([built[i] for i in kids])))
-    return built[-1]
 
 
 def _check_symbolic(t: Term, side: str) -> None:

@@ -16,7 +16,7 @@ in typecheck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import is_
 from typing import Iterator, Union
 
@@ -92,21 +92,24 @@ def _run_steps(step, root):
 
 
 class _Node:
-    """Base of the four type and six term classes: immutable __slots__
-    nodes.  Assigning a field raises AttributeError, FrozenInstanceError
-    for a type.  Equality is structural and the hash, computed on first
-    use, is cached in the node; both, repr and the reduction that pickle
-    and deepcopy use walk an explicit stack, so a deep type or term costs
-    no Python stack.  Each class lists its fields in __slots__, in
-    constructor order."""
+    """Base of the four type and six term classes and of rpo's
+    RpoDerivation: immutable __slots__ nodes.  Assigning or deleting a
+    field raises FrozenInstanceError, an AttributeError.  Equality is
+    structural and the hash, computed on first use, is cached in the node;
+    both, repr and the reduction that pickle and deepcopy use walk an
+    explicit stack, so a deep node costs no Python stack.  The hash and the
+    reduction handle each distinct part once, and equality each distinct
+    pair of parts (see _same); repr spells a shared part out wherever it
+    occurs.  Each class lists its fields in __slots__, in constructor
+    order; children and _scalars split them into child nodes and the rest."""
 
     __slots__ = ("_hash",)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         """A flat table of the node's distinct descendants (see _table),
@@ -161,7 +164,7 @@ class _Node:
                 parts.append(f"{f}=")
                 if isinstance(value, _Node):
                     parts.append(value)
-                elif f == "args" and value:
+                elif (f == "args" or f == "children") and value:
                     parts.append("(")
                     for a in value:
                         parts += (a, ", ")
@@ -264,6 +267,10 @@ class SymApp(_Node):
         return (self.name, self.params)
 
 
+# the classes whose constructor takes their scalars, then their children;
+# SymApp takes its arguments as one tuple
+_TERMS_AND_TYPES = frozenset({Var, Lam, App, Pure, Let, SymApp, Base, Eff, Arrow, TVar})
+
 # the slots' own setters, which the constructors call past __setattr__
 _var_name = Var.name.__set__
 _lam_binder, _lam_body = Lam.binder.__set__, Lam.body.__set__
@@ -302,17 +309,23 @@ def _built(table: tuple) -> list:
     built: list = []
     for cls, scalars, kids in table:
         kids = tuple(built[i] for i in kids)
-        built.append(cls(*scalars, kids) if cls is SymApp else cls(*scalars, *kids))
+        if cls is SymApp:
+            built.append(cls(*scalars, kids))
+        elif cls in _TERMS_AND_TYPES:
+            built.append(cls(*scalars, *kids))
+        else:
+            # a derivation takes its sides, its scalars, then its sub-derivations
+            built.append(cls(kids[0], kids[1], *scalars, kids[2:]))
     return built
 
 
-def _from_table(table: tuple) -> "Term":
+def _from_table(table: tuple) -> _Node:
     """The node that _Node.__reduce__ listed as table, root last."""
     return _built(table)[-1]
 
 
-def _scalars(t: "Term") -> tuple:
-    """The fields of t that are not subterms or inner types."""
+def _scalars(t: _Node) -> tuple:
+    """The fields of t that are not among its children."""
     tt = type(t)
     if tt is SymApp:
         return (t.kind, t.name, t.params)
@@ -320,16 +333,28 @@ def _scalars(t: "Term") -> tuple:
         return (t.name,)
     if tt is Lam or tt is Let:
         return (t.binder,)
-    return (t.index,) if tt is TVar else ()
+    if tt is TVar:
+        return (t.index,)
+    if tt in _TERMS_AND_TYPES:
+        return ()
+    # the derivation, after the terms and types; children refuses the rest
+    return (t.rule, t.index) if isinstance(t, _Node) else ()
 
 
-def _same(pairs: list, seen: set | None = None) -> bool:
+# _same walks this many pairs before it records the pairs it has met
+_UNRECORDED_PAIRS = 64
+
+
+def _same(pairs: list) -> bool:
     """Whether the two nodes of each pair in pairs are structurally equal.
     pairs is the walk's explicit stack, which it leaves empty: it pops a
     pair and pushes its children's, so a deep node costs no Python stack.
-    Given seen, a set of id pairs, the walk records there each pair it
-    meets and skips one already recorded, so a caller that compares many
-    nodes sharing parts walks each pair of parts once."""
+    Past its first _UNRECORDED_PAIRS pairs, the walk records each pair it
+    meets and skips one met before, so a comparison of nodes that share
+    parts walks each pair of distinct parts once, and a small one pays
+    nothing for the record."""
+    left = _UNRECORDED_PAIRS
+    seen = None
     while pairs:
         a, b = pairs.pop()
         if a is b:
@@ -338,6 +363,10 @@ def _same(pairs: list, seen: set | None = None) -> bool:
             if (id(a), id(b)) in seen:
                 continue
             seen.add((id(a), id(b)))
+        elif left:
+            left -= 1
+        else:
+            seen = {(id(a), id(b))}
         if type(a) is not type(b) or _scalars(a) != _scalars(b):
             return False
         ka, kb = children(a), children(b)
@@ -392,6 +421,9 @@ def children(t: Term) -> tuple[Term, ...]:
         return (t.inner,)
     if isinstance(t, (Base, TVar)):
         return ()
+    # rpo's RpoDerivation, the one other node, after the terms and types
+    if isinstance(t, _Node):
+        return (t.lhs, t.rhs, *t.children)
     raise TermError(f"not a term: {t!r}")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from effrew.graph import Edge, ReductionGraph, graph_summary, reduction_graph
 from effrew.rewrite import make_rule
-from effrew.terms import Let, Pure, Var, alpha_eq, canonical_key, eff, fn, print_term
+from effrew.terms import Let, Pure, Var, alpha_eq, canonical_key, eff, fn, iter_subterms, print_term
 from oracles import naive_normal_forms
 from termgen import or_tree
 
@@ -192,3 +192,30 @@ def test_edge_contract(par):
         assert again.edges == g.edges and all(type(x) is Edge for x in again.edges)
         assert again.normal_forms == g.normal_forms and again.truncated == g.truncated
         assert again.to_dot() == g.to_dot()
+
+
+def _shared_across_nodes(g):
+    """The subterms that two nodes of g hold as one object, each as the
+    pair of its first place, (node number, position), and a later place in
+    another node."""
+    first, shared = {}, set()
+    for i, term in enumerate(g.nodes.values()):
+        for pos, sub in iter_subterms(term):
+            at = first.setdefault(id(sub), (i, pos))
+            if at[0] != i:
+                shared.add((at, (i, pos)))
+    return shared
+
+
+def test_copied_graphs_keep_subterms_that_nodes_share(par):
+    # a reduct shares every subterm off its redex's path with the node it
+    # came from; the graph reduces to one table of all its node terms, so a
+    # copy shares each of them between the same places, and no more
+    t = Let("x", eff("par", eff("e1", Pure(Var("v"))), eff("e2", Pure(Var("w")))), Pure(Var("x")))
+    g = reduction_graph(t, list(par.rules))
+    shared = _shared_across_nodes(g)
+    assert len(shared) > 10
+    for dup in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again = dup(g)
+        assert again == g and _shared_across_nodes(again) == shared
+    assert copy.copy(g).nodes is g.nodes

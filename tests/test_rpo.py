@@ -31,7 +31,7 @@ from effrew.rpo import (
     search_precedence,
     validate_derivation,
 )
-from effrew.terms import Lam, Pure, SymApp, Var, eff, fn, iter_subterms, replace_at, substitute
+from effrew.terms import App, Lam, Pure, SymApp, Var, eff, fn, iter_subterms, replace_at, substitute
 from effrew.theories import builtin, builtin_names, compose
 from oracles import (
     _orient,
@@ -392,6 +392,10 @@ def test_derivation_eq_hash_repr_follow_the_fields(gs, nondet, par, retry, peano
     ):
         assert d != other and other != d
     assert d != (d.lhs, d.rhs, d.rule, d.index, d.children)
+    # a derivation is never equal to a term with the same children, at the
+    # root or within a term
+    leaf, app = d.children[0], App(x, x)
+    assert leaf != app and app != leaf and fn("f", leaf) != fn("f", app) and fn("f", app) != fn("f", leaf)
 
 
 def test_equality_and_hash_walk_each_shared_node_once():
@@ -513,6 +517,58 @@ def test_validate_all_cases_roundtrip():
         # every node is replayed, however deep
         assert not any(validate_derivation(prec, f) for f in _break_each_node(d))
         checked += 1
+
+
+def _forgeries():
+    """(check, valid derivation, forgery): each forgery differs from its
+    valid derivation so that it fails only the named check of
+    validate_derivation, under f > g."""
+    x, y = v("x"), v("y")
+    gx, fx = fn("g", x), fn("f", x)
+    ggx, fgx = fn("g", gx), fn("f", gx)
+
+    def sub(s, t, i, kid):
+        return RpoDerivation(s, t, CASE_SUB, i, (kid,))
+
+    def lex(s, t, witness):
+        return RpoDerivation(s, t, CASE_LEX, 0, (witness, sub(s, x, 0, witness)))
+
+    gx_x = sub(gx, x, 0, RpoDerivation(x, x, CASE_EQ))
+    ggx_x = sub(ggx, x, 0, gx_x)
+    prec = RpoDerivation(fx, gx, CASE_PREC, None, (sub(fx, x, 0, RpoDerivation(x, x, CASE_EQ)),))
+    # f(g(x)) > f(x) by g(x) > x at argument 0
+    fgx_fx = lex(fgx, fx, gx_x)
+    fggx_fx = lex(fn("f", ggx), fx, ggx_x)
+    for changed in ({"index": None}, {"index": 1}, {"index": -1}, {"children": ()}, {"children": gx_x.children * 2}):
+        yield "RPO(3) index and children", gx_x, dataclasses.replace(gx_x, **changed)
+    for children in ((), prec.children * 2):
+        yield "RPO(2) children", prec, dataclasses.replace(prec, children=children)
+    # heads that differ in name, in parameters, and in arity
+    yield "RPO(1) heads", fgx_fx, dataclasses.replace(fgx_fx, rhs=fn("h", x))
+    e_gx = eff("e", gx, params=(1,))
+    yield "RPO(1) heads", lex(e_gx, eff("e", x, params=(1,)), gx_x), lex(e_gx, eff("e", x, params=(2,)), gx_x)
+    fgxy = fn("f", gx, y)
+    fgxy_fxy = RpoDerivation(
+        fgxy, fn("f", x, y), CASE_LEX, 0,
+        (gx_x, sub(fgxy, x, 0, gx_x), sub(fgxy, y, 1, RpoDerivation(y, y, CASE_EQ))),
+    )
+    yield "RPO(1) heads", fgxy_fxy, dataclasses.replace(fgxy_fxy, rhs=fx, children=fgxy_fxy.children[:2])
+    for changed in (
+        {"index": None}, {"index": 1}, {"index": -1},
+        {"children": fgx_fx.children[:1]}, {"children": fgx_fx.children + fgx_fx.children[1:]},
+    ):
+        yield "RPO(1) index and children", fgx_fx, dataclasses.replace(fgx_fx, **changed)
+    # the witness x = x of f(x) > f(x), and witnesses of g(x) > x and of
+    # g(g(x)) > g(x) for the argument pair g(g(x)), x
+    yield "RPO(1) witness", fgx_fx, lex(fx, fx, RpoDerivation(x, x, CASE_EQ))
+    for witness in (gx_x, sub(ggx, gx, 0, RpoDerivation(gx, gx, CASE_EQ))):
+        yield "RPO(1) witness", fggx_fx, dataclasses.replace(fggx_fx, children=(witness, *fggx_fx.children[1:]))
+
+
+@pytest.mark.parametrize("check, valid, forged", list(_forgeries()))
+def test_validate_rejects_each_forged_field(check, valid, forged):
+    prec = Precedence([(F, G)])
+    assert validate_derivation(prec, valid) and not validate_derivation(prec, forged), check
 
 
 def _shared_tower(k):

@@ -193,6 +193,34 @@ def test_deep_numeral_hashes_compares_and_steps(peano):
         step(fn("plus", peano_numeral(n - 1), fn("zero")), redex)
 
 
+def _h_tower(k, leaf):
+    """h^k(x, leaf): h(t, t) over h^(k-1)(x, leaf), and h(x, leaf) at k = 1,
+    so k distinct h nodes and about 2^k positions."""
+    t = fn("h", Var("x"), leaf)
+    for _ in range(k - 1):
+        t = fn("h", t, t)
+    return t
+
+
+def test_equality_walks_each_pair_of_shared_nodes_once():
+    # compared position by position, two towers built apart took 10-15 s
+    a, b = _h_tower(22, Var("x")), _h_tower(22, Var("x"))
+    start = time.perf_counter()
+    assert a == b and not a != b
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"equality took {elapsed:.3f} s"
+    # a difference below shared nodes is found from either side, also where
+    # one shared node meets an equal node and, on another path, a different one
+    shared = _h_tower(21, Var("x"))
+    same = fn("h", shared, shared)
+    for other in (
+        _h_tower(22, Var("y")),
+        fn("h", _h_tower(21, Var("x")), _h_tower(21, Var("y"))),
+        fn("h", _h_tower(21, Var("y")), _h_tower(21, Var("x"))),
+    ):
+        assert same != other and other != same and not same == other
+
+
 @stack_safe
 def test_deep_terms_sizes_free_vars_and_substitution():
     # far past the interpreter recursion limit
