@@ -184,8 +184,9 @@ class RpoDerivation(_Node):
     then the sub-derivations, and its scalars rule and index.  The hash
     handles each distinct node once, and equality each distinct pair of
     nodes, over the derivation and its terms alike; pickle and deepcopy
-    rebuild one table of both, so shared nodes and subterms stay shared.  repr still spells a shared node out wherever it occurs,
-    as the dataclass repr did, so its length is that of the unfolded tree.
+    rebuild one table of both, so shared nodes and subterms stay shared.
+    repr still spells a shared node out wherever it occurs, as the
+    dataclass repr did, so its length is that of the unfolded tree.
     copy.copy is shallow.
     """
 

@@ -99,9 +99,9 @@ class _Node:
     both, repr and the reduction that pickle and deepcopy use walk an
     explicit stack, so a deep node costs no Python stack.  The hash and the
     reduction handle each distinct part once, and equality each distinct
-    pair of parts (see _same); repr spells a shared part out wherever it
-    occurs.  Each class lists its fields in __slots__, in constructor
-    order; children and _scalars split them into child nodes and the rest."""
+    pair of parts; repr spells a shared part out wherever it occurs.
+    Each class lists its fields in __slots__, in constructor order;
+    children and _scalars split them into child nodes and the rest."""
 
     __slots__ = ("_hash",)
 
@@ -130,7 +130,23 @@ class _Node:
         h = getattr(self, "_hash", None)
         if h is not None and h != getattr(other, "_hash", h):
             return False
-        return _same([(self, other)])
+        # an explicit stack of pairs, so a deep node costs no Python stack;
+        # each pair met is recorded by id and skipped when met again, so
+        # nodes that share parts cost one visit per pair of distinct parts
+        pairs = [(self, other)]
+        seen = set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or _scalars(a) != _scalars(b):
+                return False
+            ka, kb = children(a), children(b)
+            if len(ka) != len(kb):
+                return False
+            pairs += zip(ka, kb)
+        return True
 
     def __hash__(self):
         try:
@@ -339,41 +355,6 @@ def _scalars(t: _Node) -> tuple:
         return ()
     # the derivation, after the terms and types; children refuses the rest
     return (t.rule, t.index) if isinstance(t, _Node) else ()
-
-
-# _same walks this many pairs before it records the pairs it has met
-_UNRECORDED_PAIRS = 64
-
-
-def _same(pairs: list) -> bool:
-    """Whether the two nodes of each pair in pairs are structurally equal.
-    pairs is the walk's explicit stack, which it leaves empty: it pops a
-    pair and pushes its children's, so a deep node costs no Python stack.
-    Past its first _UNRECORDED_PAIRS pairs, the walk records each pair it
-    meets and skips one met before, so a comparison of nodes that share
-    parts walks each pair of distinct parts once, and a small one pays
-    nothing for the record."""
-    left = _UNRECORDED_PAIRS
-    seen = None
-    while pairs:
-        a, b = pairs.pop()
-        if a is b:
-            continue
-        if seen is not None:
-            if (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-        elif left:
-            left -= 1
-        else:
-            seen = {(id(a), id(b))}
-        if type(a) is not type(b) or _scalars(a) != _scalars(b):
-            return False
-        ka, kb = children(a), children(b)
-        if len(ka) != len(kb):
-            return False
-        pairs += zip(ka, kb)
-    return True
 
 
 Term = Union[Var, Lam, App, Pure, Let, SymApp]
