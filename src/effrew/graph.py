@@ -168,6 +168,9 @@ def reduction_graph(
     index = head_index(rules)
     root = canonical_key(t)
     nodes: dict[str, Term] = {root: t}
+    # each key met to its first key object, which the nodes dict holds, so
+    # that every edge holds that object and not a string of its own
+    keys: dict[str, str] = {root: root}
     edges: list[Edge] = []
     normal: list[str] = []
     queue: deque[str] = deque([root])
@@ -190,6 +193,7 @@ def reduction_graph(
                 cell, pos = at, _cell_position(at)
             reduct = replace_at(term, pos, _contractum(rule, contraction))
             dst = canonical_key(reduct)
+            dst = keys.setdefault(dst, dst)
             if dst not in nodes:
                 if len(nodes) >= fuel:
                     truncated = True

@@ -40,17 +40,20 @@ A goal s > x with a variable on the right, about half of all goals,
 needs no case analysis: it holds exactly when x occurs in s, and needs
 no atom.  Its derivation takes, at each level, RPO(3) at the first
 argument that holds x, down to x = x.  Both steps decide such a goal in
-closed form, from the variables of each subterm, which _Occurrences
-builds once per distinct node in a call; they never yield it, and the
-derivations join the other goals' in the memo.
+closed form, from the free variables of each subterm, which
+terms.free_vars caches on the node, so they are found once per distinct
+node and kept across calls.  Neither step yields such a goal:
+_above_var decides it for the search and _var_derivation derives it
+for certification, into the memo the other goals' derivations join.
 
 A derivation is a DAG: the memo shares a node among every parent whose
 goal it proves.  Certification builds one node per goal it proves, so
 RpoDerivation is a dataclass on __slots__ whose own constructor writes
-each slot through its descriptor, as the term nodes do.  It is a node of
-terms._Node, whose children are its sides, then its sub-derivations: it
-is read-only, assigning or deleting any name raising FrozenInstanceError,
-and it compares, hashes, prints and pickles by the nodes' own walks.
+each slot through its descriptor, as the term and type nodes do.  It is
+a node of terms._Node, whose children are its sides, then its
+sub-derivations: it is read-only, assigning or deleting any name raising
+FrozenInstanceError, and it compares, hashes, prints and pickles by the
+nodes' own walks.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .rewrite import _ROOT, _cell_position, position_str
-from .terms import Identity, SymApp, Term, Var, _Node, ident_str, sym_str
+from .terms import Identity, SymApp, Term, Var, _Node, free_vars, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -307,76 +310,28 @@ def _cases(s: Term, t: SymApp):
                 return
 
 
-class _Occurrences:
-    """The variables of the left sides one call meets, subterm by subterm,
-    for goals s > x with a variable x on the right.  Such a goal holds
-    exactly when x occurs in s, a symbol application, and its derivation
-    takes, at each level, RPO(3) at the first argument that holds x, down
-    to x = x.  A symbol application's variables are a bit mask keyed by its
-    id, built once from its arguments' the first time a goal asks about
-    it; the table keeps every term it has built masks under, so no id is
-    reused while it lives.  A goal then costs one lookup, however large s
-    is."""
+def _above_var(s: Term, x: Var) -> bool:
+    """Whether s > x: x occurs in s, a symbol application."""
+    return type(s) is SymApp and x.name in free_vars(s)
 
-    __slots__ = ("_masks", "_bits", "_held")
 
-    def __init__(self):
-        self._masks: dict[int, int] = {}
-        self._bits: dict[str, int] = {}
-        self._held: list[SymApp] = []
-
-    def _mask(self, s: SymApp) -> int:
-        masks, bits = self._masks, self._bits
-        mask = masks.get(id(s))
-        if mask is not None:
-            return mask
-        self._held.append(s)
-        # postorder: a node is taken off the stack once its arguments' masks
-        # are built
-        stack = [s]
-        while stack:
-            t, depth, mask = stack[-1], len(stack), 0
-            for a in t.args:
-                if type(a) is Var:
-                    mask |= bits.setdefault(a.name, 1 << len(bits))
-                elif (m := masks.get(id(a))) is None:
-                    stack.append(a)
-                else:
-                    mask |= m
-            if len(stack) == depth:
-                masks[id(t)] = mask
-                stack.pop()
-        return mask
-
-    def greater(self, s: Term, x: Var) -> bool:
-        """Whether s > x."""
-        if type(s) is not SymApp:
-            return False
-        mask = self._masks.get(id(s))
-        if mask is None:
-            mask = self._mask(s)
-        return mask & self._bits.get(x.name, 0) != 0
-
-    def derivation(self, s: Term, x: Var, memo: dict) -> RpoDerivation | None:
-        """The derivation of s > x, or None.  Its nodes are kept in memo by
-        (s', x), with the other goals' derivations, so a goal met again, on
-        the path or below it, shares its node."""
-        d = memo.get((s, x))
-        if d is not None or not self.greater(s, x):
-            return d
-        masks, name = self._masks, x.name
-        bit = self._bits[name]
-        path = []
-        while d is None:
-            for i, a in enumerate(s.args):
-                if a.name == name if type(a) is Var else masks[id(a)] & bit:
-                    break
-            path.append((s, i))
-            s = a
-            d = RpoDerivation(a, x, CASE_EQ) if type(a) is Var else memo.get((a, x))
-        for s, i in reversed(path):
-            memo[s, x] = d = RpoDerivation(s, x, CASE_SUB, i, (d,))
+def _var_derivation(s: Term, x: Var, memo: dict) -> RpoDerivation | None:
+    """The derivation of s > x, or None: at each level, RPO(3) at the
+    first argument that holds x, down to x = x.  Its nodes are kept in
+    memo by (s', x), with the other goals' derivations, so a goal met
+    again, on the path or below it, shares its node."""
+    d = memo.get((s, x))
+    if d is not None or not _above_var(s, x):
         return d
+    name, path = x.name, []
+    while d is None:
+        i = next(i for i, a in enumerate(s.args) if name in free_vars(a))
+        path.append((s, i))
+        s = s.args[i]
+        d = RpoDerivation(s, x, CASE_EQ) if type(s) is Var else memo.get((s, x))
+    for s, i in reversed(path):
+        memo[s, x] = d = RpoDerivation(s, x, CASE_SUB, i, (d,))
+    return d
 
 
 _UNKNOWN = object()
@@ -408,16 +363,16 @@ def _evaluate(step, s: Term, t: SymApp, memo: dict):
     return value
 
 
-def _derive(prec: Precedence, occurs: _Occurrences, memo: dict, s: Term, t: SymApp):
+def _derive(prec: Precedence, memo: dict, s: Term, t: SymApp):
     """Step for a derivation of s > t under prec: that of the first case
     that holds, or None.  A subgoal with a variable on the right is not
-    yielded: occurs derives it, into the same memo."""
+    yielded: _var_derivation derives it, into the same memo."""
     for case, index, atom, goals in _cases(s, t):
         if atom is not None and not prec.holds(*atom):
             continue
         kids = []
         for goal in goals:
-            d = occurs.derivation(*goal, memo) if type(goal[1]) is Var else (yield goal)
+            d = _var_derivation(*goal, memo) if type(goal[1]) is Var else (yield goal)
             if d is None:
                 break
             kids.append(d)
@@ -428,12 +383,12 @@ def _derive(prec: Precedence, occurs: _Occurrences, memo: dict, s: Term, t: SymA
     return None
 
 
-def _derivation(prec: Precedence, s: Term, t: Term, memo: dict, occurs: _Occurrences):
-    """The derivation of s > t under prec, or None; memo and occurs belong
-    to one call."""
+def _derivation(prec: Precedence, s: Term, t: Term, memo: dict):
+    """The derivation of s > t under prec, or None; memo belongs to one
+    call."""
     if type(t) is Var:
-        return occurs.derivation(s, t, memo)
-    return _evaluate(partial(_derive, prec, occurs, memo), s, t, memo)
+        return _var_derivation(s, t, memo)
+    return _evaluate(partial(_derive, prec, memo), s, t, memo)
 
 
 def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
@@ -441,7 +396,7 @@ def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
     the symbolic fragment."""
     _check_symbolic(s, "left term")
     _check_symbolic(t, "right term")
-    return _derivation(prec, s, t, {}, _Occurrences())
+    return _derivation(prec, s, t, {})
 
 
 def rpo_geq(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
@@ -449,7 +404,7 @@ def rpo_geq(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
     _check_symbolic(t, "right term")
     if s == t:
         return RpoDerivation(s, t, CASE_EQ)
-    return _derivation(prec, s, t, {}, _Occurrences())
+    return _derivation(prec, s, t, {})
 
 
 def lex_greater(prec: Precedence, ss, ts) -> bool:
@@ -463,7 +418,7 @@ def lex_greater(prec: Precedence, ss, ts) -> bool:
     for b in ts:
         _check_symbolic(b, "right tuple entry")
     diff = next(((a, b) for a, b in zip(ss, ts) if a != b), None)
-    return diff is not None and _derivation(prec, *diff, {}, _Occurrences()) is not None
+    return diff is not None and _derivation(prec, *diff, {}) is not None
 
 
 def validate_derivation(prec: Precedence, d: RpoDerivation) -> bool:
@@ -588,7 +543,7 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
     """Certify every rule under prec.  Overall success means the
     non-extended fragment of the rule set is terminating.  Rules check
     their own shape when built, so every non-extended side is symbolic."""
-    memo, occurs = {}, _Occurrences()
+    memo: dict = {}
     entries = []
     for rule in rules:
         if rule.extended:
@@ -596,7 +551,7 @@ def certify_ruleset(prec: Precedence, rules) -> CertReport:
                 RuleCert(rule.name, "refused-extended", reason="rule uses pure on the right side")
             )
             continue
-        d = _derivation(prec, rule.lhs, rule.rhs, memo, occurs)
+        d = _derivation(prec, rule.lhs, rule.rhs, memo)
         if d is None:
             entries.append(
                 RuleCert(
@@ -638,14 +593,14 @@ def _minimal(alts, known=None) -> list[frozenset]:
 _TRUE = [frozenset()]
 
 
-def _extensions(occurs: _Occurrences, s: Term, t: SymApp):
+def _extensions(s: Term, t: SymApp):
     """Step for the minimal consistent sets of precedence pairs under which
     s > t holds, smallest first.  The ordering is monotone in the
     precedence, so s > t holds under one exactly when it contains one of
     these sets.  A case that needs no pair settles the goal at once, and a
     case with no set left is dropped.  A subgoal with a variable on the
-    right is not yielded: it needs no pair, and holds exactly when occurs
-    finds the variable in its left side.
+    right is not yielded: it needs no pair, and holds exactly when its
+    variable occurs in its left side.
 
     Consistency is checked only for a union a | b that a conjunction
     forms and that adds pairs to both a and b.  Every other set is
@@ -660,7 +615,7 @@ def _extensions(occurs: _Occurrences, s: Term, t: SymApp):
         value = _TRUE if atom is None else [frozenset((atom,))]
         for goal in goals:
             if type(goal[1]) is Var:
-                if occurs.greater(*goal):
+                if _above_var(*goal):
                     continue
                 value = []
                 break
@@ -681,12 +636,12 @@ def _extensions(occurs: _Occurrences, s: Term, t: SymApp):
     return alts if len(alts) < 2 else _minimal(alts)
 
 
-def _orientations(s: Term, t: Term, memo: dict, occurs: _Occurrences) -> list[frozenset]:
+def _orientations(s: Term, t: Term, memo: dict) -> list[frozenset]:
     """The minimal consistent sets of precedence pairs under which s > t
-    holds (see _extensions); memo and occurs belong to one call."""
+    holds (see _extensions); memo belongs to one call."""
     if type(t) is Var:
-        return _TRUE if occurs.greater(s, t) else []
-    return _evaluate(partial(_extensions, occurs), s, t, memo)
+        return _TRUE if _above_var(s, t) else []
+    return _evaluate(_extensions, s, t, memo)
 
 
 def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
@@ -705,8 +660,8 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
         raise SearchBoundError(
             f"{len(ids)} symbol identities exceed the search bound of {max_symbols}"
         )
-    memo, occurs = {}, _Occurrences()
-    options = sorted((_orientations(r.lhs, r.rhs, memo, occurs) for r in rules), key=len)
+    memo: dict = {}
+    options = sorted((_orientations(r.lhs, r.rhs, memo) for r in rules), key=len)
     if not options:
         return Precedence()
     # one entry per rule chosen so far: the pairs before its choice, and

@@ -93,17 +93,20 @@ def _run_steps(step, root):
 
 class _Node:
     """Base of the four type and six term classes and of rpo's
-    RpoDerivation: immutable __slots__ nodes.  Assigning or deleting a
-    field raises FrozenInstanceError, an AttributeError.  Equality is
-    structural and the hash, computed on first use, is cached in the node;
-    both, repr and the reduction that pickle and deepcopy use walk an
-    explicit stack, so a deep node costs no Python stack.  The hash and the
-    reduction handle each distinct part once, and equality each distinct
-    pair of parts; repr spells a shared part out wherever it occurs.
-    Each class lists its fields in __slots__, in constructor order;
-    children and _scalars split them into child nodes and the rest."""
+    RpoDerivation: immutable __slots__ nodes.  Assigning or deleting any
+    name raises FrozenInstanceError, an AttributeError.  Equality is
+    structural.  A node caches two values, each computed on first use: its
+    hash, and its free variables, which free_vars fills.  Equality, the
+    hash, the free variables, repr and the reduction that pickle and
+    deepcopy use walk an explicit stack, so a deep node costs no Python
+    stack.  The hash, the free variables and the reduction handle each
+    distinct part once, and equality each distinct pair of parts; repr
+    spells a shared part out wherever it occurs.  The reduction carries
+    neither cache, so a copy starts without them.  Each class lists its
+    fields in __slots__, in constructor order; children and _scalars split
+    them into child nodes and the rest."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_fv")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -193,30 +196,43 @@ class _Node:
         return "".join(out)
 
 
-_set_hash = _Node._hash.__set__
+_set_hash, _set_fv = _Node._hash.__set__, _Node._fv.__set__
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(eq=False, repr=False, slots=True, init=False)
 class Base(_Node):
     name: str
 
+    def __init__(self, name: str) -> None:
+        _base_name(self, name)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(eq=False, repr=False, slots=True, init=False)
 class Eff(_Node):
     inner: "Type"
 
+    def __init__(self, inner: "Type") -> None:
+        _eff_inner(self, inner)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(eq=False, repr=False, slots=True, init=False)
 class Arrow(_Node):
     dom: "Type"
     cod: "Type"
 
+    def __init__(self, dom: "Type", cod: "Type") -> None:
+        _arrow_dom(self, dom)
+        _arrow_cod(self, cod)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(eq=False, repr=False, slots=True, init=False)
 class TVar(_Node):
     """Inference variable; only shows up in inferred types, never in signatures."""
 
     index: int
+
+    def __init__(self, index: int) -> None:
+        _tvar_index(self, index)
 
 
 Type = Union[Base, Eff, Arrow, TVar]
@@ -288,6 +304,8 @@ class SymApp(_Node):
 _TERMS_AND_TYPES = frozenset({Var, Lam, App, Pure, Let, SymApp, Base, Eff, Arrow, TVar})
 
 # the slots' own setters, which the constructors call past __setattr__
+_base_name, _eff_inner, _tvar_index = Base.name.__set__, Eff.inner.__set__, TVar.index.__set__
+_arrow_dom, _arrow_cod = Arrow.dom.__set__, Arrow.cod.__set__
 _var_name = Var.name.__set__
 _lam_binder, _lam_body = Lam.binder.__set__, Lam.body.__set__
 _app_fun, _app_arg = App.fun.__set__, App.arg.__set__
@@ -479,27 +497,38 @@ def term_size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The variables with a free occurrence in t.  Iterative: a binder's
-    body is pushed last, so it is popped next, and under it the binder's
-    boxed name, which ends its scope when popped; bound counts by name the
-    binders in scope."""
-    out: set[str] = set()
-    bound: dict[str, int] = {}
-    stack: list = [t]
+    """The variables with a free occurrence in t, cached on each node as
+    its hash is.  A miss fills every node below t that has no set yet, in
+    postorder on an explicit stack, so a term that shares subterms costs
+    one step per distinct node.  A node takes its child's set itself where
+    nothing changes: a node whose children's sets all lie in one of them,
+    such as a node with one child, and a binder not free in its body."""
+    try:
+        return t._fv
+    except AttributeError:
+        pass
+    stack = [t]
     while stack:
-        t = stack.pop()
-        tt = type(t)
-        if tt is tuple:
-            bound[t[0]] -= 1
-        elif tt is Var:
-            if not bound.get(t.name):
-                out.add(t.name)
-        elif tt is Lam or tt is Let:
-            stack += (t.subject, (t.binder,), t.body) if tt is Let else ((t.binder,), t.body)
-            bound[t.binder] = bound.get(t.binder, 0) + 1
-        else:
-            stack += children(t)
-    return frozenset(out)
+        node = stack[-1]
+        kids = children(node)
+        todo = [k for k in kids if not hasattr(k, "_fv")]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        tt = type(node)
+        sets = [frozenset((node.name,))] if tt is Var else [k._fv for k in kids]
+        if (tt is Lam or tt is Let) and node.binder in sets[-1]:
+            sets[-1] = sets[-1] - {node.binder}
+        fv = _NO_VARS
+        for s in sets:
+            if not s <= fv:
+                fv = s if fv <= s else fv | s
+        _set_fv(node, fv)
+    return t._fv
+
+
+_NO_VARS: frozenset[str] = frozenset()
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:

@@ -162,6 +162,30 @@ def reference_canonical_key(t: Term) -> str:
     return go(t, ())
 
 
+def reference_free_vars(t: Term) -> frozenset[str]:
+    """The free variables of t by one walk of its whole tree expansion,
+    with no cache: a binder's body is pushed last, so it is popped next,
+    and under it the binder's boxed name, which ends its scope when
+    popped; bound counts by name the binders in scope."""
+    out: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is tuple:
+            bound[t[0]] -= 1
+        elif tt is Var:
+            if not bound.get(t.name):
+                out.add(t.name)
+        elif tt is Lam or tt is Let:
+            stack += (t.subject, (t.binder,), t.body) if tt is Let else ((t.binder,), t.body)
+            bound[t.binder] = bound.get(t.binder, 0) + 1
+        else:
+            stack += children(t)
+    return frozenset(out)
+
+
 def reference_replace_at(t: Term, pos: tuple, sub: Term) -> Term:
     """replace_at as it stood before it spliced tuples: walk down to pos,
     then rebuild the path bottom-up, each node from a copied list of its

@@ -219,3 +219,20 @@ def test_copied_graphs_keep_subterms_that_nodes_share(par):
         again = dup(g)
         assert again == g and _shared_across_nodes(again) == shared
     assert copy.copy(g).nodes is g.nodes
+
+
+def test_edges_hold_the_node_keys_themselves(par):
+    # an edge to a node met before names it by the nodes dict's own key
+    # object, not a string of its own that spells the same key, so a graph
+    # and its pickle hold each key once
+    t = Let("x", eff("par", eff("e1", Pure(Var("v"))), eff("e2", Pure(Var("w")))), Pure(Var("x")))
+    g = reduction_graph(t, list(par.rules))
+    assert len(g.edges) > len(g.nodes) - 1
+    for h in (g, copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        keys = {id(k) for k in h.nodes}
+        assert id(h.root) in keys
+        assert all(id(e.src) in keys and id(e.dst) in keys for e in h.edges)
+    # edges that each hold their own copy of their keys pickle larger
+    apart = tuple(Edge("".join(e.src), e.rule_name, e.position, "".join(e.dst)) for e in g.edges)
+    assert apart == g.edges and apart[-1].dst is not g.edges[-1].dst
+    assert len(pickle.dumps(g)) < len(pickle.dumps(dataclasses.replace(g, edges=apart)))

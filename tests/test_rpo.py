@@ -22,7 +22,6 @@ from effrew.rpo import (
     RpoDerivation,
     SearchBoundError,
     _derivation,
-    _Occurrences,
     _orientations,
     certify_ruleset,
     lex_greater,
@@ -253,10 +252,10 @@ def test_variable_goal_without_occurrence_fails():
     assert rpo_greater(EMPTY, s, z) is None
     assert _Prover(EMPTY).greater(s, z) is None
     assert _orient(s, z, {}) == []
-    assert _orientations(s, z, {}, _Occurrences()) == []
+    assert _orientations(s, z, {}) == []
     # a variable is not greater than itself, nor than another variable
-    assert _orientations(v("x"), v("x"), {}, _Occurrences()) == []
-    assert _orientations(s, v("y"), {}, _Occurrences()) == [frozenset()]
+    assert _orientations(v("x"), v("x"), {}) == []
+    assert _orientations(s, v("y"), {}) == [frozenset()]
 
 
 def test_repeated_right_variable_shares_one_node():
@@ -270,7 +269,7 @@ def test_repeated_right_variable_shares_one_node():
     # one memo entry for f(g(x), y) > x, however often the right side has x
     assert d.children[0] is d.children[1] is d.children[2].children[1]
     assert _cases_down(d.children[0]) == [(CASE_SUB, 0), (CASE_SUB, 0), (CASE_EQ, None)]
-    assert _orientations(s, t, {}, _Occurrences()) == _orient(s, t, {}) == [frozenset({(F, H)})]
+    assert _orientations(s, t, {}) == _orient(s, t, {}) == [frozenset({(F, H)})]
 
 
 def test_search_agrees_with_reference_on_variable_right_sides():
@@ -581,7 +580,7 @@ def _shared_tower(k):
     for _ in range(k):
         t = fn("h", t, t)
     prec = Precedence([(F, H)])
-    return prec, _derivation(prec, fn("f", x), t, {}, _Occurrences())
+    return prec, _derivation(prec, fn("f", x), t, {})
 
 
 def test_validate_replays_each_shared_node_once():
@@ -902,7 +901,7 @@ def test_evaluator_agrees_with_recursive_references(seed):
     assert rpo_geq(prec, s, t) == prover.geq(s, t)
     if isinstance(s, SymApp) and isinstance(t, SymApp) and len(s.args) == len(t.args):
         assert lex_greater(prec, s.args, t.args) == (prover._lex(s.args, t.args) is not None)
-    assert _orientations(s, t, {}, _Occurrences()) == _orient(s, t, {})
+    assert _orientations(s, t, {}) == _orient(s, t, {})
     rules = _random_rules(rng)
     assert search_precedence(rules) == reference_search_precedence(rules)
 

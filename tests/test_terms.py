@@ -33,9 +33,10 @@ from effrew.terms import (
 )
 from effrew.graph import reduction_graph
 from effrew.rewrite import StaleRedexError, all_redexes, make_rule, normalize, step
+from effrew.rpo import CASE_EQ, RpoDerivation
 from effrew.terms import Arrow, Base, Eff, TVar
 from effrew.theories import builtin, compose, parse_theory, peano_numeral
-from oracles import reference_canonical_key, reference_replace_at
+from oracles import reference_canonical_key, reference_free_vars, reference_replace_at
 from stack_safe import stack_safe
 from termgen import PAR6_EFFECTS, TypedTermGen, par_interleaving, symbolic_term
 
@@ -221,6 +222,78 @@ def test_equality_walks_each_pair_of_shared_nodes_once():
         assert same != other and other != same and not same == other
 
 
+def test_free_vars_and_substitution_take_each_shared_node_once():
+    # walked position by position, free_vars of h^20(x, x) took 0.57 s and
+    # doubled per level; substitute reads the free variables of repl, and of
+    # a body whose binder it renames
+    tower = _h_tower(60, Var("x"))
+    start = time.perf_counter()
+    assert free_vars(tower) == {"x"}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"free_vars took {elapsed:.3f} s"
+    tower = _h_tower(60, Var("x"))
+    start = time.perf_counter()
+    out = substitute(Lam("x", App(Var("y"), Var("x"))), "y", tower)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"substitute took {elapsed:.3f} s"
+    # the binder x, free in tower, is renamed; tower itself is kept whole
+    assert out.binder == "x1" and out.body.fun is tower and out.body.arg == Var("x1")
+
+
+def _free_vars_cached(t) -> bool:
+    """Whether some node of t, each distinct node taken once, holds its
+    free variables."""
+    seen, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if hasattr(t, "_fv"):
+                return True
+            stack += children(t)
+    return False
+
+
+def test_free_vars_cache_leaves_the_term_as_it_was():
+    def build():
+        shared = Lam("y", App(Var("x"), Var("y")))
+        return Let("x", Pure(Var("z")), fn("pair", shared, shared, _h_tower(8, Var("x"))))
+
+    fresh, read = build(), build()
+    assert free_vars(read) == {"z"} and _free_vars_cached(read)
+    assert not _free_vars_cached(fresh)
+    assert read == fresh and fresh == read and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh) and print_term(read) == print_term(fresh)
+    assert canonical_key(read) == canonical_key(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
+    # a copy is rebuilt from the node table, which carries no cache
+    for copied in (copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+        assert copied == read and not _free_vars_cached(copied)
+        assert free_vars(copied) == {"z"}
+
+
+@given(st.sampled_from(("global-state+nondet", "retry", "peano")), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_free_vars_matches_reference(name, seed):
+    rng = random.Random(seed)
+    gen = TypedTermGen(rng, compose(*(builtin(part) for part in name.split("+"))))
+    ty = Eff(rng.choice(gen.bases))
+    a, b = gen.gen_sized(ty, 25), gen.gen_sized(ty, 25)
+    assert free_vars(a) == reference_free_vars(a)
+    # a's nodes all hold their sets now, and some of b's do
+    for _, sub in iter_subterms(b):
+        if rng.random() < 0.5:
+            assert free_vars(sub) == reference_free_vars(sub)
+    # terms built over those parts, under binders that capture some of
+    # their variables and some that do not
+    names = sorted(reference_free_vars(a) | reference_free_vars(b)) + ["fresh"]
+    for x in rng.sample(names, min(3, len(names))):
+        for t in (Let(x, a, b), Let(x, b, Lam(x, a)), Lam(x, App(a, b)), fn("pair", b, a), Pure(b)):
+            assert free_vars(t) == reference_free_vars(t)
+            for _, sub in iter_subterms(t):
+                assert free_vars(sub) == reference_free_vars(sub)
+
+
 @stack_safe
 def test_deep_terms_sizes_free_vars_and_substitution():
     # far past the interpreter recursion limit
@@ -271,26 +344,35 @@ def test_term_reprs():
     )
 
 
-_TERM_FIELDS = (
+_NODE_FIELDS = (
     (Var("x"), ("name",)),
     (Lam("x", Var("x")), ("binder", "body")),
     (App(Var("f"), Var("a")), ("fun", "arg")),
     (Pure(Var("v")), ("body",)),
     (Let("x", Var("a"), Var("x")), ("binder", "subject", "body")),
     (fn("f", Var("a")), ("kind", "name", "params", "args")),
+    (Base("a"), ("name",)),
+    (Eff(Base("a")), ("inner",)),
+    (Arrow(Base("a"), TVar(0)), ("dom", "cod")),
+    (TVar(3), ("index",)),
+    (RpoDerivation(Var("a"), Var("a"), CASE_EQ), ("lhs", "rhs", "rule", "index", "children")),
 )
 
 
-@pytest.mark.parametrize("t, fields", [pytest.param(t, f, id=type(t).__name__) for t, f in _TERM_FIELDS])
+@pytest.mark.parametrize("t, fields", [pytest.param(t, f, id=type(t).__name__) for t, f in _NODE_FIELDS])
 def test_term_fields_are_read_only(t, fields):
+    # every node class, the terms, the types and rpo's derivations alike
     assert type(t)(**{f: getattr(t, f) for f in fields}) == t
     for f in fields:
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, f, Var("y"))
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(t, f)
-    with pytest.raises(AttributeError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         t.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.extra
+    assert not hasattr(t, "extra")
 
 
 def test_substitute_leaves_no_reference_cycles():
