@@ -54,9 +54,10 @@ parent's, so a step pays for the path it walks and not for its depth; a
 position becomes a tuple only where one is read (a Redex, a trace step,
 a graph edge).  An entry whose subterm was rebuilt since it was listed
 holds bindings that point into the old subterm, so the lookup that
-listed it is run again on the new one.  The trace holds per step only what normalize recorded; its
-terms and its redexes are built when read.  What the engine reads off a
-rule is derived when the rule is built (see RewriteRule).
+listed it is run again on the new one.  The trace holds per step only
+what normalize recorded; its terms and its redexes are built when read.
+What the engine reads off a rule is derived when the rule is built (see
+RewriteRule).
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ class RewriteRule:
     code (_compiled, see _compile_rule), which match a subject and build
     and list a contractum, and _index_keys, the left side's arity and the
     names of its first two arguments, None where one is a variable (see
-    _Head), are built on first use and kept.  Copying and pickling rebuild the rule from its
-    constructor's arguments, so a copy compiles its own."""
+    _Head), are built on first use and kept.  Copying and pickling rebuild
+    the rule from its constructor's arguments, so a copy compiles its
+    own."""
 
     name: str
     lhs: Term

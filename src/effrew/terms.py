@@ -9,15 +9,13 @@ Terms and types can be far deeper than the interpreter recursion limit,
 so no walk here calls itself.  Most keep their pending work on one
 explicit stack.  A walk that is clearer as a recursion is written as a
 step, a generator that yields where it would call itself, and runs on
-_run_steps, which keeps the generators on one list: substitute's capture
-renaming here, the term and type builders of parser, and type inference
-in typecheck.
+_run_steps, which keeps the generators on one list: the term and type
+builders of parser, and type inference in typecheck.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from operator import is_
 from typing import Iterator, Union
 
 Param = Union[int, str]
@@ -541,64 +539,62 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def substitute(t: Term, var: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of repl for free occurrences of var.
-    A subterm that the substitution leaves unchanged comes back as the same
-    object, so a caller can tell shared subterms by identity."""
-    return _run_steps(_substitute, (t, var, repl))
+    """Capture-avoiding substitution of repl for the free occurrences of
+    var, in one pass over t on an explicit stack (Stoughton, "Substitution
+    revisited", 1988).  The pass carries a map from names to terms, at
+    first {var: repl}; an entry is live in a body where its name is free.
+    A binder that would capture a free variable of a live entry is
+    renamed, and the map under it sends the old name to the new one, so
+    its body is walked once.  The new name is fresh_name of the binder,
+    avoiding the body's free variables and the names and free variables of
+    the live entries.  Renames made one at a time, each by a substitution
+    of its own, can name a binder otherwise where they rename it twice or
+    give it the old name of a renamed binder above it; the results are
+    alpha-equal.
 
-
-def _substitute(job: tuple):
-    """Step of substitute for job = (t, var, repl): one explicit stack of
-    pending subterms and rebuild marks, which yields only to rename a
-    binder that would capture, as (body, old binder, Var(new binder))."""
-    t, var, repl = job
-    repl_fv = free_vars(repl)
+    A subterm in which no name of the map is free, as its cached free
+    variables tell, comes back as the same object without a walk, and a
+    subterm met again under the same map is done once, so a term that
+    shares subterms costs a step per distinct node that the map reaches."""
     done: list[Term] = []
-    # items: a term to substitute into; (term,), a term kept as it is; or
-    # (node, binder, n), rebuild node under binder from the last n of done
-    stack: list = [t]
+    # items: (term, map, memo), substitute map into term, where memo holds
+    # by id the results already taken under map; or (node, binder, memo),
+    # rebuild node, under binder if it has one, from the last of done
+    stack: list = [(t, {var: repl}, {})]
     while stack:
-        t = stack.pop()
-        tt = type(t)
-        if tt is tuple:
-            if len(t) == 1:
-                done.append(t[0])
-                continue
-            node, binder, n = t
+        t, sub, memo = stack.pop()
+        if type(sub) is not dict:
+            # a rebuild mark, whose sub is the binder
+            n = len(children(t))
             new = tuple(done[-n:])
             del done[-n:]
-            if binder is not None and binder != node.binder:
-                done.append(Lam(binder, *new) if type(node) is Lam else Let(binder, *new))
-            elif all(map(is_, new, children(node))):
-                done.append(node)
-            else:
-                done.append(with_children(node, new))
-            continue
-        if tt is Var:
-            done.append(repl if t.name == var else t)
-            continue
-        kids = children(t)
-        binder = None
-        if tt is Lam or tt is Let:
-            binder, body = t.binder, t.body
-            if binder == var:
-                # var is bound here: a let substitutes into its subject only
-                if tt is Lam:
-                    done.append(t)
-                else:
-                    stack += [(t, binder, 2), (body,), t.subject]
-                continue
-            if binder in repl_fv:
-                body_fv = free_vars(body)
-                if var in body_fv:
-                    binder = fresh_name(binder, repl_fv | body_fv | {var})
-                    body = yield (body, t.binder, Var(binder))
-            kids = kids[:-1] + (body,)
-        elif not kids:
+            done.append(with_children(t, new) if sub is None else type(t)(sub, *new))
+            memo[id(t)] = done[-1]
+        elif id(t) in memo:
+            done.append(memo[id(t)])
+        elif sub.keys().isdisjoint(free_vars(t)):
             done.append(t)
-            continue
-        stack.append((t, binder, len(kids)))
-        stack += reversed(kids)
+        elif type(t) is Var:
+            done.append(sub[t.name])
+        elif type(t) is Lam or type(t) is Let:
+            binder, body = t.binder, t.body
+            body_fv = free_vars(body)
+            live = [k for k in sub if k in body_fv and k != binder]
+            live_fv = [free_vars(sub[k]) for k in live]
+            captured = any(binder in s for s in live_fv)
+            inner, inner_memo = sub, memo
+            if captured or binder in sub:
+                inner, inner_memo = {k: sub[k] for k in live}, {}
+            if captured:
+                renamed = fresh_name(binder, body_fv.union(live, *live_fv))
+                inner[binder] = Var(renamed)
+                binder = renamed
+            stack += ((t, binder, memo), (body, inner, inner_memo))
+            if type(t) is Let:
+                stack.append((t.subject, sub, memo))
+        else:
+            stack.append((t, None, memo))
+            stack += [(k, sub, memo) for k in reversed(children(t))]
     return done[0]
 
 

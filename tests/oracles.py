@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from operator import is_
 from random import Random
 
 from effrew.rewrite import (
@@ -47,8 +48,10 @@ from effrew.terms import (
     TermError,
     TVar,
     Var,
+    _run_steps,
     canonical_key,
     children,
+    fresh_name,
     ident_str,
     iter_subterms,
     print_term,
@@ -184,6 +187,106 @@ def reference_free_vars(t: Term) -> frozenset[str]:
         else:
             stack += children(t)
     return frozenset(out)
+
+
+def reference_substitute(t: Term, var: str, repl: Term, binders: list | None = None) -> Term:
+    """substitute as it stood before it carried a renaming map: one
+    substitution of repl for var at a time, where a binder that would
+    capture is renamed by a nested substitution of the new name for the old
+    one in its body, which the outer one then walks again.  Each walks the
+    tree expansion of its term.  A subterm left unchanged comes back as the
+    same object.  If binders is a list, each binder node that a
+    substitution rebuilds is appended to it as (old node, new node, whether
+    the binder was renamed), in the order they are built."""
+
+    def step(job: tuple):
+        t, var, repl = job
+        repl_fv = reference_free_vars(repl)
+        done: list[Term] = []
+        # items: a term to substitute into; (term,), a term kept as it is;
+        # or (node, binder, n), rebuild node under binder from the last n
+        stack: list = [t]
+        while stack:
+            t = stack.pop()
+            tt = type(t)
+            if tt is tuple:
+                if len(t) == 1:
+                    done.append(t[0])
+                    continue
+                node, binder, n = t
+                new = tuple(done[-n:])
+                del done[-n:]
+                if binder is not None and binder != node.binder:
+                    done.append(Lam(binder, *new) if type(node) is Lam else Let(binder, *new))
+                elif all(map(is_, new, children(node))):
+                    done.append(node)
+                else:
+                    done.append(with_children(node, new))
+                if binders is not None and binder is not None:
+                    binders.append((node, done[-1], binder != node.binder))
+                continue
+            if tt is Var:
+                done.append(repl if t.name == var else t)
+                continue
+            kids = children(t)
+            binder = None
+            if tt is Lam or tt is Let:
+                binder, body = t.binder, t.body
+                if binder == var:
+                    # var is bound here: a let substitutes into its subject only
+                    if tt is Lam:
+                        done.append(t)
+                    else:
+                        stack += [(t, binder, 2), (body,), t.subject]
+                    continue
+                if binder in repl_fv:
+                    body_fv = reference_free_vars(body)
+                    if var in body_fv:
+                        binder = fresh_name(binder, repl_fv | body_fv | {var})
+                        body = yield (body, t.binder, Var(binder))
+                kids = kids[:-1] + (body,)
+            elif not kids:
+                done.append(t)
+                continue
+            stack.append((t, binder, len(kids)))
+            stack += reversed(kids)
+        return done[0]
+
+    return _run_steps(step, (t, var, repl))
+
+
+def renames_may_differ(t: Term, binders: list) -> bool:
+    """Whether the renames that reference_substitute made in t, listed in
+    binders, are of a kind a one-pass substitution may name otherwise: a
+    binder of t renamed twice, or renamed to the old name of a binder above
+    it that was renamed too.  Each nested rename sees the names that the
+    substitutions applied before it have left; one pass sees the whole map
+    at once."""
+    # each rebuilt binder node traced back to its node in t, with the
+    # number of renames on the way
+    origin: dict[int, tuple] = {}
+    new_names: dict[int, set[str]] = {}
+    for old, new, renamed in binders:
+        node, n = origin.get(id(old), (old, 0))
+        if renamed:
+            if n:
+                return True
+            new_names.setdefault(id(node), set()).add(new.binder)
+        origin[id(new)] = (node, n + renamed)
+    # t walked with the old names of the renamed binders above each node
+    stack: list = [(t, frozenset())]
+    while stack:
+        u, above = stack.pop()
+        names = new_names.get(id(u), ())
+        if any(n in above for n in names):
+            return True
+        kids = children(u)
+        if type(u) is Lam or type(u) is Let:
+            inner = above | {u.binder} if names else above
+            stack += [(k, above) for k in kids[:-1]] + [(kids[-1], inner)]
+        else:
+            stack += [(k, above) for k in kids]
+    return False
 
 
 def reference_replace_at(t: Term, pos: tuple, sub: Term) -> Term:

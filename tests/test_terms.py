@@ -36,7 +36,13 @@ from effrew.rewrite import StaleRedexError, all_redexes, make_rule, normalize, s
 from effrew.rpo import CASE_EQ, RpoDerivation
 from effrew.terms import Arrow, Base, Eff, TVar
 from effrew.theories import builtin, compose, parse_theory, peano_numeral
-from oracles import reference_canonical_key, reference_free_vars, reference_replace_at
+from oracles import (
+    reference_canonical_key,
+    reference_free_vars,
+    reference_replace_at,
+    reference_substitute,
+    renames_may_differ,
+)
 from stack_safe import stack_safe
 from termgen import PAR6_EFFECTS, TypedTermGen, par_interleaving, symbolic_term
 
@@ -238,6 +244,20 @@ def test_free_vars_and_substitution_take_each_shared_node_once():
     assert elapsed < 0.1, f"substitute took {elapsed:.3f} s"
     # the binder x, free in tower, is renamed; tower itself is kept whole
     assert out.binder == "x1" and out.body.fun is tower and out.body.arg == Var("x1")
+    # substituting into the tower rebuilds each distinct node once, and a
+    # variable not free in it leaves it whole; walked position by position
+    # this took 1 s at h^18 and doubled per level
+    start = time.perf_counter()
+    out = substitute(tower, "x", Var("z"))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"substitute took {elapsed:.3f} s"
+    assert out.args[0] is out.args[1] and out.args[0].args[0] is out.args[0].args[1]
+    assert free_vars(out) == {"z"}
+    start = time.perf_counter()
+    out = substitute(tower, "w", Var("z"))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"substitute took {elapsed:.3f} s"
+    assert out is tower
 
 
 def _free_vars_cached(t) -> bool:
@@ -317,7 +337,9 @@ def test_deep_terms_sizes_free_vars_and_substitution():
 @stack_safe
 def test_capture_renames_nest_past_the_recursion_limit():
     # binders y, y1, y11, ... over a body that uses them all: substituting
-    # y for x renames y to y1, which renames y1 in its body, and so on
+    # y for x renames y to y1, and under it y1, which the map then sends y
+    # to, to y11, and so on; with each rename walking the rest of the body
+    # again, this took 4-7 s
     k = 1200
     names = ["y" + "1" * i for i in range(k)]
     t = Var("x")
@@ -330,7 +352,11 @@ def test_capture_renames_nest_past_the_recursion_limit():
         expected = App(expected, Var(f"z{i}"))
     for i in reversed(range(k)):
         expected = Lam(f"z{i}", expected)
-    assert canonical_key(substitute(t, "x", Var("y"))) == canonical_key(expected)
+    start = time.perf_counter()
+    out = substitute(t, "x", Var("y"))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2, f"substitute took {elapsed:.3f} s"
+    assert canonical_key(out) == canonical_key(expected)
 
 
 def test_term_reprs():
@@ -376,7 +402,7 @@ def test_term_fields_are_read_only(t, fields):
 
 
 def test_substitute_leaves_no_reference_cycles():
-    # the binder y is renamed, which substitutes in a nested call
+    # the binder y is renamed, which adds an entry to the map for its body
     t = Lam("y", App(Var("x"), Let("z", Var("x"), App(Var("y"), Var("z")))))
     gc.collect()
     gc.disable()
@@ -436,6 +462,75 @@ def test_substitute_removes_var_and_unions_free_vars(t, repl):
     out = substitute(t, "u", repl)
     assert "u" not in free_vars(out) or "u" in free_vars(repl)
     assert free_vars(out) == (free_vars(t) - {"u"}) | free_vars(repl)
+
+
+# binder names that capture one another's renames: y renamed to y1 meets a
+# binder y1, which is renamed to y11, and so on
+_CAPTURE_NAMES = ("x", "y", "y1", "y11", "y111", "y2", "y12", "z", "z1")
+
+
+def _capture_prone(rng: random.Random, depth: int):
+    """Lams and lets over _CAPTURE_NAMES, depth deep, over applications
+    of those names, with a part now and then shared by two arguments."""
+    if depth == 0:
+        t = Var(rng.choice(_CAPTURE_NAMES))
+        for _ in range(rng.randint(0, 3)):
+            t = App(t, Var(rng.choice(_CAPTURE_NAMES)))
+        return t
+    binder, r = rng.choice(_CAPTURE_NAMES), rng.random()
+    if r < 0.5:
+        return Lam(binder, _capture_prone(rng, depth - 1))
+    if r < 0.75:
+        return Let(binder, _capture_prone(rng, depth // 2), _capture_prone(rng, depth - 1))
+    shared = _capture_prone(rng, depth - 1)
+    return fn("h", shared, shared if rng.random() < 0.5 else _capture_prone(rng, depth - 1))
+
+
+def _agrees_with_reference(t, var, repl):
+    binders: list = []
+    expected = reference_substitute(t, var, repl, binders)
+    out = substitute(t, var, repl)
+    assert canonical_key(out) == canonical_key(expected)
+    if not renames_may_differ(t, binders):
+        assert out == expected
+    return out, expected
+
+
+@given(st.sampled_from(("global-state+nondet", "retry", "peano", "capture")), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_reference(name, seed):
+    rng = random.Random(seed)
+    if name == "capture":
+        t, repl = _capture_prone(rng, rng.randint(1, 9)), _capture_prone(rng, 0)
+        names = set(_CAPTURE_NAMES)
+    else:
+        gen = TypedTermGen(rng, compose(*(builtin(part) for part in name.split("+"))))
+        ty = Eff(rng.choice(gen.bases))
+        t = gen.gen_sized(ty, 25)
+        # a replacement whose free variables include binder names of t
+        repl = App(gen.gen_sized(ty, 5), Var(rng.choice(("x", "y", "z", "w"))))
+        names = {"x", "y", "z", "w"}
+    for var in rng.sample(sorted(names | free_vars(t)), 3):
+        _agrees_with_reference(t, var, repl)
+
+
+def test_substitute_names_differ_from_nested_renames_only_where_pinned():
+    # a binder two map entries capture: under lam y, renamed to y1, the map
+    # sends x to (app y y11) and y to y1, and y1 is captured by the second.
+    # One pass avoids the names of both entries and picks y12; the nested
+    # renames picked y11, which substituting for x then captured and
+    # renamed again, to y111
+    t = Lam("y", Lam("y1", App(App(Var("x"), Var("y")), Var("y1"))))
+    out, expected = _agrees_with_reference(t, "x", App(Var("y"), Var("y11")))
+    assert print_term(expected) == "(lam y1 (lam y111 (app (app (app y y11) y1) y111)))"
+    assert print_term(out) == "(lam y1 (lam y12 (app (app (app y y11) y1) y12)))"
+    # a binder renamed to the old name of a renamed binder above it: the
+    # inner let's body still holds y1, free, when one pass renames it, so
+    # it gets y2; the nested renames had turned that y1 into y11 first
+    t = Lam("y1", Let("y", App(Var("z"), Var("y11")), Lam("y1", Let("y", Var("y"), App(Var("z"), Var("y1"))))))
+    out, expected = _agrees_with_reference(t, "z", Var("y"))
+    assert print_term(expected) == "(lam y1 (let y1 (app y y11) (lam y11 (let y1 y1 (app y y11)))))"
+    assert print_term(out) == "(lam y1 (let y1 (app y y11) (lam y11 (let y2 y1 (app y y11)))))"
 
 
 @given(symbolic_terms())
