@@ -25,16 +25,17 @@ application, the user rules rooted at its head (see head_index) that its
 shape admits: its arity and the names of its first two arguments, whose
 candidates a memo per head keeps (see _Head).  A run of one-argument
 symbol applications whose heads start no rule, such as a numeral's succ
-nodes, is walked down in one loop.  Each candidate, whatever its left
-side, is decided alone by its rule's matcher, which hands back the
-match's bindings, so retrieval is exact.  match_pattern, the recursive
-matcher, is the public reference those matchers agree with; the engine
-does not call it.  Each entry of a listing holds what builds its
-contractum (the bindings, or the metalanguage rule's thunk), so no redex
-is matched twice.  A rule is compiled on first use to straight-line
-Python, generated from its sides and run by exec (see _compile_rule): a
-matcher with one check per left-side node, and a contraction that builds
-the contractum with one statement per right-side node and can list its
+nodes, is walked down in one loop, which makes cells only if the walk
+goes on below the run.  Each candidate, whatever its left side, is
+decided alone by its rule's matcher, which hands back the match's
+bindings, so retrieval is exact.  match_pattern, the recursive matcher,
+is the public reference those matchers agree with; the engine does not
+call it.  Each entry of a listing holds what builds its contractum (the
+bindings, or the metalanguage rule's thunk), so no redex is matched
+twice.  A rule is compiled on first use to straight-line Python,
+generated from its sides and run by exec (see _compile_rule): a matcher
+with one check per left-side node, and a contraction that builds the
+contractum with one statement per right-side node and can list its
 redexes too.  Subterms found to have no redex are remembered by identity
 for the walk's caller.  all_redexes and its two filters wrap the entries
 into Redex objects; reduction_graph builds each reduct straight from them.
@@ -51,13 +52,16 @@ builds it, matching only the right-side nodes whose head starts a rule
 and walking only the bindings the record does not hold.  The current
 term is held as a zipper, and every position as a cell linked to its
 parent's, so a step pays for the path it walks and not for its depth; a
-position becomes a tuple only where one is read (a Redex, a trace step,
-a graph edge).  An entry whose subterm was rebuilt since it was listed
-holds bindings that point into the old subterm, so the lookup that
-listed it is run again on the new one.  The trace holds per step only
-what normalize recorded; its terms and its redexes are built when read.
-What the engine reads off a rule is derived when the rule is built (see
-RewriteRule).
+step into a child of the contractum just built is one push.  Ancestors
+whose head has a left side that repeats a variable, which reads every
+level, are rechecked through a chain the zipper keeps, so the others
+above the rules' window are not looked at.  A position becomes a tuple
+only where one is read (a Redex, a trace step, a graph edge).  An entry
+whose subterm was rebuilt since it was listed holds bindings that point
+into the old subterm, so the lookup that listed it is run again on the
+new one.  The trace holds per step only what normalize recorded; its
+terms and its redexes are built when read.  What the engine reads off a
+rule is derived when the rule is built (see RewriteRule).
 """
 
 from __future__ import annotations
@@ -615,8 +619,10 @@ def head_index(rules: Iterable[RewriteRule]) -> HeadIndex:
 
 
 # A position as a cell (parent cell, child index, depth).  The walk makes a
-# node's cell from its parent's, so within a normalize run a position has
-# one cell however often it is listed, and cells compare by identity.
+# node's cell from its parent's when it pushes the node, so the nodes of a
+# run it passes in one loop get cells only if it goes on below the run (see
+# _list_redexes).  Within a normalize run a position has one cell however
+# often it is listed, and cells compare by identity.
 Cell = tuple
 _ROOT: Cell = (None, 0, 0)
 
@@ -805,20 +811,33 @@ def _trace(initial: Term, fired: list, final: Term) -> Trace:
 
 class _Zipper:
     """A term held as a focused subterm, the parents above it, root first,
-    and the focus's cell (Huet, "The Zipper", JFP 7(5), 1997).  A move
-    climbs to the common ancestor of two cells, so it costs the path it
-    walks, not the depth it reaches, and moving up rebuilds a parent only
-    when its child has changed."""
+    and the focus's cell (Huet, "The Zipper", JFP 7(5), 1997).  A move to
+    a child of the focus is one push; any other move climbs to the common
+    ancestor of the two cells and walks down from it, so it costs the path
+    it walks, not the depth it reaches.  Moving up rebuilds a parent only
+    when its child has changed.
 
-    __slots__ = ("focus", "parents", "cell")
+    far_heads holds the heads whose rules read every level (see
+    RewriteRule.reach).  If it is not empty, far lists the levels of the
+    parents with such a head, root first, so that each one's nearest such
+    ancestor is the one before it, and normalize can recheck them without
+    looking at the parents in between; otherwise far is None."""
 
-    def __init__(self, t: Term):
+    __slots__ = ("focus", "parents", "cell", "far", "far_heads")
+
+    def __init__(self, t: Term, far_heads: frozenset):
         self.focus = t
         self.parents: list[Term] = []
         self.cell: Cell = _ROOT
+        self.far: list[int] | None = [] if far_heads else None
+        self.far_heads = far_heads
 
     def up(self) -> None:
-        node = self.parents.pop()
+        parents = self.parents
+        node = parents.pop()
+        far = self.far
+        if far and far[-1] == len(parents):
+            far.pop()
         self.cell, i, _ = self.cell
         focus = self.focus
         cls = type(node)
@@ -845,6 +864,14 @@ class _Zipper:
         """Focus the subterm at target, whose chain of cells meets the
         focus's."""
         here, there = self.cell, target
+        focus, parents, far = self.focus, self.parents, self.far
+        if there[0] is here:
+            if far is not None:
+                self._mark(focus)
+            parents.append(focus)
+            self.focus = children(focus)[there[1]]
+            self.cell = target
+            return
         down = []
         while here is not there:
             if here[2] > there[2]:
@@ -854,12 +881,20 @@ class _Zipper:
                 down.append(i)
         for _ in range(self.cell[2] - here[2]):
             self.up()
-        focus, parents = self.focus, self.parents
+        focus = self.focus
         for i in reversed(down):
+            if far is not None:
+                self._mark(focus)
             parents.append(focus)
             focus = children(focus)[i]
         self.focus = focus
         self.cell = target
+
+    def _mark(self, node: Term) -> None:
+        """Add the level of node, about to be pushed, to far if its head
+        is one of far_heads."""
+        if type(node) is SymApp and (node.kind, node.name, node.params) in self.far_heads:
+            self.far.append(len(self.parents))
 
     def root(self) -> Term:
         while self.parents:
@@ -903,10 +938,14 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
 
     A tower, a run of one-argument symbol applications whose heads start
     no rule, such as the succ nodes of a numeral, is walked down in one
-    loop: its nodes add no entry, so they share one leave marker, which
-    puts the whole run in the record if nothing was listed below it.  The
-    run stops at a subterm the record holds, or before a node that is not
-    such an application, which the walk then reads as any other."""
+    loop that makes no cell: its nodes add no entry, so they share one
+    leave marker, which puts the whole run in the record if nothing was
+    listed below it.  The run stops at a subterm the record holds, or at a
+    symbol with no arguments whose head starts no rule, which joins the
+    run, or else before a node that is not such an application.  Only in
+    the last case does the walk go on below the run: it then makes the
+    run's cells down to that node, which it reads as any other.  So a
+    numeral costs one loop step per node and no cell."""
     stack: list = [] if id(t) in clean else [(t, at)]
     push = stack.append
     get = index.get
@@ -934,13 +973,23 @@ def _list_redexes(t: Term, at: Cell, index: HeadIndex, clean: dict[int, Term], o
                 push((run, start))
                 while True:
                     sub = sub.args[0]
-                    cell = (cell, 0, cell[2] + 1)
                     if id(sub) in clean:
                         break
-                    if type(sub) is not SymApp or len(sub.args) != 1 or (sub.kind, sub.name, sub.params) in index:
-                        push((sub, cell))
-                        break
-                    run.append(sub)
+                    if type(sub) is SymApp and (sub.kind, sub.name, sub.params) not in index:
+                        if len(sub.args) == 1:
+                            run.append(sub)
+                            continue
+                        if not sub.args:
+                            run.append(sub)
+                            break
+                    # the walk goes on below the run, so it needs the cells
+                    # down to sub
+                    depth = cell[2]
+                    for _ in run:
+                        depth += 1
+                        cell = (cell, 0, depth)
+                    push((sub, cell))
+                    break
                 continue
         elif cls is Let or cls is App:
             hit = _ml_contraction(sub)
@@ -982,6 +1031,22 @@ def _edge(listing: list, cell: Cell, k: int, step: int) -> int:
     return outside
 
 
+def _recheck(zipper: _Zipper, level: int, listing: list, lo: int, index: HeadIndex) -> int:
+    """Climb the zipper to its ancestor at level and list again the rules
+    that apply there, in place of its own entries; the index of its first
+    entry comes back.  An ancestor's entries come first in its slice, which
+    ends at or after lo."""
+    parents = zipper.parents
+    while len(parents) > level:
+        zipper.up()
+    above = zipper.cell
+    lo = hi = _edge(listing, above, lo - 1, -1) + 1
+    while hi < len(listing) and listing[hi][0] is above:
+        hi += 1
+    listing[lo:hi] = _rules_at(zipper.focus, above, index)
+    return lo
+
+
 DEFAULT_FUEL = 10_000
 
 
@@ -1017,7 +1082,12 @@ def normalize(
     as before, and stale bindings are derived again if the entry fires.
     Under peano, where no rule is rooted at succ, a step under a succ
     climbs nowhere.  A left side that repeats a variable reads every
-    level, so with such a rule a step looks up the head of each ancestor.
+    level, so its head is rechecked above a step at any distance: a step
+    looks up the heads within the window that the other rules read, and
+    above it visits only the ancestors whose head has such a rule, which
+    the zipper keeps as a chain (see _Zipper).  With no such rule the
+    zipper keeps no chain.  The zipper reaches a redex that is a child of
+    the contractum just built, the commonest next step, by one push.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
@@ -1025,11 +1095,14 @@ def normalize(
         raise ValueError("a seed is required exactly when the strategy is random")
     rng = Random(seed) if strategy == "random" else None
     index = head_index(rules)
-    reach = max([ML_REACH, *(head.reach for head in index.values())])
+    # the rechecks below read at most reach - 1 levels up, and the heads in
+    # far_heads at every level
+    far_heads = frozenset(key for key, head in index.items() if head.reach == math.inf)
+    reach = max([ML_REACH, *(head.reach for head in index.values() if head.reach != math.inf)])
     clean: dict[int, Term] = {}
     listing: list = []
     _list_redexes(t, _ROOT, index, clean, listing)
-    zipper = _Zipper(t)
+    zipper = _Zipper(t, far_heads)
     fired: list = []
     while listing:
         if len(fired) >= fuel:
@@ -1079,8 +1152,9 @@ def normalize(
         # an ancestor k levels up sees what changed only if a rule rooted at
         # its head reads more than k levels.  The zipper climbs to the highest
         # such ancestor; one in between keeps its entries, whose stale
-        # bindings are derived again if they fire.  An ancestor's entries
-        # come first in its slice, which ends at or after lo
+        # bindings are derived again if they fire.  Within reach - 1 levels
+        # each ancestor's head is looked up, and above them only those that
+        # far holds are visited
         parents = zipper.parents
         depth = len(parents)
         for k in range(1, min(reach - 1, depth) + 1):
@@ -1093,13 +1167,11 @@ def normalize(
                     continue
             elif (cls is not Let and cls is not App) or ML_REACH <= k:
                 continue
-            while len(parents) > depth - k:
-                zipper.up()
-            above, focus = zipper.cell, zipper.focus
-            lo = hi = _edge(listing, above, lo - 1, -1) + 1
-            while hi < len(listing) and listing[hi][0] is above:
-                hi += 1
-            listing[lo:hi] = _rules_at(focus, above, index)
+            lo = _recheck(zipper, depth - k, listing, lo, index)
+        # the climbs above took every level of far within the window off it
+        far = zipper.far
+        while far:
+            lo = _recheck(zipper, far[-1], listing, lo, index)
     current = zipper.root()
     return current, _trace(t, fired, current)
 

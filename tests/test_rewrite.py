@@ -580,10 +580,23 @@ def _tower(names, bottom, kind="fn"):
     return bottom
 
 
+# a rule rooted at a constant, so that a run can end at a nullary node
+# whose head starts a rule
+_CONSTANT_RULE = make_rule("c-zero", fn("c"), fn("zero"))
+
+
+def _tower_rules(name: str) -> list:
+    """The rules of theory name, or of peano and _CONSTANT_RULE for
+    peano+c."""
+    if name == "peano+c":
+        return [*_scan_theory("peano").rules, _CONSTANT_RULE]
+    return list(_scan_theory(name).rules)
+
+
 def _towers():
     """Cases (id, theory, term) whose terms hold runs of one-argument nodes
-    at which no rule starts: no rule of peano or retry+peano starts at
-    succ, and none of par at e1 or e2."""
+    at which no rule starts: no rule of peano, peano+c or retry+peano
+    starts at succ, and none of par at e1 or e2."""
     x, v = Var("x"), Var("v")
     num = peano_numeral
     shared = num(6)
@@ -613,13 +626,20 @@ def _towers():
         ("two-args-at-bottom", "par", _tower(["e1", "e2"], fn("pair", x, Let("x", Pure(v), x)), "eff")),
         ("under-par", "par", eff("par", _tower(["e1", "e2"], Pure(v), "eff"), _tower(["e2"], x, "eff"))),
         ("under-let", "par", Let("y", _tower(["e1", "e2"], Pure(v), "eff"), _tower(["e2", "e1"], Var("y"), "eff"))),
+        # a run ends at a constant whose head starts a rule, which is
+        # listed with its own cell, or at one that starts none, inside the
+        # run, under a node of two arguments that starts no rule
+        ("constant-redex-at-bottom", "peano+c", _tower(["succ"] * 5, fn("c"))),
+        ("constant-redexes-under-plus", "peano+c", fn("plus", _tower(["succ"] * 3, fn("c")), fn("c"))),
+        ("constants-under-pair", "peano", fn("pair", _tower(["succ"] * 3, fn("nil")), _tower(["succ"] * 2, x))),
+        ("constants-under-par", "par", eff("par", _tower(["e1", "e2"], fn("unit"), "eff"), _tower(["e2"], v, "eff"))),
     ]
     return [pytest.param(name, t, id=case) for case, name, t in cases]
 
 
 @pytest.mark.parametrize("name, t", _towers())
 def test_tower_walk_matches_reference(name, t):
-    rules = list(_scan_theory(name).rules)
+    rules = _tower_rules(name)
     _check_walk(t, rules, {})
     # the same walk after an earlier one recorded what it found below
     # each subterm, so that every run stops, in turn, at each subterm
@@ -696,7 +716,56 @@ _RECHECK_RULES = {
     ),
 }
 
-NORMALIZE_CASES = SCAN_CASES + tuple((name, "recheck") for name in _RECHECK_RULES)
+NORMALIZE_CASES = (
+    *SCAN_CASES,
+    *((name, "recheck") for name in _RECHECK_RULES),
+    # eq repeats its variable, so it reads every level of its arguments,
+    # and the steps that make its two sides equal happen far below it
+    ("peano+eq", "eq-above"),
+)
+
+
+@cache
+def _eq_rules() -> list:
+    """peano's rules and eq(x, x) -> x."""
+    return [*builtin("peano").rules, make_rule("eq", fn("eq", Var("x"), Var("x")), Var("x"))]
+
+
+def _nat_value(t) -> int | None:
+    """The number t stands for under _eq_rules, or None if an eq in it
+    does not compare equal numbers."""
+    if t.name == "zero":
+        return 0
+    values = [_nat_value(a) for a in t.args]
+    if None in values:
+        return None
+    if t.name == "succ":
+        return values[0] + 1
+    if t.name == "plus":
+        return values[0] + values[1]
+    return values[0] if values[0] == values[1] else None
+
+
+def _eq_term(rng, budget: int):
+    """A term of numerals, succ, plus and eq in which most eq nodes compare
+    two sides of one value, written differently: a sum and a numeral, or
+    two sums split at different places, so that eq fires only after the
+    steps below it have normalized both."""
+    if budget <= 1:
+        return peano_numeral(rng.randint(0, 3))
+    roll = rng.randrange(4)
+    if roll == 0:
+        return fn("succ", _eq_term(rng, budget - 1))
+    if roll == 1:
+        return fn("plus", _eq_term(rng, budget // 2), _eq_term(rng, budget // 2))
+    left = _eq_term(rng, budget - 2)
+    value = _nat_value(left)
+    if value is None or rng.random() < 0.2:
+        right = _eq_term(rng, budget // 2)
+    else:
+        cut = rng.randint(0, value)
+        right = rng.choice((peano_numeral(value), fn("plus", peano_numeral(value - cut), peano_numeral(cut))))
+    return fn("eq", *rng.sample((left, right), 2))
 
 
 def _recheck_term(rng, budget: int):
@@ -729,6 +798,8 @@ def _normalize_case(case, seed: int):
     name, shape = case
     if shape == "recheck":
         return _recheck_term(random.Random(seed), 14), list(_RECHECK_RULES[name])
+    if shape == "eq-above":
+        return _eq_term(random.Random(seed), 10), _eq_rules()
     return _random_term(case, seed)
 
 
@@ -1364,6 +1435,35 @@ def test_plus_steps_climb_only_to_ancestors_they_recheck(peano, strategy, monkey
     assert len(trace.steps) == n + 1
     assert numeral_value(nf) == 2 * n
     assert climbs <= n + 1
+
+
+@pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
+@stack_safe
+def test_a_rule_that_reads_every_level_costs_no_walk_up_where_it_is_not_rooted(peano, strategy):
+    # eq repeats its variable, so the rules at an eq node read every level
+    # below it; but no eq lies above any step here, so a step looks up no
+    # ancestor past the window that the other rules read.  Looking up
+    # each ancestor's head makes this quadratic: 17 s per strategy
+    n = 16_000
+    plain, rules = list(peano.rules), _eq_rules()
+    t = fn("plus", peano_numeral(n), peano_numeral(n))
+    start = time.perf_counter()
+    nf, trace = normalize(t, rules, strategy=strategy, fuel=20_000)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{strategy} took {elapsed:.2f} s"
+    plain_nf, plain_trace = normalize(t, plain, strategy=strategy, fuel=20_000)
+    assert nf == plain_nf and numeral_value(nf) == 2 * n
+
+    # the same trace: each step's rule, rule index and depth, read off its
+    # cell, and its whole position at a few steps, since reading every
+    # position takes time quadratic in n
+    def steps(trace):
+        return [(entry[2], entry[1], entry[0][2]) for entry, _ in trace.steps[0]._replay.fired]
+
+    assert len(trace.steps) == len(plain_trace.steps) == n + 1
+    assert steps(trace) == steps(plain_trace)
+    for i in (0, 1, 2, n // 2, n):
+        assert trace.steps[i].redex.position == plain_trace.steps[i].redex.position == (0,) * i
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])
