@@ -9,7 +9,9 @@ term, call the one library function, print its result.  Exit codes:
     3  fuel exhausted
     4  usage error
 
-EFFREW_FUEL overrides the default step/node fuel.
+EFFREW_FUEL overrides the default step/node fuel.  Terms, types and
+JSON are printed by the package's one renderer, sexpr._render, so no
+output costs Python stack for its depth.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .rpo import (
     certify_ruleset,
     search_precedence,
 )
-from .sexpr import SexprError
+from .sexpr import SexprError, _render
 from .signature import Signature, SignatureError, describe_decl
 from .terms import ident_str, print_term, type_str
 from .theories import Theory, TheoryError, builtin, builtin_names, compose, load_theory
@@ -54,6 +56,9 @@ _INPUT_ERRORS = (
     PrecedenceError,
     NonSymbolicTermError,
     SearchBoundError,
+    # an unreadable file, or one that is not UTF-8, is bad input too
+    OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -121,37 +126,36 @@ def _context(args) -> dict:
     return ctx
 
 
+def _json_parts(v) -> list:
+    if isinstance(v, dict):
+        opening, closing = "{", "}"
+        items = []
+        for k, x in v.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append((json.dumps(k) + ": ", x))
+    elif isinstance(v, (list, tuple)):
+        opening, closing = "[", "]"
+        items = [("", x) for x in v]
+    else:
+        return [(json.dumps(v),)]
+    pieces: list = [(closing,)]
+    for key, x in reversed(items):
+        # a tuple goes on as a list, since a 1-tuple is text to _render
+        pieces += (list(x) if type(x) is tuple else x, (", " + key,))
+    # the first item's separator opens the value
+    pieces[-1] = (opening + items[0][0],) if items else (opening + closing,)
+    return pieces
+
+
 def json_text(value) -> str:
     """json.dumps(value), byte for byte under its default settings, for
-    dicts with str keys, lists, tuples and scalars, written from an
-    explicit stack, so the depth of value costs no Python stack: a certify
+    dicts with str keys, lists, tuples and scalars, rendered by
+    sexpr._render, so the depth of value costs no Python stack: a certify
     report nests a dict and a list per derivation step.  Scalars and keys
     are rendered by json.dumps itself.  value must hold no cycle, as
     to_json's results never do."""
-    out: list[str] = []
-    # each item: (True, text to write) or (False, a value to render)
-    stack: list = [(False, value)]
-    while stack:
-        literal, v = stack.pop()
-        if literal:
-            out.append(v)
-        elif isinstance(v, dict):
-            parts: list = []
-            for k, x in v.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                parts += ((True, (", " if parts else "{") + json.dumps(k) + ": "), (False, x))
-            parts.append((True, "}" if parts else "{}"))
-            stack += reversed(parts)
-        elif isinstance(v, (list, tuple)):
-            parts = []
-            for x in v:
-                parts += ((True, ", " if parts else "["), (False, x))
-            parts.append((True, "]" if parts else "[]"))
-            stack += reversed(parts)
-        else:
-            out.append(json.dumps(v))
-    return "".join(out)
+    return _render(value, _json_parts)
 
 
 def _cmd_theories(args) -> int:
@@ -320,9 +324,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_FUEL
     except _INPUT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as e:

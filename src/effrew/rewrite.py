@@ -688,10 +688,12 @@ def position_str(pos: Position) -> str:
 class _Replay:
     """The terms of one normalize run, built when they are read.  Term 0
     is the start term and term i + 1 is term i with the contractum of step
-    i spliced in at its position; `fired` holds (listing entry, contractum)
-    per step.  Reading a term replays the steps from the nearest term
-    built before it and keeps every term it builds.  The last term, which
-    normalize returns, is there from the start."""
+    i spliced in at its position; `fired` holds (cell, rule index, rule
+    name, rule, contractum) per step, with rule None for a metalanguage
+    rule, and nothing of the redex's old subterm or bindings.  Reading a
+    term replays the steps from the nearest term built before it and
+    keeps every term it builds.  The last term, which normalize returns,
+    is there from the start."""
 
     __slots__ = ("fired", "terms")
 
@@ -706,18 +708,18 @@ class _Replay:
         while terms[j] is None:
             j -= 1
         t = terms[j]
-        for entry, contractum in self.fired[j:i]:
+        for cell, _, _, _, contractum in self.fired[j:i]:
             j += 1
-            t = terms[j] = replace_at(t, _cell_position(entry[0]), contractum)
+            t = terms[j] = replace_at(t, _cell_position(cell), contractum)
         return t
 
     def contractum(self, i: int) -> Term:
-        return self.fired[i][1]
+        return self.fired[i][4]
 
     def __reduce__(self):
-        # per step its position, rule index, rule name, rule and contractum:
-        # no cell, whose parent chain is as deep as the redex, and no thunk
-        steps = tuple([(_cell_position(entry[0]), *entry[1:4], contractum) for entry, contractum in self.fired])
+        # each step with its position in place of its cell, whose parent
+        # chain is as deep as the redex
+        steps = tuple([(_cell_position(step[0]), *step[1:]) for step in self.fired])
         return _load_replay, (self.terms[0], steps, self.terms[-1])
 
 
@@ -729,7 +731,7 @@ def _load_replay(initial: Term, steps: tuple, final: Term) -> _Replay:
         cell = _ROOT
         for i in pos:
             cell = (cell, i, cell[2] + 1)
-        fired.append(((cell, idx, name, rule, None, None), contractum))
+        fired.append((cell, idx, name, rule, contractum))
     return _Replay(initial, fired, final)
 
 
@@ -752,7 +754,7 @@ class TraceStep:
         redex = self._redex
         if redex is None:
             replay, i = self._replay, self._index
-            cell, idx, name, rule, _, _ = replay.fired[i][0]
+            cell, idx, name, rule, _ = replay.fired[i]
             term, contractum = partial(replay.term, i), partial(replay.contractum, i)
             redex = self._redex = Redex(_cell_position(cell), name, term, contractum, rule is None, idx)
         return redex
@@ -804,7 +806,7 @@ class Trace:
 
 def _trace(initial: Term, fired: list, final: Term) -> Trace:
     """The trace of a normalize run from initial to final; fired holds
-    (listing entry, contractum) per step."""
+    (cell, rule index, rule name, rule, contractum) per step."""
     replay = _Replay(initial, fired, final)
     return Trace(initial, tuple([TraceStep(replay, i) for i in range(len(fired))]))
 
@@ -1117,8 +1119,7 @@ def normalize(
         else:
             # a choice among the indices draws what one among the entries does
             i = rng.choice(range(len(listing)))
-        entry = listing[i]
-        cell, idx, _, rule, sub, contraction = entry
+        cell, idx, name, rule, sub, contraction = listing[i]
         zipper.move(cell)
         sub_now = zipper.focus
         if sub_now is not sub:
@@ -1134,7 +1135,7 @@ def normalize(
         else:
             contractum = rule._contract(contraction, cell, index, clean, listed)
         zipper.focus = contractum
-        fired.append((entry, contractum))
+        fired.append((cell, idx, name, rule, contractum))
         # the contractum's entries take the place of the slice under cell
         lo = i
         while lo and listing[lo - 1][0] is cell:

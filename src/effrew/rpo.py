@@ -212,6 +212,7 @@ class RpoDerivation(_Node):
         return RpoDerivation(self.lhs, self.rhs, self.rule, self.index, self.children)
 
     def pretty(self, indent: int = 0) -> str:
+        # its own stack, not _render's: each step is one whole line
         lines = []
         stack = [(self, indent)]
         while stack:

@@ -7,6 +7,10 @@ expression splits the text into tokens and one loop folds them into
 lists, with an explicit stack of the lists still open, so a deep form
 costs no Python stack.  Errors carry line and column, counted from the
 offset only when an error is raised.
+
+The module also holds the package's one printer loop, _render: terms,
+types, node reprs, the CLI's JSON and the forms quoted in error messages
+are each written by _render with a parts function of their own.
 """
 
 from __future__ import annotations
@@ -64,30 +68,40 @@ def _read(text: str, one: bool) -> list:
     return forms
 
 
-# the pending literal tokens of _node_repr, boxed so that they cannot be
-# taken for an atom
-_CLOSE, _COMMA = ("]",), (", ",)
+def _render(root, parts) -> str:
+    """The text of root, written from one explicit stack of pieces, so
+    that its depth costs no Python stack: every printer of the package is
+    this loop and a parts function.  A 1-tuple piece is text, boxed so that
+    it cannot be taken for a node, and is written as it is; any other piece
+    is replaced on the stack by parts(piece), that piece's own pieces, last
+    first.  The root always goes through parts, so parts decides what it
+    refuses, at the root as below it."""
+    out: list[str] = []
+    stack = list(parts(root))
+    while stack:
+        piece = stack.pop()
+        if type(piece) is tuple:
+            out.append(piece[0])
+        else:
+            stack += parts(piece)
+    return "".join(out)
+
+
+def _list_parts(node: Node) -> list:
+    if type(node) is not list:
+        return [(repr(node),)]
+    pieces: list = [("]",)]
+    for x in reversed(node):
+        pieces += (x if type(x) is list else (repr(x),), (", ",))
+    # the first item's separator opens the list
+    pieces[-1] = ("[",) if node else ("[]",)
+    return pieces
 
 
 def _node_repr(node: Node) -> str:
-    """repr(node), written from an explicit stack, so that an error message
-    can quote a deep form: repr recurses."""
-    out: list[str] = []
-    stack: list = [node]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            out.append(node[0])
-        elif type(node) is list:
-            out.append("[")
-            stack.append(_CLOSE)
-            for i in range(len(node) - 1, -1, -1):
-                stack.append(node[i])
-                if i:
-                    stack.append(_COMMA)
-        else:
-            out.append(repr(node))
-    return "".join(out)
+    """repr(node), rendered, so that an error message can quote a deep
+    form: repr recurses."""
+    return _render(node, _list_parts)
 
 
 def parse_one(text: str) -> Node:

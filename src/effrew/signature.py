@@ -130,5 +130,5 @@ def describe_decl(d) -> str:
     if isinstance(d, EffectDecl):
         dom = " over {" + ", ".join(str(v) for v in d.param_domain) + "}" if d.param_domain else ""
         return f"effect {d.name}/{d.arity}{dom}"
-    sig = " ".join(type_str(t) for t in d.arg_types)
-    return f"function {d.name} : ({sig} -> {type_str(d.result)})"
+    sig = " ".join([*map(type_str, d.arg_types), "->", type_str(d.result)])
+    return f"function {d.name} : ({sig})"

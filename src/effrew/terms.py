@@ -10,13 +10,17 @@ so no walk here calls itself.  Most keep their pending work on one
 explicit stack.  A walk that is clearer as a recursion is written as a
 step, a generator that yields where it would call itself, and runs on
 _run_steps, which keeps the generators on one list: the term and type
-builders of parser, and type inference in typecheck.
+builders of parser, and type inference in typecheck.  The printers,
+print_term, type_str, sym_str and repr, are each a parts function that
+sexpr._render, the package's one printer loop, runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Union
+
+from .sexpr import _render
 
 Param = Union[int, str]
 Position = tuple[int, ...]
@@ -30,38 +34,24 @@ class TermError(Exception):
 # printing types, and the step runner
 
 
-# the pending literal tokens of type_str, print_term and sym_str, boxed so
-# that they cannot be taken for a type or term: a str in place of one is
-# refused like any other non-type or non-term
-_CLOSE, _SPACE, _COMMA = (")",), (" ",), (", ",)
+def _type_parts(ty: Type) -> tuple:
+    tt = type(ty)
+    if tt is Base:
+        return ((ty.name,),)
+    if tt is Arrow:
+        return ((")",), ty.cod, (" ",), ty.dom, ("(-> ",))
+    if tt is Eff:
+        return ((")",), ty.inner, ("(E ",))
+    if tt is TVar:
+        # 0 -> 'a, 25 -> 'z, 26 -> 'a1, ...
+        suffix = ty.index // 26
+        return (("'" + chr(ord("a") + ty.index % 26) + (str(suffix) if suffix else ""),),)
+    raise TermError(f"not a type: {ty!r}")
 
 
 def type_str(ty: Type) -> str:
-    """Surface syntax of a type, as parse_type reads it.  Iterative, like
-    print_term: one explicit stack of pending types and literal tokens."""
-    out: list[str] = []
-    stack: list = [ty]
-    while stack:
-        ty = stack.pop()
-        tt = type(ty)
-        if tt is tuple:
-            out.append(ty[0])
-        elif tt is Base:
-            out.append(ty.name)
-        elif tt is Eff:
-            out.append("(E ")
-            stack += (_CLOSE, ty.inner)
-        elif tt is Arrow:
-            out.append("(-> ")
-            stack += (_CLOSE, ty.cod, _SPACE, ty.dom)
-        elif tt is TVar:
-            # 0 -> 'a, 25 -> 'z, 26 -> 'a1, ...
-            letter = chr(ord("a") + ty.index % 26)
-            suffix = ty.index // 26
-            out.append("'" + letter + (str(suffix) if suffix else ""))
-        else:
-            raise TermError(f"not a type: {ty!r}")
-    return "".join(out)
+    """Surface syntax of a type, as parse_type reads it."""
+    return _render(ty, _type_parts)
 
 
 def _run_steps(step, root):
@@ -95,12 +85,13 @@ class _Node:
     name raises FrozenInstanceError, an AttributeError.  Equality is
     structural.  A node caches two values, each computed on first use: its
     hash, and its free variables, which free_vars fills.  Equality, the
-    hash, the free variables, repr and the reduction that pickle and
-    deepcopy use walk an explicit stack, so a deep node costs no Python
-    stack.  The hash, the free variables and the reduction handle each
-    distinct part once, and equality each distinct pair of parts; repr
-    spells a shared part out wherever it occurs.  The reduction carries
-    neither cache, so a copy starts without them.  Each class lists its
+    hash, the free variables and the reduction that pickle and deepcopy use
+    walk an explicit stack, and repr is rendered by sexpr._render, so a
+    deep node costs no Python stack.  The hash, the free variables and
+    the reduction handle each distinct part once, and equality each
+    distinct pair of parts; repr spells a shared part out wherever it
+    occurs.  The reduction carries neither cache, so a copy starts without
+    them.  Each class lists its
     fields in __slots__, in constructor order; children and _scalars split
     them into child nodes and the rest."""
 
@@ -167,31 +158,27 @@ class _Node:
         return self._hash
 
     def __repr__(self):
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-                continue
-            out.append(type(t).__name__ + "(")
-            parts: list = []
-            for f in t.__slots__:
-                value = getattr(t, f)
-                parts.append(f"{f}=")
-                if isinstance(value, _Node):
-                    parts.append(value)
-                elif (f == "args" or f == "children") and value:
-                    parts.append("(")
-                    for a in value:
-                        parts += (a, ", ")
-                    parts[-1] = ",)" if len(value) == 1 else ")"
-                else:
-                    parts.append(repr(value))
-                parts.append(", ")
-            parts[-1] = ")"
-            stack += reversed(parts)
-        return "".join(out)
+        return _render(self, _repr_parts)
+
+
+def _repr_parts(t) -> list:
+    if not isinstance(t, _Node):
+        return [(repr(t),)]
+    pieces: list = [(type(t).__name__ + "(",)]
+    for f in t.__slots__:
+        value = getattr(t, f)
+        if (f == "args" or f == "children") and value:
+            pieces.append((f"{f}=(",))
+            for a in value:
+                pieces += (a, (", ",))
+            pieces[-1] = (",)",) if len(value) == 1 else (")",)
+        else:
+            pieces += ((f"{f}=",), value if isinstance(value, _Node) else (repr(value),))
+        pieces.append((", ",))
+    # the last field's separator closes the node
+    pieces[-1] = (")",)
+    pieces.reverse()
+    return pieces
 
 
 _set_hash, _set_fv = _Node._hash.__set__, _Node._fv.__set__
@@ -606,53 +593,39 @@ def _params_str(params: tuple[Param, ...]) -> str:
     return " ".join(map(str, params)) if params else ""
 
 
-def print_term(t: Term) -> str:
-    """Canonical single-space surface syntax; parse_term round-trips it.
-    Iterative: one explicit stack of pending subterms and literal tokens,
-    joined once, so a deep term costs no Python stack."""
-    out: list[str] = []
-    stack: list = [t]
-    push = stack.append
-    while stack:
-        t = stack.pop()
-        # dispatch on the exact class, since terms are never subclassed
-        tt = type(t)
-        if tt is tuple:
-            out.append(t[0])
-        elif tt is SymApp:
-            if t.kind == "eff":
-                out.append(f"(eff {t.name} ({_params_str(t.params)})")
-            else:
-                out.append(f"(fn {t.name}")
-            push(_CLOSE)
-            for a in reversed(t.args):
-                push(a)
-                push(_SPACE)
-        elif tt is Var:
-            out.append(t.name)
-        elif tt is Lam:
-            out.append(f"(lam {t.binder} ")
-            push(_CLOSE)
-            push(t.body)
-        elif tt is App:
-            out.append("(app ")
-            push(_CLOSE)
-            push(t.arg)
-            push(_SPACE)
-            push(t.fun)
-        elif tt is Pure:
-            out.append("(pure ")
-            push(_CLOSE)
-            push(t.body)
-        elif tt is Let:
-            out.append(f"(let {t.binder} ")
-            push(_CLOSE)
-            push(t.body)
-            push(_SPACE)
-            push(t.subject)
+def _term_parts(t: Term) -> tuple | list:
+    # dispatch on the exact class, since terms are never subclassed
+    tt = type(t)
+    if tt is SymApp:
+        args = t.args
+        if t.kind == "fn":
+            head = f"(fn {t.name} "
         else:
-            raise TermError(f"not a term: {t!r}")
-    return "".join(out)
+            head = f"(eff {t.name} ({_params_str(t.params)}) "
+        if len(args) == 1:
+            return ((")",), args[0], (head,))
+        pieces: list = [(")",)]
+        for a in reversed(args):
+            pieces += (a, (" ",))
+        # the first argument's separator ends the head
+        pieces[-1] = (head,) if args else (head[:-1] + ")",)
+        return pieces
+    if tt is Var:
+        return ((t.name,),)
+    if tt is Lam:
+        return ((")",), t.body, (f"(lam {t.binder} ",))
+    if tt is App:
+        return ((")",), t.arg, (" ",), t.fun, ("(app ",))
+    if tt is Pure:
+        return ((")",), t.body, ("(pure ",))
+    if tt is Let:
+        return ((")",), t.body, (" ",), t.subject, (f"(let {t.binder} ",))
+    raise TermError(f"not a term: {t!r}")
+
+
+def print_term(t: Term) -> str:
+    """Canonical single-space surface syntax; parse_term round-trips it."""
+    return _render(t, _term_parts)
 
 
 def canonical_key(t: Term) -> str:
@@ -669,6 +642,8 @@ def canonical_key(t: Term) -> str:
     binder's scope opens when its body is reached and is closed by a token
     popped after the body: a string is literal text, and a tuple (name,
     opening) a scope's edge."""
+    # its own loop, not _render's: it carries binder scopes, and it is the
+    # hot loop of reduction graphs
     out: list[str] = []
     depth = 0
     scopes: dict[str, list[int]] = {}
@@ -729,31 +704,28 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
+def _sym_parts(t: Term) -> tuple | list:
+    tt = type(t)
+    if tt is SymApp:
+        args = t.args
+        head = ident_str(t.identity) + "("
+        if len(args) == 1:
+            return ((")",), args[0], (head,))
+        pieces: list = [(")",)]
+        for a in reversed(args):
+            pieces += (a, (", ",))
+        # the first argument's separator opens the list
+        pieces[-1] = (head,) if args else (head + ")",)
+        return pieces
+    if tt is Var:
+        return ((t.name,),)
+    if tt is Pure:
+        return ((")",), t.body, ("pure(",))
+    return ((print_term(t),),)
+
+
 def sym_str(t: Term) -> str:
     """Compact mathematical rendering for symbolic terms, used in reports:
-    or(or(s1,s2),s3), assign_1(x), pure(pair(v,w)).  Iterative, like
-    print_term, which renders any other node."""
-    out: list[str] = []
-    stack: list = [t]
-    push = stack.append
-    while stack:
-        t = stack.pop()
-        tt = type(t)
-        if tt is tuple:
-            out.append(t[0])
-        elif tt is Var:
-            out.append(t.name)
-        elif tt is SymApp:
-            out.append(ident_str(t.identity) + "(")
-            push(_CLOSE)
-            for i in range(len(t.args) - 1, -1, -1):
-                push(t.args[i])
-                if i:
-                    push(_COMMA)
-        elif tt is Pure:
-            out.append("pure(")
-            push(_CLOSE)
-            push(t.body)
-        else:
-            out.append(print_term(t))
-    return "".join(out)
+    or(or(s1,s2),s3), assign_1(x), pure(pair(v,w)).  Any other node is
+    rendered by print_term."""
+    return _render(t, _sym_parts)

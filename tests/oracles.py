@@ -16,7 +16,6 @@ from random import Random
 from effrew.rewrite import (
     DEFAULT_FUEL,
     RuleError,
-    _ml_contraction,
     all_redexes,
     match_pattern,
 )
@@ -135,6 +134,24 @@ def request_spine_count(t: Term) -> int:
 
 def count_symbol(t: Term, name: str) -> int:
     return sum(1 for _, sub in iter_subterms(t) if isinstance(sub, SymApp) and sub.name == name)
+
+
+def reference_print_term(t: Term) -> str:
+    """print_term by plain recursion."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Lam):
+        return f"(lam {t.binder} {reference_print_term(t.body)})"
+    if isinstance(t, App):
+        return f"(app {reference_print_term(t.fun)} {reference_print_term(t.arg)})"
+    if isinstance(t, Pure):
+        return f"(pure {reference_print_term(t.body)})"
+    if isinstance(t, Let):
+        return f"(let {t.binder} {reference_print_term(t.subject)} {reference_print_term(t.body)})"
+    if isinstance(t, SymApp):
+        head = f"(fn {t.name}" if t.kind == "fn" else f"(eff {t.name} ({' '.join(map(str, t.params))})"
+        return head + "".join(" " + reference_print_term(a) for a in t.args) + ")"
+    raise TermError(f"not a term: {t!r}")
 
 
 def reference_canonical_key(t: Term) -> str:
@@ -345,14 +362,49 @@ def reference_build(rhs: Term, bindings: dict[str, Term]) -> Term:
     return done[0]
 
 
+def reference_ml_contraction(t: Term) -> tuple[str, Term, bool] | None:
+    """The metalanguage rule rooted at t, if any, as (rule name,
+    contractum, exact), built apart from the engine: abs-beta and let-beta
+    by reference_substitute, and let-assoc with a rename of its own.  In
+    (let x (let y t1 t2) u), y is renamed where it is free in u, to
+    fresh_name of y over the free variables of u, t2 and t1 and x.  exact
+    is False where renames_may_differ says that substitute may name a
+    renamed binder otherwise, so that only alpha-equality is required."""
+    binders: list = []
+    tt = type(t)
+    subject = t.subject if tt is Let else None
+    if tt is App and type(t.fun) is Lam:
+        name, into = "abs-beta", t.fun.body
+        out = reference_substitute(into, t.fun.binder, t.arg, binders)
+    elif type(subject) is Pure:
+        name, into = "let-beta", t.body
+        out = reference_substitute(into, t.binder, subject.body, binders)
+    elif type(subject) is Let:
+        name, into = "let-assoc", subject.body
+        y, t1, t2 = subject.binder, subject.subject, subject.body
+        u_fv = reference_free_vars(t.body)
+        if y in u_fv:
+            renamed = fresh_name(y, u_fv | reference_free_vars(t2) | reference_free_vars(t1) | {t.binder})
+            t2, y = reference_substitute(t2, y, Var(renamed), binders), renamed
+        out = Let(y, t1, Let(t.binder, t2, t.body))
+    elif type(subject) is SymApp and subject.kind == "eff":
+        name, into = "eff-assoc", t.body
+        out = SymApp("eff", subject.name, subject.params, tuple(Let(t.binder, a, t.body) for a in subject.args))
+    else:
+        return None
+    return name, out, not renames_may_differ(into, binders)
+
+
 def reference_redexes(t: Term, rules) -> list[tuple]:
-    """Every redex of t as (position, rule_name, ml, rule_index, reduct),
-    found the plain way: one recursive walk for the metalanguage rules and
-    one for the user rules, every rule tried at every node, every reduct
-    built by recursive splicing and instantiate, then one sort.  It shares
-    the per-node rule logic with the engine (_ml_contraction,
-    match_pattern); what it checks is the walk, the rule lookup, the
-    order, the positions and the reducts."""
+    """Every redex of t as (position, rule_name, ml, rule_index, reduct,
+    exact), found the plain way: one recursive walk for the metalanguage
+    rules and one for the user rules, every rule tried at every node, every
+    reduct built by recursive splicing and by reference_ml_contraction or
+    instantiate, then one sort.  exact is False for a metalanguage reduct
+    that need only be alpha-equal (see redexes_agree).  It shares the
+    matcher with the engine (match_pattern); what it checks is the walk,
+    the rule lookup, the contractions, the order, the positions and the
+    reducts."""
 
     def walk(t: Term, pos: tuple):
         yield pos, t
@@ -368,17 +420,28 @@ def reference_redexes(t: Term, rules) -> list[tuple]:
 
     out = []
     for pos, sub in walk(t, ()):
-        hit = _ml_contraction(sub)
+        hit = reference_ml_contraction(sub)
         if hit is not None:
-            name, contract = hit
-            out.append((pos, name, True, 0, splice(t, pos, contract())))
+            name, contractum, exact = hit
+            out.append((pos, name, True, 0, splice(t, pos, contractum), exact))
     for pos, sub in walk(t, ()):
         for idx, rule in enumerate(rules):
             bindings = match_pattern(rule.lhs, sub, rule.value_vars)
             if bindings is not None:
-                out.append((pos, rule.name, False, idx, splice(t, pos, instantiate(rule.rhs, bindings))))
+                out.append((pos, rule.name, False, idx, splice(t, pos, instantiate(rule.rhs, bindings)), True))
     out.sort(key=lambda r: (r[0], not r[2], r[3]))
     return out
+
+
+def redexes_agree(found: list, expected: list) -> bool:
+    """Whether found, (position, rule_name, ml, rule_index, reduct) per
+    redex, lists the redexes that reference_redexes listed as expected, in
+    its order: each reduct equal to the reference's, or alpha-equal where
+    the reference marks it inexact."""
+    return len(found) == len(expected) and all(
+        f[:4] == e[:4] and (f[4] == e[4] or not e[5] and reference_canonical_key(f[4]) == reference_canonical_key(e[4]))
+        for f, e in zip(found, expected)
+    )
 
 
 def reference_graph(t: Term, rules, fuel: int) -> tuple[list, list, list, bool]:
@@ -398,7 +461,7 @@ def reference_graph(t: Term, rules, fuel: int) -> tuple[list, list, list, bool]:
         redexes = reference_redexes(nodes[key], rules)
         if not redexes:
             normal.append(key)
-        for pos, rule_name, _, _, reduct in redexes:
+        for pos, rule_name, _, _, reduct, _ in redexes:
             dst = reference_canonical_key(reduct)
             if dst not in nodes:
                 if len(nodes) >= fuel:

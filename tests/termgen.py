@@ -251,6 +251,39 @@ def symbolic_term(rng: random.Random, budget: int) -> Term:
     return SymApp(kind, name, params, tuple(symbolic_term(rng, p) for p in parts))
 
 
+_ML_NAMES = ("x", "y", "y1", "z")
+
+
+def ml_term(rng: random.Random, depth: int) -> Term:
+    """An untyped metalanguage term, depth deep, over names that
+    fresh_name renames into each other: lams, applications, beta redexes,
+    and lets whose subjects are pure, let, effect or other terms, so that
+    each metalanguage rule fires, often under binders that capture."""
+    if depth == 0:
+        return Var(rng.choice(_ML_NAMES))
+    name = rng.choice(_ML_NAMES)
+
+    def part():
+        return ml_term(rng, depth - 1)
+
+    r = rng.random()
+    if r < 0.2:
+        return Lam(name, part())
+    if r < 0.3:
+        return App(part(), part())
+    if r < 0.45:
+        return App(Lam(name, part()), part())
+    if r < 0.6:
+        subject = Pure(part())
+    elif r < 0.8:
+        subject = Let(rng.choice(_ML_NAMES), part(), part())
+    elif r < 0.9:
+        subject = SymApp("eff", "e", (), (part(), part()))
+    else:
+        subject = part()
+    return Let(name, subject, part())
+
+
 def rpo_identities():
     return [(name, params) for _, name, params, _ in _RPO_SYMBOLS]
 

@@ -322,6 +322,17 @@ def test_term_file(capsys, tmp_path):
     assert out.strip() == "(fn zero)"
 
 
+@pytest.mark.parametrize("flag", ["--term-file", "--theory"])
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, flag):
+    # bad input, like a parse error, not a usage error
+    f = tmp_path / "latin1.sexp"
+    f.write_bytes("(fn caf\xe9)".encode("latin-1"))
+    argv = ["--term-file", str(f)] if flag == "--term-file" else ["--theory", str(f), "--term", "x"]
+    code, out, err = run(capsys, "check", "--builtin", "peano", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_missing_term_is_usage_error(capsys):
     code, _, err = run(capsys, "normalize", "--builtin", "nondet")
     assert code == 4
@@ -428,6 +439,14 @@ def test_certify_output_matches_recorded_text(capsys, argv, name):
     code, out, err = run(capsys, "certify", *argv)
     assert (code, err) == (0, "")
     assert out == (_EXPECTED / name).read_text(encoding="utf-8")
+
+
+def test_theories_verbose_matches_recorded_text(capsys):
+    # the same file is diffed against the installed command in CI; a
+    # nullary function reads as a theory file declares it, (-> nat)
+    expected = (_EXPECTED / "theories-verbose.txt").read_text(encoding="utf-8")
+    assert run(capsys, "theories", "--verbose") == (0, expected, "")
+    assert "  function zero : (-> nat)\n" in expected
 
 
 _JSON = st.recursive(

@@ -1,9 +1,11 @@
 import copy
+import gc
 import json
 import pickle
 import random
 import re
 import time
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -63,11 +65,12 @@ from oracles import (
     reference_identities,
     reference_normalize,
     reference_reach,
+    redexes_agree,
     reference_redexes,
     reference_value_vars,
 )
 from stack_safe import stack_safe
-from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, or_tree, par_interleaving, symbolic_term
+from termgen import PAR6_EFFECTS, TypedTermGen, gs_trace, ml_term, or_tree, par_interleaving, symbolic_term
 
 # -- the four metalanguage contractions --------------------------------------
 
@@ -499,9 +502,21 @@ def _listing(redexes):
 def test_scan_matches_reference(case, seed):
     t, rules = _random_term(case, seed)
     expected = reference_redexes(t, rules)
-    assert _listing(all_redexes(t, rules)) == expected
-    assert _listing(ml_redexes(t)) == [r for r in expected if r[2]]
-    assert _listing(symbolic_redexes(t, rules)) == [r for r in expected if not r[2]]
+    assert redexes_agree(_listing(all_redexes(t, rules)), expected)
+    assert redexes_agree(_listing(ml_redexes(t)), [r for r in expected if r[2]])
+    assert redexes_agree(_listing(symbolic_redexes(t, rules)), [r for r in expected if not r[2]])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_metalanguage_contractions_match_reference_where_binders_capture(seed):
+    # names that fresh_name renames into each other, so that abs-beta,
+    # let-beta and let-assoc rename binders; the reference builds each
+    # contractum with its own substitution and let-assoc rename
+    t = ml_term(random.Random(seed), 4)
+    expected = reference_redexes(t, [])
+    assert redexes_agree(_listing(ml_redexes(t)), expected)
+    _check_walk(t, [], {})
 
 
 # most graphs of these terms have fewer than 60 nodes, so a fuel drawn up
@@ -527,15 +542,15 @@ def test_leftmost_outermost_follows_reference_head(case, seed):
         _, trace = normalize(t, rules, fuel=fuel)
     except FuelExhausted as exc:
         trace = exc.trace
-    expected = []
+    # each step against the reference's first redex of the term it was
+    # taken in, since a reduct may be only alpha-equal to the reference's
     current = t
-    while len(expected) < fuel:
-        found = reference_redexes(current, rules)
-        if not found:
-            break
-        pos, rule_name, _, _, current = found[0]
-        expected.append((rule_name, pos, current))
-    assert [(s.redex.rule_name, s.redex.position, s.result) for s in trace.steps] == expected
+    for s in trace.steps:
+        r = s.redex
+        step = (r.position, r.rule_name, r.ml, r.rule_index, s.result)
+        assert redexes_agree([step], reference_redexes(current, rules)[:1])
+        current = s.result
+    assert len(trace.steps) == fuel or not reference_redexes(current, rules)
 
 
 # -- the redex walk down towers ------------------------------------------------
@@ -543,7 +558,7 @@ def test_leftmost_outermost_follows_reference_head(case, seed):
 
 def _walked(t, rules, clean):
     """_list_redexes(t) from the root under the record clean, its entries
-    as reference_redexes gives them.  Each entry's position is read off its
+    in the form redexes_agree compares.  Each entry's position is read off its
     cell, whose depth must be the position's length, and its subterm must
     be the one at that position."""
     out: list = []
@@ -563,7 +578,7 @@ def _check_walk(t, rules, before):
     `before` held, exactly when that subterm has no redex, and nothing
     that has one."""
     clean = dict(before)
-    assert _walked(t, rules, clean) == reference_redexes(t, rules)
+    assert redexes_agree(_walked(t, rules, clean), reference_redexes(t, rules))
     stack = [t]
     while stack:
         sub = stack.pop()
@@ -1458,12 +1473,31 @@ def test_a_rule_that_reads_every_level_costs_no_walk_up_where_it_is_not_rooted(p
     # cell, and its whole position at a few steps, since reading every
     # position takes time quadratic in n
     def steps(trace):
-        return [(entry[2], entry[1], entry[0][2]) for entry, _ in trace.steps[0]._replay.fired]
+        return [(entry[2], entry[1], entry[0][2]) for entry in trace.steps[0]._replay.fired]
 
     assert len(trace.steps) == len(plain_trace.steps) == n + 1
     assert steps(trace) == steps(plain_trace)
     for i in (0, 1, 2, n // 2, n):
         assert trace.steps[i].redex.position == plain_trace.steps[i].redex.position == (0,) * i
+
+
+def test_a_trace_step_keeps_only_what_it_reads():
+    # a step keeps its cell, rule index, rule name, rule and contractum:
+    # about 256 bytes here.  Keeping its listing entry, which holds the
+    # redex's old subterm and its bindings or thunk, took about 560
+    n = 20_000
+    omega = Lam("x", App(Var("x"), Var("x")))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(FuelExhausted) as caught:
+            normalize(App(omega, omega), [], fuel=n)
+        per_step = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(caught.value.trace.steps) == n
+    assert per_step < 400, f"{per_step:.0f} bytes per step"
 
 
 @pytest.mark.parametrize("strategy", ["leftmost-outermost", "rightmost-innermost"])

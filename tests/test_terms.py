@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import random
 import time
@@ -28,17 +29,22 @@ from effrew.terms import (
     replace_at,
     subterm_at,
     substitute,
+    sym_str,
     term_size,
+    type_str,
     with_children,
 )
+from effrew.cli import json_text
 from effrew.graph import reduction_graph
 from effrew.rewrite import StaleRedexError, all_redexes, make_rule, normalize, step
 from effrew.rpo import CASE_EQ, RpoDerivation
+from effrew.sexpr import _node_repr
 from effrew.terms import Arrow, Base, Eff, TVar
 from effrew.theories import builtin, compose, parse_theory, peano_numeral
 from oracles import (
     reference_canonical_key,
     reference_free_vars,
+    reference_print_term,
     reference_replace_at,
     reference_substitute,
     renames_may_differ,
@@ -435,6 +441,64 @@ def test_print_term_shapes():
     assert print_term(eff("assign", Pure(Var("v")), params=(1,))) == "(eff assign (1) (pure v))"
     assert print_term(fn("zero")) == "(fn zero)"
     assert print_term(App(Lam("x", Var("x")), Var("y"))) == "(app (lam x x) y)"
+
+
+@given(st.sampled_from(("global-state+nondet", "retry", "peano")), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_print_term_matches_reference(name, seed):
+    rng = random.Random(seed)
+    gen = TypedTermGen(rng, compose(*(builtin(part) for part in name.split("+"))))
+    t = gen.gen_sized(Eff(rng.choice(gen.bases)), 40)
+    # every node kind, a parameterised effect and nullary symbols beside
+    # the draw, whose kinds depend on the theory
+    side = eff("assign", Var("v"), fn("zero"), params=(rng.choice((0, 1)),))
+    cases = (
+        t,
+        Lam("x", Let("y", t, App(Var("x"), Pure(side)))),
+        eff("or", t, side),
+        fn("pair", t, fn("zero")),
+        fn("zero"),
+        eff("get", params=(rng.choice((0, 1)),)),
+    )
+    for u in cases:
+        assert print_term(u) == reference_print_term(u)
+
+
+def _printer_cases():
+    """Each printer with an input past the recursion limit and its text,
+    built by concatenation."""
+    n, m = 10**5, 10**4
+    numeral = peano_numeral(n)
+    arrow = Base("nat")
+    nested: list | str = "a"
+    value: object = None
+    for _ in range(m):
+        arrow = Arrow(Base("nat"), arrow)
+        nested = [1, nested]
+        value = {"k": [value, 1.5]}
+    succ = "SymApp(kind='fn', name='succ', params=(), args=("
+    return [
+        pytest.param(print_term, numeral, "(fn succ " * n + "(fn zero)" + ")" * n, id="print_term"),
+        pytest.param(sym_str, numeral, "succ(" * n + "zero()" + ")" * n, id="sym_str"),
+        pytest.param(repr, numeral, succ * n + "SymApp(kind='fn', name='zero', params=(), args=())" + ",))" * n, id="repr"),
+        pytest.param(type_str, arrow, "(-> nat " * m + "nat" + ")" * m, id="type_str"),
+        pytest.param(_node_repr, nested, "[1, " * m + "'a'" + "]" * m, id="_node_repr"),
+        pytest.param(json_text, value, '{"k": [' * m + "null" + ", 1.5]}" * m, id="json_text"),
+    ]
+
+
+@pytest.mark.parametrize("printer, value, text", _printer_cases())
+@stack_safe
+def test_printers_render_past_the_recursion_limit(printer, value, text):
+    assert printer(value) == text
+
+
+@pytest.mark.parametrize("printer", [print_term, sym_str, type_str])
+def test_printers_refuse_a_str_where_a_node_belongs(printer):
+    nested = Arrow(Base("nat"), "nat") if printer is type_str else fn("f", Var("x"), "y")
+    for value in ("x", nested):
+        with pytest.raises(TermError):
+            printer(value)
 
 
 # -- property tests ---------------------------------------------------------
