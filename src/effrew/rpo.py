@@ -29,12 +29,19 @@ _extensions finds the minimal consistent sets of atoms under which some
 case holds (precedence search; the constraint encoding of Codish, Lagoon
 & Stuckey, RTA 2006).  A set of atoms is consistent when its graph has
 no cycle.
-One depth-first search checks that, and only for a union that adds pairs
-to both of its parts: a single atom pairs two distinct identities, and
-every other set the search holds is a union checked before.  So a
-conjunction of one set with one set forms one union, and the
-alternatives of a goal are left as they are unless there are two or
-more.
+
+One routine, _order, does every closure and consistency check: each
+identity gets one bit, and keeps an int mask of the identities below it,
+closed under transitivity.  A pair a > b fails when a is already below
+b; otherwise b and its mask go into a's mask and into every mask that
+holds a.  _extensions checks a union only when it adds pairs to both of
+its parts: a single atom pairs two distinct identities, and every other
+set it holds is a union checked before.  So a conjunction of one set
+with one set forms one union, and the alternatives of a goal are left as
+they are unless there are two or more.  The search keeps the masks of
+the pairs chosen so far, and a choice costs one AND per pair, plus one
+_order per pair that the masks do not hold yet; the masks of its last
+choice are the precedence.
 
 A goal s > x with a variable on the right, about half of all goals,
 needs no case analysis: it holds exactly when x occurs in s, and needs
@@ -91,24 +98,18 @@ class SearchBoundError(Exception):
 class Precedence:
     """Strict partial order on symbol identities.  The given pairs are
     closed under transitivity at construction; reflexive pairs (before or
-    after closure) are rejected."""
+    after closure) are rejected.  The closure is _order's bit masks: each
+    identity gets one bit, in order of first appearance, and keeps the
+    mask of the identities below it."""
 
     def __init__(self, pairs=()):
-        succ: dict[Identity, set] = {}
-        for a, b in pairs:
-            succ.setdefault(a, set()).add(b)
-        closed = set()
-        for a in succ:
-            reach, stack = set(), [a]
-            while stack:
-                for b in succ.get(stack.pop(), ()):
-                    if b not in reach:
-                        reach.add(b)
-                        stack.append(b)
-            if a in reach:
-                raise PrecedenceError(f"precedence is not irreflexive: {ident_str(a)} > {ident_str(a)}")
-            closed.update((a, b) for b in reach)
-        self._pairs = frozenset(closed)
+        pairs, bits, below = tuple(pairs), {}, []
+        # every pair goes in, past a cycle, so that the error can name the
+        # first left-hand identity, in pair order, on any cycle
+        if not all([*_closure(pairs, bits, below)]):
+            a = next(a for a, _ in pairs if below[bits[a]] >> bits[a] & 1)
+            raise PrecedenceError(f"precedence is not irreflexive: {ident_str(a)} > {ident_str(a)}")
+        self._pairs = _closed_pairs(list(bits), below)
 
     @property
     def pairs(self) -> frozenset:
@@ -123,37 +124,10 @@ class Precedence:
     @staticmethod
     def consistent(pairs) -> bool:
         """Whether pairs extend to a strict partial order: no pair is
-        reflexive and the pairs' graph has no cycle.  One depth-first
-        search, which builds no closure and raises nothing.  A cycle has
-        at least two identities that precede another, so pairs that all
-        start at one identity need no search."""
-        succ: dict[Identity, list] = {}
-        for a, b in pairs:
-            if a == b:
-                return False
-            succ.setdefault(a, []).append(b)
-        if len(succ) < 2:
-            return True
-        done: set = set()
-        for root in succ:
-            if root in done:
-                continue
-            # the identities on the search path, and their pairs not yet followed
-            path, stack = {root}, [(root, iter(succ[root]))]
-            while stack:
-                a, rest = stack[-1]
-                for b in rest:
-                    if b in path:
-                        return False
-                    if b in succ and b not in done:
-                        path.add(b)
-                        stack.append((b, iter(succ[b])))
-                        break
-                else:
-                    stack.pop()
-                    path.remove(a)
-                    done.add(a)
-        return True
+        reflexive and the pairs' graph has no cycle.  The pairs go into
+        _order's masks one at a time, up to the first that closes a
+        cycle; nothing is raised."""
+        return all(_closure(pairs, {}, []))
 
     def __eq__(self, other):
         return isinstance(other, Precedence) and self._pairs == other._pairs
@@ -166,6 +140,40 @@ class Precedence:
 
     def display_lines(self) -> list[str]:
         return sorted(f"{ident_str(a)} > {ident_str(b)}" for a, b in self._pairs)
+
+
+def _order(below: list, i: int, j: int) -> bool:
+    """Add the pair i > j to below, where below[k] is the mask of the
+    identities below identity k, closed under transitivity: j and the
+    identities below j go below i and below every identity above i.
+    False when the pair closes a cycle, i == j or i already below j; the
+    masks then hold that closure all the same, and each identity on a
+    cycle holds its own bit."""
+    new = below[j] | 1 << j
+    bit = 1 << i
+    below[i] |= new
+    for k, m in enumerate(below):
+        if m & bit:
+            below[k] = m | new
+    return not new & bit
+
+
+def _closure(pairs, bits: dict, below: list):
+    """Add pairs to the masks below one at a time, giving each identity
+    met for the first time the next bit in bits, and yield _order's
+    verdict on each."""
+    for a, b in pairs:
+        i = bits.setdefault(a, len(bits))
+        j = bits.setdefault(b, len(bits))
+        below += [0] * (len(bits) - len(below))
+        yield _order(below, i, j)
+
+
+def _closed_pairs(ids: list, below: list) -> frozenset:
+    """The pairs that closed masks hold, ids[k] naming bit k."""
+    return frozenset(
+        (a, ids[j]) for a, m in zip(ids, below) for j in range(m.bit_length()) if m >> j & 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +659,11 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     Exact: each non-extended rule is oriented by one of its minimal
     precedence extensions (_extensions), and a backtracking search picks
     one per rule, fewest choices first, whose union is a strict partial
-    order.  A choice is checked against the pairs chosen before it only
-    when it adds pairs to them and they add pairs to it.  Raises
+    order.  The pairs chosen so far are kept as _order's closed masks, one
+    bit per identity of rule_identities.  A choice goes onto a copy of
+    them, one pair at a time, and only its pairs that the masks do not
+    hold yet, one AND each; a choice that adds none is taken as it is.
+    The masks of the last choice are the precedence's closure.  Raises
     SearchBoundError beyond max_symbols symbol identities.
     """
     rules = [r for r in rules if not r.extended]
@@ -665,17 +676,27 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     options = sorted((_orientations(r.lhs, r.rhs, memo) for r in rules), key=len)
     if not options:
         return Precedence()
-    # one entry per rule chosen so far: the pairs before its choice, and
+    bits = {a: k for k, a in enumerate(ids)}
+    # one entry per rule chosen so far: the masks before its choice, and
     # the choices for it not yet tried
-    stack = [(frozenset(), iter(options[0]))]
+    stack = [([0] * len(ids), iter(options[0]))]
     while stack:
-        pairs, alts = stack[-1]
+        below, alts = stack[-1]
         for alt in alts:
-            union = pairs | alt
-            if union == pairs or union == alt or Precedence.consistent(union):
+            masks = below
+            for a, b in alt:
+                i, j = bits[a], bits[b]
+                if not masks[i] >> j & 1:
+                    if masks is below:
+                        masks = below.copy()
+                    if not _order(masks, i, j):
+                        break
+            else:
                 if len(stack) == len(options):
-                    return Precedence(union)
-                stack.append((union, iter(options[len(stack)])))
+                    prec = Precedence.__new__(Precedence)
+                    prec._pairs = _closed_pairs(ids, masks)
+                    return prec
+                stack.append((masks, iter(options[len(stack)])))
                 break
         else:
             stack.pop()

@@ -27,7 +27,6 @@ from effrew.rpo import (
     CASE_SUB,
     DEFAULT_SYMBOL_BOUND,
     Precedence,
-    PrecedenceError,
     RpoDerivation,
     SearchBoundError,
 )
@@ -592,14 +591,32 @@ class _Prover:
         return None
 
 
+def reference_closure(pairs):
+    """The transitive closure of pairs, by a set-based depth-first search
+    from each left-hand identity, or, when some identity reaches itself,
+    the first left-hand identity in pair order that does: the reference
+    for Precedence's closure and the identity its PrecedenceError names."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closed = set()
+    for a in succ:
+        reach, stack = set(), [a]
+        while stack:
+            for b in succ.get(stack.pop(), ()):
+                if b not in reach:
+                    reach.add(b)
+                    stack.append(b)
+        if a in reach:
+            return a
+        closed.update((a, b) for b in reach)
+    return frozenset(closed)
+
+
 def reference_consistent(pairs) -> bool:
     """Whether pairs extend to a strict partial order, by building their
     transitive closure: the reference for Precedence.consistent."""
-    try:
-        Precedence(pairs)
-        return True
-    except PrecedenceError:
-        return False
+    return isinstance(reference_closure(pairs), frozenset)
 
 
 def reference_minimal(alts) -> list[frozenset]:
@@ -651,7 +668,7 @@ def reference_search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
 
     def pick(i: int, pairs: frozenset):
         if i == len(options):
-            yield Precedence(pairs)
+            yield Precedence(reference_closure(pairs))
         else:
             for alt in options[i]:
                 if reference_consistent(pairs | alt):

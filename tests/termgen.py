@@ -284,6 +284,42 @@ def ml_term(rng: random.Random, depth: int) -> Term:
     return Let(name, subject, part())
 
 
+def _apps(names) -> Term:
+    t = Var(names[0])
+    for n in names[1:]:
+        t = App(t, Var(n))
+    return t
+
+
+def rename_prone(rng: random.Random) -> Term:
+    """An abs-beta, let-beta or let-assoc redex whose contraction renames
+    binders into one another's names.  Its binders follow fresh_name's
+    chains, y then y1 then y11, each over an application of all of them,
+    and the term substituted holds the first and one of the names after
+    it.  So a nested substitution often renames a binder twice, or to the
+    old name of a renamed binder above it: the two cases in which
+    oracles.renames_may_differ lets a one-pass substitution name it
+    otherwise.  In a let-assoc the inner binder is free in the outer body,
+    so it is always renamed."""
+    root = rng.choice(("y", "y1"))
+    binders = [root]
+    for _ in range(rng.randint(1, 4)):
+        b = binders[-1]
+        binders.append(b + "1" if rng.random() < 0.7 else rng.choice(("y", "y1", "y2", "y11")))
+    names = sorted(set(binders)) + [root + "11", root + "111"]
+    repl = _apps([root, rng.choice(names)])
+    kind = rng.choice(("abs-beta", "let-beta", "let-assoc"))
+    var = root if kind == "let-assoc" else "x"
+    t = _apps([var, *reversed(binders), rng.choice(names)])
+    for b in reversed(binders):
+        t = Let(b, _apps(rng.sample(names, 2)), t) if rng.random() < 0.3 else Lam(b, t)
+    if kind == "abs-beta":
+        return App(Lam("x", t), repl)
+    if kind == "let-beta":
+        return Let("x", Pure(repl), t)
+    return Let("x", Let(root, repl, t), _apps([root, rng.choice(names)]))
+
+
 def rpo_identities():
     return [(name, params) for _, name, params, _ in _RPO_SYMBOLS]
 

@@ -441,6 +441,58 @@ def test_certify_output_matches_recorded_text(capsys, argv, name):
     assert out == (_EXPECTED / name).read_text(encoding="utf-8")
 
 
+_ALL = [arg for n in builtin_names() for arg in ("--builtin", n)]
+
+
+def test_search_output_matches_recorded_text(capsys):
+    # every builtin and builtin pair, text and JSON, as one transcript of
+    # argv, output and exit code; the five-way composition has files of
+    # its own, and CI diffs the installed command against the text one
+    blocks = []
+    for fmt in ("text", "json"):
+        for names in _COMBOS:
+            argv = ["search", *(a for n in names for a in ("--builtin", n)), "--max-symbols", "16"]
+            argv += ["--format", fmt]
+            code, out, err = run(capsys, *argv)
+            assert err == ""
+            blocks.append(f"$ effrew {' '.join(argv)}\n{out}exit {code}\n")
+    assert "".join(blocks) == (_EXPECTED / "search-systems.txt").read_text(encoding="utf-8")
+    for fmt, name in (("text", "search-all.txt"), ("json", "search-all.json")):
+        code, out, err = run(capsys, "search", *_ALL, "--max-symbols", "16", "--format", fmt)
+        assert (code, out, err) == (0, (_EXPECTED / name).read_text(encoding="utf-8"), "")
+
+
+_CYCLE_THEORY = """(theory cyc (base nat)
+  (function f (nat -> nat)) (function g (nat -> nat))
+  (rule fg (fn f x) (fn g x)) (rule gf (fn g x) (fn f x)))"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, first",
+    [
+        # README's example
+        (["--builtin", "par"], 0, "out", "par > e1"),
+        (["--builtin", "peano", "--format", "json"], 0, "out", '{"precedence": [["plus", "succ"]]}'),
+        (["--builtin", "nondet"], 0, "out", None),
+        (["--theory", "CYC"], 2, "out", "none"),
+        (["--theory", "CYC", "--format", "json"], 2, "out", '{"precedence": null}'),
+        # README's example without --max-symbols 16
+        (_ALL, 1, "err", "error: 13 symbol identities exceed the search bound of 8"),
+        (["--builtin", "par", "--max-symbols", "1"], 1, "err",
+         "error: 4 symbol identities exceed the search bound of 1"),
+    ],
+)
+def test_search_exit_codes(capsys, tmp_path, argv, code, stream, first):
+    # found exits 0, none 2, more identities than the bound 1; the other
+    # stream stays empty
+    theory = tmp_path / "cyc.theory"
+    theory.write_text(_CYCLE_THEORY, encoding="utf-8")
+    got, out, err = run(capsys, "search", *(str(theory) if a == "CYC" else a for a in argv))
+    lines = (out if stream == "out" else err).splitlines()
+    assert (got, lines[0] if lines else None) == (code, first)
+    assert (err if stream == "out" else out) == ""
+
+
 def test_theories_verbose_matches_recorded_text(capsys):
     # the same file is diffed against the installed command in CI; a
     # nullary function reads as a theory file declares it, (-> nat)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effrew import rpo
 from effrew.cli import json_text
 from effrew.rewrite import RuleError, make_rule
 from effrew.rpo import (
@@ -30,13 +31,16 @@ from effrew.rpo import (
     search_precedence,
     validate_derivation,
 )
-from effrew.terms import App, Lam, Pure, SymApp, Var, eff, fn, iter_subterms, replace_at, substitute
+from effrew.terms import (
+    App, Lam, Pure, SymApp, Var, eff, fn, ident_str, iter_subterms, replace_at, substitute
+)
 from effrew.theories import builtin, builtin_names, compose
 from oracles import (
     _orient,
     _Prover,
     brute_force_precedence,
     reference_certify,
+    reference_closure,
     reference_consistent,
     reference_derivation_json,
     reference_derivation_repr,
@@ -107,22 +111,119 @@ def test_precedence_consistent_agrees_with_closure(pairs):
     assert Precedence.consistent(pairs) == reference_consistent(pairs)
 
 
-def test_search_checks_only_unions_that_add_pairs(monkeypatch, par, retry):
-    # a choice or a conjunct's union that equals one of its parts is
-    # consistent already; only the unions that add pairs to both are checked
-    sizes = []
-    consistent = Precedence.consistent
+def _closure_or_error(pairs):
+    """Precedence(pairs)'s closed pairs, or the message it raises."""
+    try:
+        return Precedence(pairs).pairs
+    except PrecedenceError as e:
+        return str(e)
+
+
+def _reference_closure_or_error(pairs):
+    closed = reference_closure(pairs)
+    if isinstance(closed, frozenset):
+        return closed
+    return f"precedence is not irreflexive: {ident_str(closed)} > {ident_str(closed)}"
+
+
+@given(_pair_sets())
+@settings(max_examples=400)
+def test_precedence_closure_agrees_with_reference(pairs):
+    # the closed pairs, or the error naming the first left-hand identity,
+    # in pair order, that reaches itself
+    assert _closure_or_error(pairs) == _reference_closure_or_error(pairs)
+    assert _closure_or_error(iter(pairs)) == _reference_closure_or_error(pairs)
+
+
+def test_precedence_error_names_first_left_identity_on_a_cycle():
+    # z is on no cycle; a is the first identity on one, but b is the
+    # first left-hand identity on one
+    a, b, c, y, z = ((n, ()) for n in "abcyz")
+    pairs = [(z, a), (b, c), (c, b), (a, y), (y, a)]
+    with pytest.raises(PrecedenceError, match=r"^precedence is not irreflexive: b > b$"):
+        Precedence(pairs)
+    assert reference_closure(pairs) == b
+
+
+@given(_pair_sets(), _pair_sets())
+@settings(max_examples=300)
+def test_precedence_extended_agrees_with_reference(pairs, extra):
+    if not isinstance(reference_closure(pairs), frozenset):
+        return
+    p = Precedence(pairs)
+    try:
+        got = p.extended(extra).pairs
+    except PrecedenceError as e:
+        got = str(e)
+    union = p.pairs | set(extra)
+    assert got == _closure_or_error(union) == _reference_closure_or_error(union)
+
+
+def test_search_checks_each_added_pair_once(monkeypatch, par, retry):
+    # the search keeps the chosen pairs as closed masks and hands _order
+    # only the pairs of a choice that the masks do not hold yet: each of
+    # these pairs once, and nothing for a choice that adds none.  The
+    # rules' orientations are single pairs, so no conjunct forms a union
+    # and Precedence.consistent is never called
+    sizes, added = [], []
+    consistent, order = Precedence.consistent, rpo._order
 
     def counted(pairs):
         sizes.append(len(pairs))
         return consistent(pairs)
 
+    def recorded(below, i, j):
+        added.append((i, j))
+        return order(below, i, j)
+
+    rules = list(compose(par, retry).rules)
     monkeypatch.setattr(Precedence, "consistent", staticmethod(counted))
-    prec = search_precedence(list(compose(par, retry).rules))
+    monkeypatch.setattr(rpo, "_order", recorded)
+    prec = search_precedence(rules)
     assert prec.display_lines() == [
         "par > e1", "par > e2", "par > join", "par > request", "retry > request"
     ]
-    assert sizes == [2, 3, 4, 5]
+    assert sizes == []
+    # eleven choices, one empty, ten of one pair each, of which five repeat
+    # a pair chosen before
+    assert _named(added, rules) == [
+        "retry > request", "par > e1", "par > e2", "par > join", "par > request"
+    ]
+    # a choice the closure holds already, f > h after f > g and g > h, is
+    # not checked either
+    added.clear()
+    x = v("x")
+    shortcut = [
+        make_rule("fg", fn("f", x), fn("g", x)),
+        make_rule("gh", fn("g", x), fn("h", x)),
+        make_rule("fh", fn("f", x), fn("h", x)),
+    ]
+    assert search_precedence(shortcut).display_lines() == ["f > g", "f > h", "g > h"]
+    assert _named(added, shortcut) == ["f > g", "g > h"]
+
+
+def _named(added, rules):
+    """The pairs of bit indices that the search handed _order, by name."""
+    ids = rpo.rule_identities([r for r in rules if not r.extended])
+    return [f"{ident_str(ids[i])} > {ident_str(ids[j])}" for i, j in added]
+
+
+def test_extensions_check_only_unions_that_add_pairs_to_both(monkeypatch):
+    # f(x) > g(h(x), g(x)) by RPO(2) needs f > g, then f(x) > h(x), which
+    # needs f > h: that union adds a pair to both parts and is checked;
+    # f(x) > g(x) needs f > g again, and its union is f > g, f > h itself
+    sizes = []
+    consistent = Precedence.consistent
+
+    def counted(pairs):
+        sizes.append(sorted(pairs))
+        return consistent(pairs)
+
+    monkeypatch.setattr(Precedence, "consistent", staticmethod(counted))
+    x = v("x")
+    s, t = fn("f", x), fn("g", fn("h", x), fn("g", x))
+    assert _orientations(s, t, {}) == _orient(s, t, {}) == [frozenset({(F, G), (F, H)})]
+    assert sizes == [[(F, G), (F, H)]]
 
 
 def test_precedence_extended():
@@ -823,13 +924,35 @@ def test_search_result_is_minimal_for_retry(retry):
     assert len(prec.pairs) <= len(retry.precedence.pairs)
 
 
-def _chain(n, cycle=False):
-    """s0(x) -> s1(x) -> ... -> s{n-1}(x), closed by s{n-1}(x) -> s0(x) when cycle."""
+def _chain(n, cycle=False, names=None):
+    """s0(x) -> s1(x) -> ... -> s{n-1}(x), closed by s{n-1}(x) -> s0(x) when
+    cycle; names, if given, replace s0 .. s{n-1}."""
     x = v("x")
+    names = names or [f"s{i}" for i in range(n)]
     return [
-        make_rule(f"s{i}-s{(i + 1) % n}", fn(f"s{i}", x), fn(f"s{(i + 1) % n}", x))
+        make_rule(f"{names[i]}-{names[(i + 1) % n]}", fn(names[i], x), fn(names[(i + 1) % n], x))
         for i in range(n if cycle else n - 1)
     ]
+
+
+@pytest.mark.parametrize("n, cycle", [(n, False) for n in range(4, 9)] + [(6, True), (7, True), (8, True)])
+def test_search_agrees_with_reference_on_benchmark_shapes(n, cycle):
+    # relabelled, so that the descending order is not the name order
+    rng = random.Random(n)
+    for _ in range(5):
+        rules = _chain(n, cycle, rng.sample("fghkpqrstw", n))
+        prec = search_precedence(rules)
+        assert prec == reference_search_precedence(rules)
+        assert (prec is None) == cycle
+        if prec is not None:
+            assert prec.pairs == reference_closure(prec.pairs) and len(prec.pairs) == n * (n - 1) // 2
+
+
+def test_search_agrees_with_reference_on_all_builtins():
+    rules = list(compose(*(builtin(n) for n in builtin_names())).rules)
+    prec = search_precedence(rules, max_symbols=16)
+    assert prec == reference_search_precedence(rules, max_symbols=16)
+    assert prec.pairs == reference_closure(prec.pairs) and len(prec.pairs) == 10
 
 
 def test_search_refuses_eight_cycle_quickly():
