@@ -138,13 +138,12 @@ def _json_parts(v) -> list:
         opening, closing = "[", "]"
         items = [("", x) for x in v]
     else:
-        return [(json.dumps(v),)]
-    pieces: list = [(closing,)]
+        return [json.dumps(v)]
+    pieces: list = [closing]
     for key, x in reversed(items):
-        # a tuple goes on as a list, since a 1-tuple is text to _render
-        pieces += (list(x) if type(x) is tuple else x, (", " + key,))
+        pieces += ((x,), ", " + key)
     # the first item's separator opens the value
-    pieces[-1] = (opening + items[0][0],) if items else (opening + closing,)
+    pieces[-1] = opening + items[0][0] if items else opening + closing
     return pieces
 
 

@@ -43,6 +43,11 @@ the pairs chosen so far, and a choice costs one AND per pair, plus one
 _order per pair that the masks do not hold yet; the masks of its last
 choice are the precedence.
 
+A Precedence is its bit map and its closed masks: holds is one bit
+test, and certification and replay read nothing else.  Its set of
+closed pairs is built when pairs, ==, hash, repr or display_lines first
+reads it, and kept.
+
 A goal s > x with a variable on the right, about half of all goals,
 needs no case analysis: it holds exactly when x occurs in s, and needs
 no atom.  Its derivation takes, at each level, RPO(3) at the first
@@ -98,9 +103,13 @@ class SearchBoundError(Exception):
 class Precedence:
     """Strict partial order on symbol identities.  The given pairs are
     closed under transitivity at construction; reflexive pairs (before or
-    after closure) are rejected.  The closure is _order's bit masks: each
-    identity gets one bit, in order of first appearance, and keeps the
-    mask of the identities below it."""
+    after closure) are rejected.  The precedence is _order's closed bit
+    masks: each identity gets one bit, in order of first appearance, and
+    keeps the mask of the identities below it, so holds is one bit test.
+    The closed pairs are built from the masks when pairs, ==, hash, repr
+    or display_lines first reads them, and kept."""
+
+    __slots__ = ("_bits", "_below", "_pairs")
 
     def __init__(self, pairs=()):
         pairs, bits, below = tuple(pairs), {}, []
@@ -109,17 +118,22 @@ class Precedence:
         if not all([*_closure(pairs, bits, below)]):
             a = next(a for a, _ in pairs if below[bits[a]] >> bits[a] & 1)
             raise PrecedenceError(f"precedence is not irreflexive: {ident_str(a)} > {ident_str(a)}")
-        self._pairs = _closed_pairs(list(bits), below)
+        self._bits, self._below, self._pairs = bits, below, None
 
     @property
     def pairs(self) -> frozenset:
+        if self._pairs is None:
+            self._pairs = _closed_pairs(list(self._bits), self._below)
         return self._pairs
 
     def holds(self, a: Identity, b: Identity) -> bool:
-        return (a, b) in self._pairs
+        """Whether a > b; False for an identity the precedence never names."""
+        bits = self._bits
+        i = bits.get(a)
+        return i is not None and b in bits and self._below[i] >> bits[b] & 1 == 1
 
     def extended(self, extra) -> "Precedence":
-        return Precedence(self._pairs | set(extra))
+        return Precedence(self.pairs | set(extra))
 
     @staticmethod
     def consistent(pairs) -> bool:
@@ -130,16 +144,16 @@ class Precedence:
         return all(_closure(pairs, {}, []))
 
     def __eq__(self, other):
-        return isinstance(other, Precedence) and self._pairs == other._pairs
+        return isinstance(other, Precedence) and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self._pairs)
+        return hash(self.pairs)
 
     def __repr__(self):
-        return f"Precedence({sorted(self._pairs)!r})"
+        return f"Precedence({sorted(self.pairs)!r})"
 
     def display_lines(self) -> list[str]:
-        return sorted(f"{ident_str(a)} > {ident_str(b)}" for a, b in self._pairs)
+        return sorted(f"{ident_str(a)} > {ident_str(b)}" for a, b in self.pairs)
 
 
 def _order(below: list, i: int, j: int) -> bool:
@@ -303,7 +317,8 @@ def _cases(s: Term, t: SymApp):
         return
     for i, arg in enumerate(s.args):
         if type(arg) is SymApp:
-            if arg is t or arg == t:
+            # the heads first: most arguments differ from t there
+            if arg is t or (arg.name == t.name and arg.params == t.params and arg == t):
                 yield CASE_SUB, i, None, ()
             else:
                 yield CASE_SUB, i, None, ((arg, t),)
@@ -313,7 +328,9 @@ def _cases(s: Term, t: SymApp):
     elif len(s.args) == len(t.args):
         # the first argument pair that is not syntactically equal decides
         for i, (a, b) in enumerate(zip(s.args, t.args)):
-            if a != b:
+            # nodes of two classes differ, and != between them costs a
+            # NotImplemented round trip
+            if type(a) is not type(b) or a != b:
                 if type(a) is SymApp:
                     yield CASE_LEX, i, None, ((a, b), *rest)
                 return
@@ -334,9 +351,11 @@ def _var_derivation(s: Term, x: Var, memo: dict) -> RpoDerivation | None:
         return d
     name, path = x.name, []
     while d is None:
-        i = next(i for i, a in enumerate(s.args) if name in free_vars(a))
+        args, i = s.args, 0
+        while name not in free_vars(args[i]):
+            i += 1
         path.append((s, i))
-        s = s.args[i]
+        s = args[i]
         d = RpoDerivation(s, x, CASE_EQ) if type(s) is Var else memo.get((s, x))
     for s, i in reversed(path):
         memo[s, x] = d = RpoDerivation(s, x, CASE_SUB, i, (d,))
@@ -663,7 +682,8 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
     bit per identity of rule_identities.  A choice goes onto a copy of
     them, one pair at a time, and only its pairs that the masks do not
     hold yet, one AND each; a choice that adds none is taken as it is.
-    The masks of the last choice are the precedence's closure.  Raises
+    The masks of the last choice are the precedence returned; no pair set
+    is built unless one is read.  Raises
     SearchBoundError beyond max_symbols symbol identities.
     """
     rules = [r for r in rules if not r.extended]
@@ -694,7 +714,7 @@ def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):
             else:
                 if len(stack) == len(options):
                     prec = Precedence.__new__(Precedence)
-                    prec._pairs = _closed_pairs(ids, masks)
+                    prec._bits, prec._below, prec._pairs = bits, masks, None
                     return prec
                 stack.append((masks, iter(options[len(stack)])))
                 break

@@ -71,30 +71,31 @@ def _read(text: str, one: bool) -> list:
 def _render(root, parts) -> str:
     """The text of root, written from one explicit stack of pieces, so
     that its depth costs no Python stack: every printer of the package is
-    this loop and a parts function.  A 1-tuple piece is text, boxed so that
-    it cannot be taken for a node, and is written as it is; any other piece
-    is replaced on the stack by parts(piece), that piece's own pieces, last
-    first.  The root always goes through parts, so parts decides what it
-    refuses, at the root as below it."""
+    this loop and a parts function.  parts(node) returns the node's pieces,
+    last first: text, a str written as it is, and child nodes, each boxed
+    in a 1-tuple and replaced on the stack by parts of the node it holds.
+    Text and boxes never share a class, so no node, a str or a tuple among
+    them, can be taken for text.  The root always goes through parts, so
+    parts decides what it refuses, at the root as below it."""
     out: list[str] = []
     stack = list(parts(root))
     while stack:
         piece = stack.pop()
         if type(piece) is tuple:
-            out.append(piece[0])
+            stack += parts(piece[0])
         else:
-            stack += parts(piece)
+            out.append(piece)
     return "".join(out)
 
 
 def _list_parts(node: Node) -> list:
     if type(node) is not list:
-        return [(repr(node),)]
-    pieces: list = [("]",)]
+        return [repr(node)]
+    pieces: list = ["]"]
     for x in reversed(node):
-        pieces += (x if type(x) is list else (repr(x),), (", ",))
+        pieces += ((x,) if type(x) is list else repr(x), ", ")
     # the first item's separator opens the list
-    pieces[-1] = ("[",) if node else ("[]",)
+    pieces[-1] = "[" if node else "[]"
     return pieces
 
 

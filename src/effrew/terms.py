@@ -37,15 +37,15 @@ class TermError(Exception):
 def _type_parts(ty: Type) -> tuple:
     tt = type(ty)
     if tt is Base:
-        return ((ty.name,),)
+        return (ty.name,)
     if tt is Arrow:
-        return ((")",), ty.cod, (" ",), ty.dom, ("(-> ",))
+        return (")", (ty.cod,), " ", (ty.dom,), "(-> ")
     if tt is Eff:
-        return ((")",), ty.inner, ("(E ",))
+        return (")", (ty.inner,), "(E ")
     if tt is TVar:
         # 0 -> 'a, 25 -> 'z, 26 -> 'a1, ...
         suffix = ty.index // 26
-        return (("'" + chr(ord("a") + ty.index % 26) + (str(suffix) if suffix else ""),),)
+        return ("'" + chr(ord("a") + ty.index % 26) + (str(suffix) if suffix else ""),)
     raise TermError(f"not a type: {ty!r}")
 
 
@@ -163,20 +163,20 @@ class _Node:
 
 def _repr_parts(t) -> list:
     if not isinstance(t, _Node):
-        return [(repr(t),)]
-    pieces: list = [(type(t).__name__ + "(",)]
+        return [repr(t)]
+    pieces: list = [type(t).__name__ + "("]
     for f in t.__slots__:
         value = getattr(t, f)
         if (f == "args" or f == "children") and value:
-            pieces.append((f"{f}=(",))
+            pieces.append(f"{f}=(")
             for a in value:
-                pieces += (a, (", ",))
-            pieces[-1] = (",)",) if len(value) == 1 else (")",)
+                pieces += ((a,), ", ")
+            pieces[-1] = ",)" if len(value) == 1 else ")"
         else:
-            pieces += ((f"{f}=",), value if isinstance(value, _Node) else (repr(value),))
-        pieces.append((", ",))
+            pieces += (f"{f}=", (value,) if isinstance(value, _Node) else repr(value))
+        pieces.append(", ")
     # the last field's separator closes the node
-    pieces[-1] = (")",)
+    pieces[-1] = ")"
     pieces.reverse()
     return pieces
 
@@ -603,23 +603,24 @@ def _term_parts(t: Term) -> tuple | list:
         else:
             head = f"(eff {t.name} ({_params_str(t.params)}) "
         if len(args) == 1:
-            return ((")",), args[0], (head,))
-        pieces: list = [(")",)]
+            # args is the 1-tuple that boxes the one argument
+            return (")", args, head)
+        pieces: list = [")"]
         for a in reversed(args):
-            pieces += (a, (" ",))
+            pieces += ((a,), " ")
         # the first argument's separator ends the head
-        pieces[-1] = (head,) if args else (head[:-1] + ")",)
+        pieces[-1] = head if args else head[:-1] + ")"
         return pieces
     if tt is Var:
-        return ((t.name,),)
+        return (t.name,)
     if tt is Lam:
-        return ((")",), t.body, (f"(lam {t.binder} ",))
+        return (")", (t.body,), f"(lam {t.binder} ")
     if tt is App:
-        return ((")",), t.arg, (" ",), t.fun, ("(app ",))
+        return (")", (t.arg,), " ", (t.fun,), "(app ")
     if tt is Pure:
-        return ((")",), t.body, ("(pure ",))
+        return (")", (t.body,), "(pure ")
     if tt is Let:
-        return ((")",), t.body, (" ",), t.subject, (f"(let {t.binder} ",))
+        return (")", (t.body,), " ", (t.subject,), f"(let {t.binder} ")
     raise TermError(f"not a term: {t!r}")
 
 
@@ -710,18 +711,18 @@ def _sym_parts(t: Term) -> tuple | list:
         args = t.args
         head = ident_str(t.identity) + "("
         if len(args) == 1:
-            return ((")",), args[0], (head,))
-        pieces: list = [(")",)]
+            return (")", args, head)
+        pieces: list = [")"]
         for a in reversed(args):
-            pieces += (a, (", ",))
+            pieces += ((a,), ", ")
         # the first argument's separator opens the list
-        pieces[-1] = (head,) if args else (head + ")",)
+        pieces[-1] = head if args else head + ")"
         return pieces
     if tt is Var:
-        return ((t.name,),)
+        return (t.name,)
     if tt is Pure:
-        return ((")",), t.body, ("pure(",))
-    return ((print_term(t),),)
+        return (")", (t.body,), "pure(")
+    return (print_term(t),)
 
 
 def sym_str(t: Term) -> str:

@@ -504,6 +504,7 @@ def test_theories_verbose_matches_recorded_text(capsys):
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=5), inner, max_size=4),
     max_leaves=20,

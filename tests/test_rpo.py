@@ -159,6 +159,58 @@ def test_precedence_extended_agrees_with_reference(pairs, extra):
     assert got == _closure_or_error(union) == _reference_closure_or_error(union)
 
 
+def _answers_alike(p, q, ids):
+    return all(p.holds(a, b) == q.holds(a, b) for a in ids for b in ids)
+
+
+@given(_pair_sets())
+@settings(max_examples=300, deadline=None)
+def test_precedence_masks_agree_with_reference(pairs):
+    # holds is one bit test on the masks: it answers as the reference
+    # closure does, and False, not an error, for an identity never named;
+    # copies, pickles and the search's own precedence answer alike
+    closed = reference_closure(pairs)
+    if not isinstance(closed, frozenset):
+        return
+    ids = sorted({a for pair in pairs for a in pair}) + [("stranger", ())]
+    p = Precedence(pairs)
+    assert all(p.holds(a, b) == ((a, b) in closed) for a in ids for b in ids)
+    x = v("x")
+    rules = [make_rule(f"{a[0]}-{b[0]}", fn(a[0], x), fn(b[0], x)) for a, b in pairs]
+    found = search_precedence(rules)
+    # holds is read before pairs closes the masks
+    assert _answers_alike(found, p, ids)
+    for q in (p, found):
+        for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert other == q and hash(other) == hash(q) and _answers_alike(other, q, ids)
+    assert found == p == Precedence(found.pairs) and found.pairs == closed
+
+
+def test_pairs_are_closed_only_when_read(monkeypatch, par, retry):
+    # search, certify and replay read the masks alone; display_lines builds
+    # the closed pairs once, and pairs and == read what it kept
+    calls = []
+    closed_pairs = rpo._closed_pairs
+
+    def counted(ids, below):
+        calls.append(len(ids))
+        return closed_pairs(ids, below)
+
+    monkeypatch.setattr(rpo, "_closed_pairs", counted)
+    chain = _chain(7, names=random.Random(7).sample("fghkpqrstw", 7))
+    for rules in (chain, list(compose(par, retry).rules)):
+        calls.clear()
+        prec = search_precedence(rules)
+        report = certify_ruleset(prec, rules)
+        assert report.overall
+        assert all(validate_derivation(prec, e.derivation) for e in report.entries if e.derivation)
+        assert calls == []
+        prec.display_lines()
+        assert len(calls) == 1
+        assert prec.pairs == reference_closure(prec.pairs) and prec == prec
+        assert len(calls) == 1
+
+
 def test_search_checks_each_added_pair_once(monkeypatch, par, retry):
     # the search keeps the chosen pairs as closed masks and hands _order
     # only the pairs of a choice that the masks do not hold yet: each of

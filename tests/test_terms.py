@@ -495,8 +495,12 @@ def test_printers_render_past_the_recursion_limit(printer, value, text):
 
 @pytest.mark.parametrize("printer", [print_term, sym_str, type_str])
 def test_printers_refuse_a_str_where_a_node_belongs(printer):
-    nested = Arrow(Base("nat"), "nat") if printer is type_str else fn("f", Var("x"), "y")
-    for value in ("x", nested):
+    # a 1-tuple too: it is no text piece, below the root as at it
+    if printer is type_str:
+        nested = [Arrow(Base("nat"), "nat"), Arrow(Base("a"), ("b",))]
+    else:
+        nested = [fn("f", Var("x"), "y"), fn("f", ("x",))]
+    for value in ("x", ("x",), *nested):
         with pytest.raises(TermError):
             printer(value)
 
