@@ -28,17 +28,18 @@ symbol applications whose heads start no rule, such as a numeral's succ
 nodes, is walked down in one loop, which makes cells only if the walk
 goes on below the run.  Each candidate, whatever its left side, is
 decided alone by its rule's matcher, which hands back the match's
-bindings, so retrieval is exact.  match_pattern, the recursive matcher,
-is the public reference those matchers agree with; the engine does not
-call it.  Each entry of a listing holds what builds its contractum (the
-bindings, or the metalanguage rule's thunk), so no redex is matched
-twice.  A rule is compiled on first use to straight-line Python,
-generated from its sides and run by exec (see _compile_rule): a matcher
-with one check per left-side node, and a contraction that builds the
-contractum with one statement per right-side node and can list its
-redexes too.  Subterms found to have no redex are remembered by identity
-for the walk's caller.  all_redexes and its two filters wrap the entries
-into Redex objects; reduction_graph builds each reduct straight from them.
+bindings, so retrieval is exact.  match_pattern, the plain matcher, one
+step per pattern node on terms._run_steps, is the public reference those
+matchers agree with; the engine does not call it.  Each entry of a
+listing holds what builds its contractum (the bindings, or the
+metalanguage rule's thunk), so no redex is matched twice.  A rule is
+compiled on first use to straight-line Python, generated from its sides
+and run by exec (see _compile_rule): a matcher with one check per
+left-side node, and a contraction that builds the contractum with one
+statement per right-side node and can list its redexes too.  Subterms
+found to have no redex are remembered by identity for the walk's caller.
+all_redexes and its two filters wrap the entries into Redex objects;
+reduction_graph builds each reduct straight from them.
 
 normalize lists the start term once and then keeps that listing up to
 date: a contraction at p replaces the entries under p with those of the
@@ -84,6 +85,7 @@ from .terms import (
     SymApp,
     Term,
     Var,
+    _run_steps,
     alpha_eq,
     children,
     free_vars,
@@ -245,33 +247,36 @@ def match_pattern(
     Pattern variables bind arbitrary subject terms (binders included); a
     repeated variable must see alpha-equal subterms.  Value metavariables
     bind the payload of a pure-wrapped subject, or a plain variable, and
-    match nothing else.
+    match nothing else.  Each pattern node is a _match step, run on
+    terms._run_steps, so a deep pattern costs no Python stack.
     """
     out = {} if bindings is None else bindings
+    return _run_steps(partial(_match, value_vars, out), (pattern, subject))
+
+
+def _match(value_vars: frozenset[str], out: dict, pair: tuple):
+    """Step for match_pattern at one (pattern, subject) pair: out, with
+    the pattern's variables bound, or None at the first mismatch.  The
+    arguments are matched left to right."""
+    pattern, subject = pair
     if isinstance(pattern, Var):
-        name = pattern.name
+        name, bound = pattern.name, subject
         if name in value_vars:
             if isinstance(subject, Pure):
                 bound = subject.body
-            elif isinstance(subject, Var):
-                bound = subject
-            else:
+            elif not isinstance(subject, Var):
                 return None
-        else:
-            bound = subject
         if name in out:
             return out if alpha_eq(out[name], bound) else None
         out[name] = bound
         return out
     if isinstance(pattern, SymApp):
-        if not isinstance(subject, SymApp):
+        if not isinstance(subject, SymApp) or pattern.identity != subject.identity:
             return None
-        if pattern.identity != subject.identity or pattern.kind != subject.kind:
+        if pattern.kind != subject.kind or len(pattern.args) != len(subject.args):
             return None
-        if len(pattern.args) != len(subject.args):
-            return None
-        for p, s in zip(pattern.args, subject.args):
-            if match_pattern(p, s, value_vars, out) is None:
+        for args in zip(pattern.args, subject.args):
+            if (yield args) is None:
                 return None
         return out
     raise RuleError(f"pattern leaves the symbolic fragment: {print_term(pattern)}")

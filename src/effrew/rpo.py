@@ -18,9 +18,14 @@ certificates carry the full derivation and can be replayed against the
 definition.
 
 The cases are spelt out once, by _cases, as conjunctions of one optional
-precedence atom f > g and subgoals s' > t'.  _evaluate runs one step per
-goal on an explicit stack, memoized on (s, t).  Replay, the reports and
-the search's backtracking walk explicit stacks too, and a derivation's
+precedence atom f > g and subgoals s' > t'.  Each goal is a step, a
+generator that terms._run_steps runs on one list, as it runs the
+parser's and the type checker's: a step looks each subgoal up in the
+memo of its call, keyed on (s, t), before it yields it, and stores its
+own value there before it returns, so the runner keeps no memo.
+Subgoals are strictly smaller pairs, so no goal waits on itself.  Replay
+and the search's backtracking walk explicit stacks too, a derivation's
+text is written by sexpr._render and its JSON by _run_steps, and its
 equality, hash, repr and pickling are those of the term nodes, so
 neither the depth of a term or derivation nor the number of rules costs
 Python stack.  There are two steps: _derive finds the derivation of the
@@ -74,7 +79,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .rewrite import _ROOT, _cell_position, position_str
-from .terms import Identity, SymApp, Term, Var, _Node, free_vars, ident_str, sym_str
+from .sexpr import _render
+from .terms import Identity, SymApp, Term, Var, _Node, _run_steps, free_vars, ident_str, sym_str
 
 CASE_LEX = "case-1-lex"
 CASE_PREC = "case-2-precedence"
@@ -234,41 +240,47 @@ class RpoDerivation(_Node):
         return RpoDerivation(self.lhs, self.rhs, self.rule, self.index, self.children)
 
     def pretty(self, indent: int = 0) -> str:
-        # its own stack, not _render's: each step is one whole line
-        lines = []
-        stack = [(self, indent)]
-        while stack:
-            d, depth = stack.pop()
-            pad = "  " * depth
-            if d.rule == CASE_EQ:
-                lines.append(f"{pad}{sym_str(d.lhs)} = {sym_str(d.rhs)}")
-                continue
-            where = ""
-            if d.rule == CASE_LEX:
-                where = f", deciding position {d.index}"
-            elif d.rule == CASE_SUB:
-                where = f", argument {d.index}"
-            lines.append(f"{pad}{sym_str(d.lhs)} > {sym_str(d.rhs)}   [{_LABEL[d.rule]}{where}]")
-            stack += [(c, depth + 1) for c in reversed(d.children)]
-        return "\n".join(lines)
+        return _render((self, indent), _pretty_parts)
 
     def to_json(self) -> dict:
-        root: list[dict] = []
-        # each item: a derivation, and the children list its JSON joins
-        stack = [(self, root)]
-        while stack:
-            d, siblings = stack.pop()
-            kids: list[dict] = []
-            siblings.append({
-                "lhs": sym_str(d.lhs),
-                "rhs": sym_str(d.rhs),
-                "case": _LABEL[d.rule],
-                "rule": d.rule,
-                "index": d.index,
-                "children": kids,
-            })
-            stack += [(c, kids) for c in reversed(d.children)]
-        return root[0]
+        return _run_steps(_json_step, self)
+
+
+def _pretty_parts(box: tuple) -> list:
+    """The pieces, last first, that sexpr._render writes for box, a
+    derivation d and its depth: d's line, indented by depth, then per
+    child a newline and the child's box at depth + 1, so a shared child
+    is spelt out wherever it occurs."""
+    d, depth = box
+    pad = "  " * depth
+    if d.rule == CASE_EQ:
+        return (f"{pad}{sym_str(d.lhs)} = {sym_str(d.rhs)}",)
+    where = ""
+    if d.rule == CASE_LEX:
+        where = f", deciding position {d.index}"
+    elif d.rule == CASE_SUB:
+        where = f", argument {d.index}"
+    pieces: list = []
+    for c in reversed(d.children):
+        pieces += (((c, depth + 1),), "\n")
+    pieces.append(f"{pad}{sym_str(d.lhs)} > {sym_str(d.rhs)}   [{_LABEL[d.rule]}{where}]")
+    return pieces
+
+
+def _json_step(d: RpoDerivation):
+    """Step for a derivation's JSON: one fresh dict per node and per
+    occurrence, so a shared child is spelt out wherever it occurs."""
+    kids = []
+    for c in d.children:
+        kids.append((yield c))
+    return {
+        "lhs": sym_str(d.lhs),
+        "rhs": sym_str(d.rhs),
+        "case": _LABEL[d.rule],
+        "rule": d.rule,
+        "index": d.index,
+        "children": kids,
+    }
 
 
 # the slots' own setters, which the constructor calls past the read-only __setattr__
@@ -365,58 +377,44 @@ def _var_derivation(s: Term, x: Var, memo: dict) -> RpoDerivation | None:
 _UNKNOWN = object()
 
 
-def _evaluate(step, s: Term, t: SymApp, memo: dict):
-    """The value of goal s > t under step, memoized in memo by (s, t).
-    step(s, t) is a generator that yields each subgoal (s', t') it needs,
-    t' a symbol application, is sent that subgoal's value, and returns the
-    goal's value.  The generators wait on one explicit stack; subgoals are
-    strictly smaller pairs, so no goal waits on itself."""
-    value = memo.get((s, t), _UNKNOWN)
-    if value is not _UNKNOWN:
-        return value
-    stack = [((s, t), step(s, t))]
-    value = None
-    while stack:
-        goal, run = stack[-1]
-        try:
-            sub = run.send(value)
-        except StopIteration as done:
-            memo[goal] = value = done.value
-            stack.pop()
-            continue
-        value = memo.get(sub, _UNKNOWN)
-        if value is _UNKNOWN:
-            stack.append((sub, step(*sub)))
-            value = None
-    return value
-
-
-def _derive(prec: Precedence, memo: dict, s: Term, t: SymApp):
-    """Step for a derivation of s > t under prec: that of the first case
-    that holds, or None.  A subgoal with a variable on the right is not
+def _derive(prec: Precedence, memo: dict, goal: tuple):
+    """Step for a derivation of goal s > t, t a symbol application, under
+    prec: that of the first case that holds, or None.  It looks each
+    subgoal up in memo before yielding it, and stores its own value there
+    before it returns.  A subgoal with a variable on the right is not
     yielded: _var_derivation derives it, into the same memo."""
+    s, t = goal
+    d = None
     for case, index, atom, goals in _cases(s, t):
         if atom is not None and not prec.holds(*atom):
             continue
         kids = []
-        for goal in goals:
-            d = _var_derivation(*goal, memo) if type(goal[1]) is Var else (yield goal)
+        for sub in goals:
+            if type(sub[1]) is Var:
+                d = _var_derivation(*sub, memo)
+            else:
+                d = memo.get(sub, _UNKNOWN)
+                if d is _UNKNOWN:
+                    d = yield sub
             if d is None:
                 break
             kids.append(d)
         else:
             if not goals and case == CASE_SUB:
                 kids.append(RpoDerivation(s.args[index], t, CASE_EQ))
-            return RpoDerivation(s, t, case, index, tuple(kids))
-    return None
+            d = RpoDerivation(s, t, case, index, tuple(kids))
+            break
+    memo[goal] = d
+    return d
 
 
 def _derivation(prec: Precedence, s: Term, t: Term, memo: dict):
     """The derivation of s > t under prec, or None; memo belongs to one
-    call."""
+    call, and its goals run as _derive steps on terms._run_steps."""
     if type(t) is Var:
         return _var_derivation(s, t, memo)
-    return _evaluate(partial(_derive, prec, memo), s, t, memo)
+    d = memo.get((s, t), _UNKNOWN)
+    return _run_steps(partial(_derive, prec, memo), (s, t)) if d is _UNKNOWN else d
 
 
 def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
@@ -621,12 +619,14 @@ def _minimal(alts, known=None) -> list[frozenset]:
 _TRUE = [frozenset()]
 
 
-def _extensions(s: Term, t: SymApp):
+def _extensions(memo: dict, goal: tuple):
     """Step for the minimal consistent sets of precedence pairs under which
-    s > t holds, smallest first.  The ordering is monotone in the
-    precedence, so s > t holds under one exactly when it contains one of
-    these sets.  A case that needs no pair settles the goal at once, and a
-    case with no set left is dropped.  A subgoal with a variable on the
+    goal s > t, t a symbol application, holds, smallest first.  The
+    ordering is monotone in the precedence, so s > t holds under one
+    exactly when it contains one of these sets.  A case that needs no pair
+    settles the goal at once, and a case with no set left is dropped.  The
+    step looks each subgoal up in memo before yielding it, and stores its
+    own value there before it returns.  A subgoal with a variable on the
     right is not yielded: it needs no pair, and holds exactly when its
     variable occurs in its left side.
 
@@ -638,16 +638,19 @@ def _extensions(s: Term, t: SymApp):
     its union and checks that at most, and the last step, over the cases'
     alternatives, only drops supersets, which two sets at least can
     hold."""
+    s, t = goal
     alts: list[frozenset] = []
     for _case, _index, atom, goals in _cases(s, t):
         value = _TRUE if atom is None else [frozenset((atom,))]
-        for goal in goals:
-            if type(goal[1]) is Var:
-                if _above_var(*goal):
+        for subgoal in goals:
+            if type(subgoal[1]) is Var:
+                if _above_var(*subgoal):
                     continue
                 value = []
                 break
-            sub = yield goal
+            sub = memo.get(subgoal)
+            if sub is None:
+                sub = yield subgoal
             if value == _TRUE or not sub:
                 value = sub
             elif len(value) == len(sub) == 1:
@@ -659,17 +662,21 @@ def _extensions(s: Term, t: SymApp):
             if not value:
                 break
         if value == _TRUE:
-            return _TRUE
+            alts = _TRUE
+            break
         alts += value
-    return alts if len(alts) < 2 else _minimal(alts)
+    memo[goal] = alts = alts if len(alts) < 2 else _minimal(alts)
+    return alts
 
 
 def _orientations(s: Term, t: Term, memo: dict) -> list[frozenset]:
     """The minimal consistent sets of precedence pairs under which s > t
-    holds (see _extensions); memo belongs to one call."""
+    holds; memo belongs to one call, and its goals run as _extensions
+    steps on terms._run_steps."""
     if type(t) is Var:
         return _TRUE if _above_var(s, t) else []
-    return _evaluate(_extensions, s, t, memo)
+    alts = memo.get((s, t))
+    return _run_steps(partial(_extensions, memo), (s, t)) if alts is None else alts
 
 
 def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):

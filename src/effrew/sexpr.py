@@ -9,8 +9,9 @@ costs no Python stack.  Errors carry line and column, counted from the
 offset only when an error is raised.
 
 The module also holds the package's one printer loop, _render: terms,
-types, node reprs, the CLI's JSON and the forms quoted in error messages
-are each written by _render with a parts function of their own.
+types, node reprs, RPO derivations' text, the CLI's JSON and the forms
+quoted in error messages are each written by _render with a parts
+function of their own.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ so no walk here calls itself.  Most keep their pending work on one
 explicit stack.  A walk that is clearer as a recursion is written as a
 step, a generator that yields where it would call itself, and runs on
 _run_steps, which keeps the generators on one list: the term and type
-builders of parser, and type inference in typecheck.  The printers,
-print_term, type_str, sym_str and repr, are each a parts function that
-sexpr._render, the package's one printer loop, runs.
+builders of parser, type inference in typecheck, rewrite's match_pattern,
+and rpo's prover and precedence search, whose steps keep their own memo,
+and its derivations' JSON.  The printers, print_term, type_str, sym_str
+and repr, are each a parts function that sexpr._render, the package's
+one printer loop, runs.
 """
 
 from __future__ import annotations

@@ -64,10 +64,10 @@ from .terms import (
     SymApp,
     Term,
     Var,
+    children,
     eff,
     fn,
     ident_str,
-    iter_subterms,
 )
 from .typecheck import TypingError, infer_rule_types
 
@@ -167,12 +167,20 @@ def _validate(theory: Theory, unchecked: Sequence[RewriteRule] | None = None) ->
                 raise TheoryError(f"rule {rule.name} is ill-typed: {e}") from e
             continue
         for side, label in ((rule.lhs, "left"), (rule.rhs, "right")):
-            for _, sub in iter_subterms(side):
-                if isinstance(sub, SymApp):
+            # preorder on a plain stack, each distinct node once, so the
+            # first bad node is named and no position is built
+            stack, walked = [side], set()
+            while stack:
+                sub = stack.pop()
+                if id(sub) in walked:
+                    continue
+                walked.add(id(sub))
+                if type(sub) is SymApp:
                     try:
                         check_symapp(theory.signature, sub)
                     except SignatureError as e:
                         raise TheoryError(f"rule {rule.name}, {label} side: {e}") from e
+                stack += reversed(children(sub))
     try:
         theory.precedence
     except PrecedenceError as e:

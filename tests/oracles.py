@@ -47,6 +47,7 @@ from effrew.terms import (
     TVar,
     Var,
     _run_steps,
+    alpha_eq,
     canonical_key,
     children,
     fresh_name,
@@ -392,6 +393,40 @@ def reference_ml_contraction(t: Term) -> tuple[str, Term, bool] | None:
     else:
         return None
     return name, out, not renames_may_differ(into, binders)
+
+
+def reference_match_pattern(pattern: Term, subject: Term, value_vars=frozenset(), bindings=None):
+    """match_pattern by plain recursion: the arguments left to right, out
+    updated in place, None at the first mismatch."""
+    out = {} if bindings is None else bindings
+    if isinstance(pattern, Var):
+        name = pattern.name
+        if name in value_vars:
+            if isinstance(subject, Pure):
+                bound = subject.body
+            elif isinstance(subject, Var):
+                bound = subject
+            else:
+                return None
+        else:
+            bound = subject
+        if name in out:
+            return out if alpha_eq(out[name], bound) else None
+        out[name] = bound
+        return out
+    if isinstance(pattern, SymApp):
+        if (
+            not isinstance(subject, SymApp)
+            or pattern.identity != subject.identity
+            or pattern.kind != subject.kind
+            or len(pattern.args) != len(subject.args)
+        ):
+            return None
+        for p, s in zip(pattern.args, subject.args):
+            if reference_match_pattern(p, s, value_vars, out) is None:
+                return None
+        return out
+    raise RuleError(f"pattern leaves the symbolic fragment: {print_term(pattern)}")
 
 
 def reference_redexes(t: Term, rules) -> list[tuple]:

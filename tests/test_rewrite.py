@@ -63,6 +63,7 @@ from oracles import (
     nesting_count_by_positions,
     reference_graph,
     reference_identities,
+    reference_match_pattern,
     reference_normalize,
     reference_reach,
     redexes_agree,
@@ -229,6 +230,94 @@ def test_value_var_matches_pure_or_var_only():
     assert match_pattern(pat, eff("join", Var("y")), vv) == {"v": Var("y")}
     assert match_pattern(pat, eff("join", fn("c")), vv) is None
     assert match_pattern(pat, eff("join", eff("or", Var("a"), Var("b"))), vv) is None
+
+
+def _match_case(rng: random.Random):
+    """A pattern, a subject, value metavariables and pre-seeded bindings
+    for match_pattern: the pattern may repeat a variable and may hold a
+    pure or a lambda, which leaves the symbolic fragment; the subject is
+    an instance of the pattern half the time."""
+    closed = [fn("c"), Var("a"), Pure(fn("c")), Pure(Var("a")), Lam("z", Var("z")), Lam("w", Var("w"))]
+
+    def tree(depth, leaf):
+        k = rng.random()
+        if depth == 0 or k < 0.3:
+            return leaf()
+        if k < 0.6:
+            return fn("f", tree(depth - 1, leaf), tree(depth - 1, leaf))
+        if k < 0.8:
+            return fn("g", tree(depth - 1, leaf))
+        return eff("e", tree(depth - 1, leaf), params=(rng.choice((0, 1)),))
+
+    def pattern_leaf():
+        k = rng.random()
+        if k < 0.75:
+            return Var(rng.choice("xyv"))
+        return fn("c") if k < 0.92 else rng.choice((Pure(Var("x")), Lam("z", Var("z"))))
+
+    def subject_leaf():
+        return rng.choice(closed)
+
+    pattern = tree(4, pattern_leaf)
+    if rng.random() < 0.5:
+        subject = tree(4, subject_leaf)
+    else:
+        # every variable occurrence gets its own subterm, so a repeated
+        # variable sees alpha-equal subterms only some of the time
+        def instance(p):
+            if type(p) is Var:
+                t = tree(2, subject_leaf)
+                return Pure(t) if p.name == "v" and rng.random() < 0.7 else t
+            if type(p) is SymApp:
+                return SymApp(p.kind, p.name, p.params, tuple(instance(a) for a in p.args))
+            return p
+
+        subject = instance(pattern)
+    value_vars = frozenset(rng.choice(("", "v", "vx")))
+    seed = rng.choice((None, {}, {"y": fn("c")}, {"x": Lam("q", Var("q"))}))
+    return pattern, subject, value_vars, seed
+
+
+def _match_outcome(match, pattern, subject, value_vars, seed):
+    bindings = None if seed is None else dict(seed)
+    try:
+        got = match(pattern, subject, value_vars, bindings)
+    except RuleError as e:
+        return "error", str(e), bindings
+    return "match", got, bindings, bindings is None or got is None or got is bindings
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_match_pattern_agrees_with_reference(rng):
+    # the same bindings, the same first mismatch and the same RuleError,
+    # with what a failed match left in pre-seeded bindings
+    pattern, subject, value_vars, seed = _match_case(rng)
+    assert _match_outcome(match_pattern, pattern, subject, value_vars, seed) == _match_outcome(
+        reference_match_pattern, pattern, subject, value_vars, seed
+    )
+
+
+@stack_safe
+def test_match_pattern_on_a_deep_left_side():
+    n = 10_000
+    pattern, subject = Var("x"), fn("zero")
+    for _ in range(n):
+        pattern, subject = fn("succ", pattern), fn("succ", subject)
+    assert match_pattern(pattern, subject) == {"x": fn("zero")}
+    assert match_pattern(pattern, pattern) == {"x": Var("x")}
+    assert match_pattern(fn("succ", pattern), subject) is None
+    # 10^4 levels down, a pure leaves the symbolic fragment
+    bad = Pure(Var("x"))
+    for _ in range(n):
+        bad = fn("succ", bad)
+    with pytest.raises(RuleError, match=r"^pattern leaves the symbolic fragment: \(pure x\)$"):
+        match_pattern(bad, subject)
+    # at a depth the recursive reference can take, the two agree
+    shallow_p, shallow_s = Var("x"), fn("zero")
+    for _ in range(300):
+        shallow_p, shallow_s = fn("succ", shallow_p), fn("succ", shallow_s)
+    assert match_pattern(shallow_p, shallow_s) == reference_match_pattern(shallow_p, shallow_s)
 
 
 def test_pattern_vars():
