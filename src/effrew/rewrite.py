@@ -33,10 +33,10 @@ step per pattern node on terms._run_steps, is the public reference those
 matchers agree with; the engine does not call it.  Each entry of a
 listing holds what builds its contractum (the bindings, or the
 metalanguage rule's thunk), so no redex is matched twice.  A rule is
-compiled on first use to straight-line Python, generated from its sides
-and run by exec (see _compile_rule): a matcher with one check per
-left-side node, and a contraction that builds the contractum with one
-statement per right-side node and can list its redexes too.  Subterms
+compiled on first use to straight-line Python, written by one walk over
+each side and run by exec (see _compile_rule): a matcher with one check
+per left-side node, and a contraction that builds the contractum with
+one statement per right-side node and can list its redexes too.  Subterms
 found to have no redex are remembered by identity for the walk's caller.
 all_redexes and its two filters wrap the entries into Redex objects;
 reduction_graph builds each reduct straight from them.
@@ -93,9 +93,8 @@ from .terms import (
     print_term,
     replace_at,
     substitute,
+    with_children,
 )
-
-ML_RULES = ("abs-beta", "let-beta", "let-assoc", "eff-assoc")
 
 STRATEGIES = ("leftmost-outermost", "rightmost-innermost", "random")
 
@@ -284,90 +283,16 @@ def _match(value_vars: frozenset[str], out: dict, pair: tuple):
 
 def _compile_rule(rule: RewriteRule) -> tuple[Callable, Callable]:
     """The rule compiled to straight-line Python: its two functions,
-    _matcher and _contract (see _code), run by exec in a namespace that
-    binds the rule's constants as C0, C1, ....  One explicit-stack pass
-    over each side, in preorder, collects the constants and the side's
-    shape, which is all the generated text depends on.
-
-    Per node, the shape holds a symbol application's arity, a left-side
-    variable's pair (whether it is a value metavariable, the index of its
-    first occurrence if it repeats), "v" at a right-side variable and "p"
-    at a pure.  The constants are, on the left, a symbol's name, kind and
-    parameters, except at the root, and a variable's name at its first
-    occurrence; on the right, a symbol's kind, name, parameters and head
-    key, or a nullary symbol itself and its head key, and a variable's
-    name."""
-    consts: list = []
-    lhs: list = []
-    first: dict[str, int] = {}
-    value_vars = rule.value_vars
-    stack: list = [rule.lhs]
-    while stack:
-        p = stack.pop()
-        if type(p) is Var:
-            name = p.name
-            seen = first.get(name)
-            if seen is None:
-                first[name] = len(lhs)
-                consts.append(name)
-            lhs.append((name in value_vars, seen))
-            continue
-        if lhs:
-            consts += (p.name, p.kind, p.params)
-        lhs.append(len(p.args))
-        stack += reversed(p.args)
-    rhs: list = []
-    stack = [rule.rhs]
-    while stack:
-        t = stack.pop()
-        if type(t) is Var:
-            consts.append(t.name)
-            rhs.append("v")
-        elif type(t) is Pure:
-            rhs.append("p")
-            stack.append(t.body)
-        elif t.args:
-            consts += (t.kind, t.name, t.params, (t.kind, t.name, t.params))
-            rhs.append(len(t.args))
-            stack += reversed(t.args)
-        else:
-            consts += (t, (t.kind, t.name, t.params))
-            rhs.append(0)
-    code, names = _code((tuple(lhs), tuple(rhs)))
-    namespace = dict(zip(names, consts))
-    namespace.update(SymApp=SymApp, Pure=Pure, Var=Var, alpha_eq=alpha_eq, rewrite=sys.modules[__name__])
-    exec(code, namespace)
-    return namespace["_matcher"], namespace["_contract"]
-
-
-def _tree(shape: tuple, arities: Callable) -> list[list[int]]:
-    """The children of each node of a side's preorder shape, by preorder
-    index; arities gives a node's number of children from its entry."""
-    kids: list[list[int]] = [[] for _ in shape]
-    open_: list[int] = []
-    for k, entry in enumerate(shape):
-        if open_:
-            up = open_[-1]
-            kids[up].append(k)
-            if len(kids[up]) == arities(shape[up]):
-                open_.pop()
-        if arities(entry):
-            open_.append(k)
-    return kids
-
-
-@lru_cache(maxsize=256)
-def _code(shape: tuple) -> tuple[CodeType, tuple[str, ...]]:
-    """The code object that a rule's shape (see _compile_rule) compiles
-    to, and the names of the constants it reads, in the order the shape's
-    pass collects them.  Rules of one shape share the code and run it over
-    their own constants.
-
-    The text has no loop and no nested scope, one statement or two per
-    node of a side, and holds only generated identifiers and integers, so
-    no name of a rule's reaches the compiler, and compiling costs time
-    linear in the size of the rule.  Node k of a side is the local s{k} in
-    the matcher and t{k} in the contraction, and its cell c{k}.
+    _matcher and _contract, run by exec in a namespace that binds the
+    rule's constants as C0, C1, ....  One explicit-stack preorder walk per
+    side writes each node's statements and takes the constants they read
+    in the same step: const(value) keeps the value and names it, and a
+    node's children are named when the walk meets the node.  The text has
+    no loop and no nested scope, one statement or two per node of a side,
+    and holds only generated identifiers and integers, so no name of a
+    rule's reaches it, and rules of one shape share one code object (see
+    _rule_code) and run it over their own constants.  A node is the local
+    s{k} in the matcher and t{k} in the contraction, and its cell c{k}.
 
     _matcher(s0) takes a subject with the left side's head and arity and
     gives the match's bindings, or None, as match_pattern gives them.  It
@@ -394,81 +319,99 @@ def _code(shape: tuple) -> tuple[CodeType, tuple[str, ...]]:
     a pure.  A variable's binding is walked, through the module's
     _list_redexes, only if clean does not hold it.  The right side's own
     nodes are not added to clean; a later walk that meets one adds it."""
-    lhs, rhs = shape
-    names: list[str] = []
+    consts: list = []
 
-    def const() -> str:
-        names.append(f"C{len(names)}")
-        return names[-1]
+    def const(value) -> str:
+        consts.append(value)
+        return f"C{len(consts) - 1}"
 
     lines = ["def _matcher(s0):"]
     guarded: list[str] = []
     reads: list[str] = []
     value_reads: list[str] = []
-    kids = _tree(lhs, lambda entry: entry if type(entry) is int else 0)
-    for k, entry in enumerate(lhs):
+    # a left-side variable's name -> the local of its first occurrence
+    first: dict[str, str] = {}
+    value_vars = rule.value_vars
+    named = 1
+    stack: list = [(rule.lhs, 0)]
+    while stack:
+        p, k = stack.pop()
         s = f"s{k}"
-        if type(entry) is int:
-            if k:
-                lines.append(
-                    f"    if type({s}) is not SymApp or {s}.name != {const()} or {s}.kind != {const()}"
-                    f" or {s}.params != {const()} or len({s}.args) != {entry}: return None"
-                )
-            if entry:
-                lines.append(f"    {''.join(f's{j}, ' for j in kids[k])}= {s}.args")
+        if type(p) is Var:
+            value = p.name in value_vars
+            if value:
+                guarded.append(f"    if type({s}) is Pure: {s} = {s}.body")
+                guarded.append(f"    elif type({s}) is not Var: return None")
+            seen = first.setdefault(p.name, s)
+            if seen is s:
+                (value_reads if value else reads).append(f"{const(p.name)}: {s}")
+            else:
+                guarded.append(f"    if {s} is not {seen} and not alpha_eq({seen}, {s}): return None")
             continue
-        value, seen = entry
-        if value:
-            guarded.append(f"    if type({s}) is Pure: {s} = {s}.body")
-            guarded.append(f"    elif type({s}) is not Var: return None")
-        if seen is None:
-            (value_reads if value else reads).append(f"{const()}: {s}")
-        else:
-            guarded.append(f"    if {s} is not s{seen} and not alpha_eq(s{seen}, {s}): return None")
+        if k:
+            lines.append(
+                f"    if type({s}) is not SymApp or {s}.name != {const(p.name)} or {s}.kind != {const(p.kind)}"
+                f" or {s}.params != {const(p.params)} or len({s}.args) != {len(p.args)}: return None"
+            )
+        kids = range(named, named + len(p.args))
+        named = kids.stop
+        if kids:
+            lines.append(f"    {''.join(f's{j}, ' for j in kids)}= {s}.args")
+        stack += reversed(list(zip(p.args, kids)))
     lines += guarded
     lines.append(f"    return {{{', '.join(reads + value_reads)}}}")
 
-    kids = _tree(rhs, lambda entry: 1 if entry == "p" else 0 if entry == "v" else entry)
-    # each node's constants, as the pass collected them, and its parent,
-    # child index and level
-    consts: list[list[str]] = []
-    where = [(-1, 0, 0)] * len(rhs)
-    for k, entry in enumerate(rhs):
-        consts.append([const() for _ in range(1 if entry == "v" else 0 if entry == "p" else 4 if entry else 2)])
-        for i, j in enumerate(kids[k]):
-            where[j] = (k, i, where[k][2] + 1)
     lines.append("def _contract(b, at=None, index=None, clean=None, out=None):")
-    for k in range(len(rhs) - 1, -1, -1):
-        entry, c = rhs[k], consts[k]
-        if entry == "v":
-            lines.append(f"    t{k} = b[{c[0]}]")
-        elif entry == "p":
-            lines.append(f"    t{k} = Pure(t{kids[k][0]})")
-        elif entry:
-            args = "".join(f"t{j}, " for j in kids[k])
-            lines.append(f"    t{k} = SymApp({c[0]}, {c[1]}, {c[2]}, ({args}))")
-        else:
-            lines.append(f"    t{k} = {c[0]}")
-    lines.append("    if out is not None:")
-    if len(rhs) > 1:
-        lines.append("        d = at[2]")
-    if any(entry not in ("v", "p") for entry in rhs):
-        lines.append("        get = index.get")
-    for k, entry in enumerate(rhs):
-        parent, i, level = where[k]
-        up = "at" if parent == 0 else f"c{parent}"
-        cell = "at" if k == 0 else f"({up}, {i}, d + {level})"
-        if entry == "v":
-            lines.append(f"        if id(t{k}) not in clean: rewrite._list_redexes(t{k}, {cell}, index, clean, out)")
+    # written parents first, and run reversed, children first
+    build: list[str] = []
+    listing: list[str] = []
+    symbols = False
+    named = 1
+    stack = [(rule.rhs, 0, "at", 0)]
+    while stack:
+        t, k, cell, level = stack.pop()
+        if type(t) is Var:
+            build.append(f"    t{k} = b[{const(t.name)}]")
+            listing.append(f"        if id(t{k}) not in clean: rewrite._list_redexes(t{k}, {cell}, index, clean, out)")
             continue
         if k:
-            lines.append(f"        c{k} = {cell}")
+            listing.append(f"        c{k} = {cell}")
             cell = f"c{k}"
-        if entry != "p":
-            lines.append(f"        h = get({consts[k][-1]})")
-            lines.append(f"        if h is not None: h.matches(t{k}, {cell}, out)")
+        args = (t.body,) if type(t) is Pure else t.args
+        kids = range(named, named + len(args))
+        named = kids.stop
+        stack += reversed(
+            [(a, j, f"({cell}, {j - kids.start}, d + {level + 1})", level + 1) for a, j in zip(args, kids)]
+        )
+        if type(t) is Pure:
+            build.append(f"    t{k} = Pure(t{kids[0]})")
+            continue
+        if kids:
+            made = f"SymApp({const(t.kind)}, {const(t.name)}, {const(t.params)}, ({''.join(f't{j}, ' for j in kids)}))"
+        else:
+            made = const(t)
+        build.append(f"    t{k} = {made}")
+        listing.append(f"        h = get({const((t.kind, t.name, t.params))})")
+        listing.append(f"        if h is not None: h.matches(t{k}, {cell}, out)")
+        symbols = True
+    lines += reversed(build)
+    lines.append("    if out is not None:")
+    if named > 1:
+        lines.append("        d = at[2]")
+    if symbols:
+        lines.append("        get = index.get")
+    lines += listing
     lines.append("    return t0")
-    return compile("\n".join(lines) + "\n", "<effrew rule>", "exec"), tuple(names)
+    namespace = {f"C{j}": value for j, value in enumerate(consts)}
+    namespace.update(SymApp=SymApp, Pure=Pure, Var=Var, alpha_eq=alpha_eq, rewrite=sys.modules[__name__])
+    exec(_rule_code("\n".join(lines) + "\n"), namespace)
+    return namespace["_matcher"], namespace["_contract"]
+
+
+@lru_cache(maxsize=256)
+def _rule_code(text: str) -> CodeType:
+    """The code object of a rule's generated text (see _compile_rule)."""
+    return compile(text, "<effrew rule>", "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +499,8 @@ class _Head:
     candidate of each.  The list for a shape is filtered from the rules, in
     rule order, when the shape is first looked up, so a normalize or graph
     run pays only for the shapes its terms reach.  The filter only prunes:
-    each candidate's compiled matcher decides it alone (see _code), so
-    retrieval is exact."""
+    each candidate's compiled matcher decides it alone (see
+    _compile_rule), so retrieval is exact."""
 
     __slots__ = ("rules", "reach", "_shapes")
 
@@ -847,24 +790,15 @@ class _Zipper:
             far.pop()
         self.cell, i, _ = self.cell
         focus = self.focus
-        cls = type(node)
-        if cls is SymApp:
+        if type(node) is SymApp:
             args = node.args
             if args[i] is not focus:
                 args = (focus,) if len(args) == 1 else args[:i] + (focus,) + args[i + 1 :]
                 node = SymApp(node.kind, node.name, node.params, args)
-        elif cls is Let:
-            if i == 0 and node.subject is not focus:
-                node = Let(node.binder, focus, node.body)
-            elif i == 1 and node.body is not focus:
-                node = Let(node.binder, node.subject, focus)
-        elif cls is App:
-            if i == 0 and node.fun is not focus:
-                node = App(focus, node.arg)
-            elif i == 1 and node.arg is not focus:
-                node = App(node.fun, focus)
-        elif node.body is not focus:
-            node = Lam(node.binder, focus) if cls is Lam else Pure(focus)
+        else:
+            kids = children(node)
+            if kids[i] is not focus:
+                node = with_children(node, kids[:i] + (focus,) + kids[i + 1 :])
         self.focus = node
 
     def move(self, target: Cell) -> None:
@@ -1077,7 +1011,7 @@ def normalize(
 
     A user-rule step builds and lists its contractum in one call of the
     rule's compiled code, which reads the entries off the right side (see
-    _code), and a metalanguage step walks it.  The slice of
+    _compile_rule), and a metalanguage step walks it.  The slice of
     entries it replaces ends at the entry after the fired one unless that
     entry lies under the redex; only then does _edge search for its end.
     A step rechecks an ancestor k levels above its redex only if the

@@ -429,6 +429,8 @@ def parse_theory(text: str) -> Theory:
                 if isinstance(v, list):
                     raise TheoryError(f"domain values must be atoms, got {_node_repr(v)}")
                 vals.append(v)
+            if not vals:
+                raise TheoryError(f"domain {clause[1]} is empty")
             if clause[1] in domains:
                 raise TheoryError(f"duplicate domain {clause[1]}")
             domains[clause[1]] = tuple(vals)

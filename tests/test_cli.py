@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -807,3 +808,31 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "nondet" in proc.stdout
+
+
+# -- README ----------------------------------------------------------------------
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """The argv and the `# ->` lines of each effrew command in README's
+    command-line block that such lines follow, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, last = [], None
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("effrew "):
+            last = (shlex.split(line)[1:], [])
+            examples.append(last)
+        elif line.startswith("# -> ") and last is not None:
+            last[1].append(line[len("# -> ") :])
+        else:
+            last = None
+    return [(argv, lines) for argv, lines in examples if lines]
+
+
+def test_readme_examples_print_what_they_say(capsys):
+    examples = readme_examples()
+    assert len(examples) == 3 and sum(len(lines) for _, lines in examples) == 4
+    for argv, lines in examples:
+        _, out, _ = run(capsys, *argv)
+        assert out == "".join(line + "\n" for line in lines), argv

@@ -1452,6 +1452,19 @@ def test_compiled_rules_hold_no_text_of_their_own():
     assert compiled > 100
 
 
+def test_rules_of_one_shape_share_one_code_object():
+    # the generated text names nothing of its rule's, so rules of one shape
+    # run one code object over constants of their own
+    par = {r.name: r for r in builtin("par").rules}
+    e1, e2, right = par["par-left.e1"], par["par-left.e2"], par["par-right.e1"]
+    for name in ("_matcher", "_contract"):
+        mine, theirs = getattr(e1, name), getattr(e2, name)
+        assert mine.__code__ is theirs.__code__ and _constants(mine) != _constants(theirs)
+    assert e1._matcher.__code__ is not right._matcher.__code__
+    writes = [r for r in builtin("global-state").rules if r.name.startswith("assign-assign.")]
+    assert len(writes) == 4 and len({id(r._matcher.__code__) for r in writes}) == 1
+
+
 @stack_safe
 def test_deep_sides_compile_in_linear_time_and_fire():
     # a rule whose left side and one whose right side is a succ tower 6000

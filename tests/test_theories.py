@@ -398,6 +398,7 @@ PARSE_THEORY_ERRORS = [
     ("(theory t (base 1))", "base type names must be idents, got 1"),
     ("(theory t (domain d))", "expected (domain NAME (v1 v2 ...))"),
     ("(theory t (domain d (0 (1))))", "domain values must be atoms, got [1]"),
+    ("(theory t (base val) (domain d ()) (effect e d 1))", "domain d is empty"),
     ("(theory t (domain d (0 1)) (domain d (0)))", "duplicate domain d"),
     ("(theory t (effect e d 1))", "effect e names unknown domain d"),
     ("(theory t (effect e))", "expected (effect NAME [DOMAIN] ARITY)"),
@@ -440,7 +441,7 @@ def test_parse_theory_error_table_reaches_every_raise():
     code = parse_theory.__code__
     source, first = inspect.getsourcelines(parse_theory)
     raises = {first + i for i, line in enumerate(source) if line.strip().startswith("raise TheoryError")}
-    assert len(raises) == 21
+    assert len(raises) == 22
     ran = set()
 
     def tracer(frame, event, arg):
@@ -466,7 +467,7 @@ def test_parse_theory_error_table_reaches_every_raise():
 
 
 # a wrapped SexprError and a wrapped SignatureError
-@pytest.mark.parametrize("text, message", [PARSE_THEORY_ERRORS[0], PARSE_THEORY_ERRORS[17]])
+@pytest.mark.parametrize("text, message", [PARSE_THEORY_ERRORS[0], PARSE_THEORY_ERRORS[18]])
 def test_check_reports_a_bad_theory_file(tmp_path, capsys, text, message):
     path = tmp_path / "bad.thy"
     path.write_text(text, encoding="utf-8")
