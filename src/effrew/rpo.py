@@ -53,15 +53,26 @@ test, and certification and replay read nothing else.  Its set of
 closed pairs is built when pairs, ==, hash, repr or display_lines first
 reads it, and kept.
 
-A goal s > x with a variable on the right, about half of all goals,
-needs no case analysis: it holds exactly when x occurs in s, and needs
-no atom.  Its derivation takes, at each level, RPO(3) at the first
-argument that holds x, down to x = x.  Both steps decide such a goal in
-closed form, from the free variables of each subterm, which
+Every goal that holds keeps the variable condition, under every
+precedence: each variable of t occurs in s (Dershowitz, TCS 17(3),
+1982).  No case can break it: RPO(1) and RPO(2) prove s > tj for every
+argument tj of t, RPO(3) proves si >= t for an argument si of s, and
+s > x holds only through an occurrence of x.  Both steps check it in
+closed form, from the free variables of each side, which
 terms.free_vars caches on the node, so they are found once per distinct
-node and kept across calls.  Neither step yields such a goal:
-_above_var decides it for the search and _var_derivation derives it
-for certification, into the memo the other goals' derivations join.
+node and kept across calls.  A goal that breaks it, its own or a
+subgoal met on a memo miss, fails at once: it is neither yielded nor
+stored, and needs no case analysis.  Comparing the towers of
+plus(succ^n(x), y) > succ^n(plus(x, y)) meets about n^2 goals
+succ^i(x) > succ^j(plus(x, y)), and each of them breaks it.
+
+A goal s > x with a variable on the right, about half of all goals, is
+the case where the condition also suffices: for s a symbol application
+it holds exactly when x occurs in s, and needs no atom.  Its derivation
+takes, at each level, RPO(3) at the first argument that holds x, down to
+x = x.  Neither step yields such a goal: _above_var decides it for the
+search and _var_derivation derives it for certification, into the memo
+the other goals' derivations join.
 
 A derivation is a DAG: the memo shares a node among every parent whose
 goal it proves.  Certification builds one node per goal it proves, so
@@ -340,9 +351,9 @@ def _cases(s: Term, t: SymApp):
     elif len(s.args) == len(t.args):
         # the first argument pair that is not syntactically equal decides
         for i, (a, b) in enumerate(zip(s.args, t.args)):
-            # nodes of two classes differ, and != between them costs a
-            # NotImplemented round trip
-            if type(a) is not type(b) or a != b:
+            # one object equals itself, nodes of two classes differ, and
+            # != between them costs a NotImplemented round trip
+            if a is not b and (type(a) is not type(b) or a != b):
                 if type(a) is SymApp:
                     yield CASE_LEX, i, None, ((a, b), *rest)
                 return
@@ -382,7 +393,9 @@ def _derive(prec: Precedence, memo: dict, goal: tuple):
     prec: that of the first case that holds, or None.  It looks each
     subgoal up in memo before yielding it, and stores its own value there
     before it returns.  A subgoal with a variable on the right is not
-    yielded: _var_derivation derives it, into the same memo."""
+    yielded: _var_derivation derives it, into the same memo.  Nor is one
+    whose right side has a variable that its left side lacks: it is
+    None."""
     s, t = goal
     d = None
     for case, index, atom, goals in _cases(s, t):
@@ -395,7 +408,7 @@ def _derive(prec: Precedence, memo: dict, goal: tuple):
             else:
                 d = memo.get(sub, _UNKNOWN)
                 if d is _UNKNOWN:
-                    d = yield sub
+                    d = (yield sub) if free_vars(sub[1]) <= free_vars(sub[0]) else None
             if d is None:
                 break
             kids.append(d)
@@ -410,11 +423,14 @@ def _derive(prec: Precedence, memo: dict, goal: tuple):
 
 def _derivation(prec: Precedence, s: Term, t: Term, memo: dict):
     """The derivation of s > t under prec, or None; memo belongs to one
-    call, and its goals run as _derive steps on terms._run_steps."""
+    call, and its goals run as _derive steps on terms._run_steps.  A goal
+    whose t has a variable that s lacks is None without a step."""
     if type(t) is Var:
         return _var_derivation(s, t, memo)
     d = memo.get((s, t), _UNKNOWN)
-    return _run_steps(partial(_derive, prec, memo), (s, t)) if d is _UNKNOWN else d
+    if d is _UNKNOWN:
+        d = _run_steps(partial(_derive, prec, memo), (s, t)) if free_vars(t) <= free_vars(s) else None
+    return d
 
 
 def rpo_greater(prec: Precedence, s: Term, t: Term) -> RpoDerivation | None:
@@ -628,7 +644,8 @@ def _extensions(memo: dict, goal: tuple):
     step looks each subgoal up in memo before yielding it, and stores its
     own value there before it returns.  A subgoal with a variable on the
     right is not yielded: it needs no pair, and holds exactly when its
-    variable occurs in its left side.
+    variable occurs in its left side.  Nor is one whose right side has a
+    variable that its left side lacks: it has no set.
 
     Consistency is checked only for a union a | b that a conjunction
     forms and that adds pairs to both a and b.  Every other set is
@@ -650,7 +667,7 @@ def _extensions(memo: dict, goal: tuple):
                 break
             sub = memo.get(subgoal)
             if sub is None:
-                sub = yield subgoal
+                sub = (yield subgoal) if free_vars(subgoal[1]) <= free_vars(subgoal[0]) else []
             if value == _TRUE or not sub:
                 value = sub
             elif len(value) == len(sub) == 1:
@@ -672,11 +689,14 @@ def _extensions(memo: dict, goal: tuple):
 def _orientations(s: Term, t: Term, memo: dict) -> list[frozenset]:
     """The minimal consistent sets of precedence pairs under which s > t
     holds; memo belongs to one call, and its goals run as _extensions
-    steps on terms._run_steps."""
+    steps on terms._run_steps.  A goal whose t has a variable that s
+    lacks has no set, without a step."""
     if type(t) is Var:
         return _TRUE if _above_var(s, t) else []
     alts = memo.get((s, t))
-    return _run_steps(partial(_extensions, memo), (s, t)) if alts is None else alts
+    if alts is None:
+        alts = _run_steps(partial(_extensions, memo), (s, t)) if free_vars(t) <= free_vars(s) else []
+    return alts
 
 
 def search_precedence(rules, max_symbols: int = DEFAULT_SYMBOL_BOUND):

@@ -32,7 +32,7 @@ from effrew.rpo import (
     validate_derivation,
 )
 from effrew.terms import (
-    App, Lam, Pure, SymApp, Var, eff, fn, ident_str, iter_subterms, replace_at, substitute
+    App, Lam, Pure, SymApp, Var, eff, fn, free_vars, ident_str, iter_subterms, replace_at, substitute
 )
 from effrew.theories import builtin, builtin_names, compose
 from oracles import (
@@ -1130,6 +1130,73 @@ def test_variable_goals_cost_linear_time():
         assert elapsed < 2.0, f"certify {rule.name} took {elapsed:.2f} s"
     # g(..) > x and then every f(..) > x by RPO(3) at argument 0, then x = x
     assert _cases_down(report.entry("drop").derivation) == [(CASE_SUB, 0)] * (n + 1) + [(CASE_EQ, None)]
+
+
+def _lifted(n):
+    """The rule plus(succ^n(x), y) -> succ^n(plus(x, y))."""
+    x, y = v("x"), v("y")
+    return make_rule("lifted", fn("plus", _tower("succ", n, x), y), _tower("succ", n, fn("plus", x, y)))
+
+
+PLUS_SUCC = Precedence([(("plus", ()), ("succ", ()))])
+
+
+def test_variable_condition_keeps_the_lifted_rule_linear():
+    # comparing the two towers level by level meets about n^2 goals
+    # succ^i(x) > succ^j(plus(x, y)), none of which can hold: y is missing
+    # on the left; refuted by their free variables, they are never explored
+    n = 100
+    rule = _lifted(n)
+    derive_memo, orient_memo = {}, {}
+    d = _derivation(PLUS_SUCC, rule.lhs, rule.rhs, derive_memo)
+    assert d == _Prover(PLUS_SUCC).greater(rule.lhs, rule.rhs)
+    assert validate_derivation(PLUS_SUCC, d)
+    assert _orientations(rule.lhs, rule.rhs, orient_memo) == [frozenset(PLUS_SUCC.pairs)]
+    assert len(derive_memo) <= 4 * n, len(derive_memo)
+    assert len(orient_memo) <= 4 * n, len(orient_memo)
+
+
+@stack_safe
+def test_lifted_rule_costs_linear_time():
+    n = 10_000
+    rule = _lifted(n)
+    start = time.perf_counter()
+    prec = search_precedence([rule])
+    elapsed = time.perf_counter() - start
+    assert prec == PLUS_SUCC and prec.display_lines() == ["plus > succ"]
+    assert elapsed < 2.0, f"search took {elapsed:.2f} s"
+    start = time.perf_counter()
+    report = certify_ruleset(prec, [rule])
+    elapsed = time.perf_counter() - start
+    assert report.overall
+    assert elapsed < 2.0, f"certify took {elapsed:.2f} s"
+    assert validate_derivation(prec, report.entry("lifted").derivation)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_goals_against_the_variable_condition_fail(seed):
+    # s > t implies that every variable of t occurs in s, under every
+    # precedence; t gets a variable that s lacks, at its root or below
+    rng = random.Random(seed)
+    prec = random_precedence(rng, rng.choice((0.4, 1.0)))
+    s = symbolic_term(rng, rng.randint(1, 9))
+    z = v(rng.choice(sorted({"u", "v", "w", "z"} - free_vars(s))))
+    base = s if rng.random() < 0.5 else symbolic_term(rng, rng.randint(1, 9))
+    pos, _ = rng.choice(list(iter_subterms(base)))
+    t = replace_at(base, pos, z)
+    prover = _Prover(prec)
+    derive_memo, orient_memo = {}, {}
+    assert _derivation(prec, s, t, derive_memo) is None and not derive_memo
+    assert _orientations(s, t, orient_memo) == [] and not orient_memo
+    assert rpo_greater(prec, s, t) is None and prover.greater(s, t) is None
+    assert rpo_geq(prec, s, t) is None and prover.geq(s, t) is None
+    assert _orient(s, t, {}) == []
+    # a goal that keeps the condition, with such a goal among its subgoals
+    outer = fn("f", s, z)
+    for inner in (fn("f", t, z), fn("g", t), fn("h", t, s, z)):
+        assert rpo_greater(prec, outer, inner) == prover.greater(outer, inner)
+        assert _orientations(outer, inner, {}) == _orient(outer, inner, {})
 
 
 @stack_safe
